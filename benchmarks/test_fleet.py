@@ -7,13 +7,11 @@ queue with seeded loss, every worker tracing into its own spool.  The
 assembled detections must be **bit-identical** to the single-process
 run, the merged trace must validate and balance the fleet-summed
 message counters exactly, and at least one lineage record per cell must
-span two worker ids.  Results are written back to ``BENCH_fleet.json``
-so the CI job can upload them and gate the fleet history.
+span two worker ids.  Results are written to a temporary directory,
+so a run leaves the checkout untouched.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -24,9 +22,6 @@ from repro.eval.fleet import (
     write_results,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_fleet.json"
-
 #: Reduced grid: two fleet widths, a lossless and a lossy+crashy cell.
 GRID = dict(algorithm="d3", workers=(2, 4), loss_rates=(0.0, 0.25),
             n_streams=8, n_ticks=240, window_size=100, sample_size=40,
@@ -35,9 +30,10 @@ GRID = dict(algorithm="d3", workers=(2, 4), loss_rates=(0.0, 0.25),
 
 
 @pytest.fixture(scope="module")
-def results():
+def results(tmp_path_factory):
     current = run_fleet_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_results(current,
+                  tmp_path_factory.mktemp("bench") / "BENCH_fleet.json")
     return current
 
 

@@ -7,13 +7,11 @@ cost per detection and level-1 recall.  The invariants: latencies are
 never negative, a lossless cell flags with zero delay (nothing detains
 a report when nothing is lost), and the grid is deterministic -- the
 sweep is seeded end to end, so re-running a cell replays bit for bit.
-Results are written back to ``BENCH_latency.json`` so the CI job can
-upload them as an artifact and gate the latency history.
+Results are written to a temporary directory, so a run leaves the
+checkout untouched.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -24,9 +22,6 @@ from repro.eval.latency_bench import (
     write_results,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_latency.json"
-
 #: Reduced grid: both algorithms, a lossless and a lossy regime, a
 #: tight and a loose staleness horizon.
 GRID = dict(algorithms=("d3", "mgdd"), loss_rates=(0.0, 0.25),
@@ -35,9 +30,10 @@ GRID = dict(algorithms=("d3", "mgdd"), loss_rates=(0.0, 0.25),
 
 
 @pytest.fixture(scope="module")
-def results():
+def results(tmp_path_factory):
     current = run_latency_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_results(current,
+                  tmp_path_factory.mktemp("bench") / "BENCH_latency.json")
     return current
 
 

@@ -5,14 +5,11 @@ CI can gate on it: with process kills injected at seeded ticks, the
 supervised D3 and MGDD engines must restore from checkpoint, replay the
 journal suffix, and end up **bit-identical** to an uninterrupted run --
 zero detection divergence, replay bounded by the checkpoint cadence,
-every scheduled crash recovered.  Results are written back to
-``BENCH_recovery.json`` so the CI job can upload them as an artifact
-and gate the recovery-time history.
+every scheduled crash recovered.  Results are written to a
+temporary directory, so a run leaves the checkout untouched.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -23,9 +20,6 @@ from repro.eval.recovery import (
     write_results,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_recovery.json"
-
 #: Reduced grid: both algorithms, a light and a heavy crash rate, a
 #: tight and a loose checkpoint cadence.
 GRID = dict(algorithms=("d3", "mgdd"), crash_rates=(0.01, 0.05),
@@ -34,9 +28,10 @@ GRID = dict(algorithms=("d3", "mgdd"), crash_rates=(0.01, 0.05),
 
 
 @pytest.fixture(scope="module")
-def results():
+def results(tmp_path_factory):
     current = run_recovery_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_results(current,
+                  tmp_path_factory.mktemp("bench") / "BENCH_recovery.json")
     return current
 
 

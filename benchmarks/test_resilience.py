@@ -7,13 +7,11 @@ run, recall must degrade smoothly (no cliff to zero), the message counts
 must include the retransmit/ack overhead, per-kind conservation
 (``sent == delivered + dropped``) must hold, and the whole fault
 injection must replay bit for bit under a fixed seed.  Results are
-written back to ``BENCH_resilience.json`` so the CI job can upload them
-as an artifact.
+written to a temporary directory, so a run leaves the checkout
+untouched.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -24,9 +22,6 @@ from repro.eval.resilience import (
     write_results,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUTPUT_PATH = REPO_ROOT / "BENCH_resilience.json"
-
 #: Reduced grid: both algorithms, one lossy and one crashing column.
 GRID = dict(algorithms=("d3", "mgdd"), loss_rates=(0.0, 0.1),
             crash_fractions=(0.0, 0.25), n_leaves=8, window_size=500,
@@ -34,9 +29,10 @@ GRID = dict(algorithms=("d3", "mgdd"), loss_rates=(0.0, 0.1),
 
 
 @pytest.fixture(scope="module")
-def results():
+def results(tmp_path_factory):
     current = run_resilience_benchmark(**GRID)
-    write_results(current, OUTPUT_PATH)
+    write_results(current,
+                  tmp_path_factory.mktemp("bench") / "BENCH_resilience.json")
     return current
 
 

@@ -1,20 +1,15 @@
 """Crash-safe artifact writes: tmp file + ``os.replace``.
 
-Benchmark JSON documents, ``benchmarks/history/*.jsonl`` ledgers, the
-obs metric exporters and the engine checkpoint store all persist state
-a later process depends on.  A plain ``write_text`` interrupted by a
-crash (exactly the failure mode :mod:`repro.engine` injects on purpose)
-leaves a truncated artifact that poisons every later read; these
-helpers write the full payload to a temporary file in the *target
-directory* (same filesystem, so the final rename is atomic), flush and
-fsync it, and only then ``os.replace`` it over the destination.  A kill
-at any instant leaves either the old artifact or the new one -- never a
-mix, never a torn tail.
-
-Appends (the history ledgers) are implemented as read-modify-replace of
-the whole file, which keeps the same all-or-nothing guarantee; the
-ledgers are a few KiB, so rewriting them is noise next to the benchmark
-run that precedes it.
+Benchmark JSON documents, the obs metric exporters and the engine
+checkpoint store all persist state a later process depends on.  A plain
+``write_text`` interrupted by a crash (exactly the failure mode
+:mod:`repro.engine` injects on purpose) leaves a truncated artifact
+that poisons every later read; these helpers write the full payload to
+a temporary file in the *target directory* (same filesystem, so the
+final rename is atomic), flush and fsync it, and only then
+``os.replace`` it over the destination.  A kill at any instant leaves
+either the old artifact or the new one -- never a mix, never a torn
+tail.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_append_text"]
+__all__ = ["atomic_write_bytes", "atomic_write_text"]
 
 
 def atomic_write_bytes(path: "str | Path", data: bytes) -> Path:
@@ -56,16 +51,3 @@ def atomic_write_text(path: "str | Path", text: str, *,
                       encoding: str = "utf-8") -> Path:
     """Write ``text`` to ``path`` atomically; return the target path."""
     return atomic_write_bytes(path, text.encode(encoding))
-
-
-def atomic_append_text(path: "str | Path", text: str, *,
-                       encoding: str = "utf-8") -> Path:
-    """Append ``text`` to ``path`` with all-or-nothing semantics.
-
-    Reads the current contents (empty when the file does not exist),
-    concatenates ``text`` and atomically replaces the file, so a crash
-    mid-append can never leave a half-written record at the tail.
-    """
-    target = Path(path)
-    existing = target.read_bytes() if target.exists() else b""
-    return atomic_write_bytes(target, existing + text.encode(encoding))

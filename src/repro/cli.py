@@ -11,17 +11,10 @@ Commands
     print flagged lines.
 ``info``
     Print the package version and the experiment inventory.
-``bench-throughput``
-    Measure batched vs scalar ingest throughput (single node and D3
-    network) and write ``BENCH_throughput.json``.
 ``bench-resilience``
     Measure detection quality and message overhead under injected node
     crashes and link loss (docs/FAULT_MODEL.md) and write
     ``BENCH_resilience.json``.
-``bench-kernels``
-    Microbenchmark the Eq. 4-6 hot-path kernels against the frozen
-    pre-backend implementations (docs/PERFORMANCE.md) and write
-    ``BENCH_kernels.json``.
 ``bench-recovery``
     Sweep the supervised engine over a crash-rate x checkpoint-cadence
     grid (docs/FAULT_MODEL.md, "Crash recovery"), gate on zero
@@ -141,27 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("info", help="version and experiment inventory")
 
-    bench = commands.add_parser(
-        "bench-throughput",
-        help="measure batched vs scalar ingest throughput")
-    bench.add_argument("--window", type=int, default=2_000,
-                       help="sliding-window size |W|")
-    bench.add_argument("--sample", type=int, default=100,
-                       help="kernel sample slots |R|")
-    bench.add_argument("--readings", type=int, default=20_000,
-                       help="single-node readings to ingest")
-    bench.add_argument("--batch", type=int, default=1_024,
-                       help="process_many chunk size")
-    bench.add_argument("--leaves", type=int, default=8,
-                       help="leaf sensors in the network workload")
-    bench.add_argument("--ticks", type=int, default=800,
-                       help="ticks in the network workload")
-    bench.add_argument("--obs", action="store_true",
-                       help="attach a traced profile run and embed its "
-                            "breakdown under the 'obs' key (the timed "
-                            "measurements stay untraced)")
-    _add_run_options(bench, seed=0, json_out="BENCH_throughput.json")
-
     resilience = commands.add_parser(
         "bench-resilience",
         help="measure detection quality under crashes and link loss")
@@ -178,21 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=[0.0, 0.25],
                             help="leaf crash fractions to sweep")
     _add_run_options(resilience, seed=7, json_out="BENCH_resilience.json")
-
-    kernels = commands.add_parser(
-        "bench-kernels",
-        help="microbenchmark the Eq. 4-6 kernels vs the pre-backend code")
-    kernels.add_argument("--queries", type=int, default=4_096,
-                         help="query boxes / points per case")
-    kernels.add_argument("--centers", type=int, default=2_048,
-                         help="kernel centres in the 1-d cases")
-    kernels.add_argument("--repeats", type=int, default=3,
-                         help="timing repetitions (best is kept)")
-    kernels.add_argument("--backend", default=None,
-                         choices=("numpy", "numba", "auto"),
-                         help="compute backend to measure (default: the "
-                              "REPRO_BACKEND resolution)")
-    _add_run_options(kernels, seed=0, json_out="BENCH_kernels.json")
 
     recovery = commands.add_parser(
         "bench-recovery",
@@ -464,24 +421,6 @@ def _doc_metrics_snapshot(doc, prefix: str):
     return registry.snapshot()
 
 
-def _cmd_bench_throughput(args) -> int:
-    from repro.eval import throughput
-
-    results = throughput.run_throughput_benchmark(
-        window_size=args.window, sample_size=args.sample,
-        n_readings=args.readings, batch_size=args.batch,
-        n_leaves=args.leaves, n_ticks=args.ticks, seed=args.seed,
-        obs=args.obs)
-    print(throughput.format_table(results))
-    path = throughput.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.throughput"),
-            args.metrics_out)
-    return 0
-
-
 def _cmd_bench_resilience(args) -> int:
     from repro.eval import resilience
 
@@ -501,28 +440,6 @@ def _cmd_bench_resilience(args) -> int:
     for failure in failures:
         print(f"# DEGRADATION FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def _cmd_bench_kernels(args) -> int:
-    import contextlib
-
-    from repro.core.backend import use_backend
-    from repro.eval import kernels_bench
-
-    scope = use_backend(args.backend) if args.backend \
-        else contextlib.nullcontext()
-    with scope:
-        results = kernels_bench.run_kernels_benchmark(
-            n_queries=args.queries, n_centers=args.centers,
-            repeats=args.repeats, seed=args.seed)
-    print(kernels_bench.format_table(results))
-    path = kernels_bench.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.kernels"),
-            args.metrics_out)
-    return 0
 
 
 def _cmd_bench_recovery(args) -> int:
@@ -649,7 +566,6 @@ def _cmd_merge_trace(args) -> int:
 def _cmd_explain(args) -> int:
     import json
 
-    from repro._exceptions import ParameterError
     from repro.obs.distributed import load_trace
     from repro.obs.explain import (
         explain,
@@ -657,12 +573,7 @@ def _cmd_explain(args) -> int:
         format_explanation,
     )
 
-    events = load_trace(args.trace)
-    try:
-        record = explain(events, args.detection)
-    except ParameterError as exc:
-        print(f"repro explain: {exc}", file=sys.stderr)
-        return 2
+    record = explain(load_trace(args.trace), args.detection)
     if args.json:
         print(json.dumps(explanation_dict(record), sort_keys=True,
                          default=str))
@@ -804,13 +715,19 @@ def _cmd_info(args) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro._exceptions.ParameterError` from a handler (an
+    option value outside its domain, such as ``--window -5``) is reported
+    the way argparse reports a bad option -- ``repro <cmd>: error: ...``
+    on stderr and exit status 2 -- instead of as a traceback.
+    """
+    from repro._exceptions import ParameterError
+
     args = build_parser().parse_args(argv)
     handlers = {"reproduce": _cmd_reproduce, "detect": _cmd_detect,
                 "info": _cmd_info,
-                "bench-throughput": _cmd_bench_throughput,
                 "bench-resilience": _cmd_bench_resilience,
-                "bench-kernels": _cmd_bench_kernels,
                 "bench-recovery": _cmd_bench_recovery,
                 "bench-latency": _cmd_bench_latency,
                 "bench-fleet": _cmd_bench_fleet,
@@ -818,7 +735,11 @@ def main(argv: "list[str] | None" = None) -> int:
                 "explain": _cmd_explain,
                 "trace": _cmd_trace, "profile": _cmd_profile,
                 "export-metrics": _cmd_export_metrics, "top": _cmd_top}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ParameterError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":   # pragma: no cover - exercised via __main__

@@ -22,8 +22,8 @@ underlying test.
 When readings arrive in blocks, :meth:`OnlineOutlierDetector.process_many`
 ingests them through the vectorised chain-sample/sketch fast path and
 scores whole chunks with one batched range query per cached model --
-producing the same decisions as the loop above (see ``repro bench-
-throughput`` for the speedup).  Model refresh is change-driven: the
+producing the same decisions as the loop above at a fraction of the
+cost (the ``bench`` package measures it).  Model refresh is change-driven: the
 kernel model is rebuilt only when the chain sample's active elements
 actually changed or the bandwidths drifted, not on a bare arrival
 counter (see :meth:`repro.detectors._state.StreamModelState.model`).

@@ -25,13 +25,6 @@ from repro.eval.harness import (
 from repro.eval.metrics import PrecisionRecall, precision_recall
 from repro.eval.profiling import format_profile_table, run_profile_benchmark
 from repro.eval.provenance import git_sha, run_metadata
-from repro.eval.regression import (
-    RegressionTolerances,
-    append_history,
-    check_history,
-    load_history,
-    summarize_benchmark,
-)
 from repro.eval.reporting import render_table
 from repro.eval.resilience import (
     check_degradation,
@@ -77,9 +70,4 @@ __all__ = [
     "format_profile_table",
     "run_metadata",
     "git_sha",
-    "RegressionTolerances",
-    "summarize_benchmark",
-    "append_history",
-    "load_history",
-    "check_history",
 ]

@@ -29,8 +29,8 @@ Workers spool their traces via :func:`repro.obs.distributed
 trace against the event schema, and writes ``TRACE_merged.jsonl`` plus
 per-worker ``*.metrics.json`` snapshots (mergeable via ``repro
 export-metrics --in``) into the run directory.  ``repro bench-fleet``
-sweeps a (workers x loss-rate) grid into ``BENCH_fleet.json``, gated
-in ``benchmarks/history/`` like every other bench.
+sweeps a (workers x loss-rate) grid into ``BENCH_fleet.json`` and
+:func:`check_fleet` gates it.
 """
 
 from __future__ import annotations

@@ -10,18 +10,15 @@ delayed the escalated report a parent flags on.  This module sweeps a
 (loss rate x staleness horizon) grid per algorithm over the accuracy
 harness and records, per cell: flag count, latency P50/P99/max,
 communication cost per detection (words / flag) and level-1 recall, so
-CI can gate "how stale is a flag when it finally lands" the same way it
-gates throughput and recall.
+CI can gate "how stale is a flag when it finally lands".
 
 The latency bookkeeping in
 :class:`~repro.network.node.DetectionLog` is unconditional, so cells
 run *without* tracing -- the benchmark measures the detector network,
 not the observability layer.  Results go to ``BENCH_latency.json``;
 :func:`check_latency` asserts the invariants (non-negative latencies,
-zero latency under zero loss, a non-empty sweep) and
-``tools/bench_history.py`` gates the P99 against
-``benchmarks/history/latency.jsonl``.  Everything is seeded, so a cell
-replays bit for bit.
+zero latency under zero loss, a non-empty sweep).  Everything is
+seeded, so a cell replays bit for bit.
 """
 
 from __future__ import annotations

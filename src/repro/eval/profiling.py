@@ -1,12 +1,11 @@
 """The ``repro profile`` workload: a traced run with per-phase timing.
 
-Runs the same two workloads the throughput benchmark times -- a
-single-node detector fed through ``process_many`` and a batched D3
-deployment -- but *under* :mod:`repro.obs`, so the result is not one
-wall-clock number but a breakdown over the named hot paths (batched
-ingestion, estimator cache rebuilds, Theorem 2 sorted-path queries,
-drain loop).  The profile document embeds in ``BENCH_throughput.json``
-via the benchmark's ``obs=`` knob.
+Runs two workloads -- a single-node detector fed through
+``process_many`` and a batched D3 deployment -- *under*
+:mod:`repro.obs`, so the result is not one wall-clock number but a
+breakdown over the named hot paths (batched ingestion, estimator cache
+rebuilds, Theorem 2 sorted-path queries, drain loop).  Untraced speed is
+measured by the ``bench`` package at the repository root.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Run metadata for benchmark artifacts.
 
-``BENCH_throughput.json`` / ``BENCH_resilience.json`` numbers are only
-attributable over time if each document records what produced it.  This
+``BENCH_*.json`` sweep results are only attributable over time if each
+document records what produced it.  This
 module stamps a ``meta`` key -- git sha, seed, python/numpy versions,
 platform, wall clock -- without touching the keys the CI gates read.
 """

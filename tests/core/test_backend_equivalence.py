@@ -4,7 +4,7 @@ The numpy backend claims *bit identity* with the historical estimator
 expressions (``repro.core._kernels_numpy`` docstring lists the exact
 IEEE-754-preserving rewrites); the numba backend claims 1e-9 relative
 agreement.  This suite pins both claims against the frozen references
-in :mod:`repro.eval.kernels_bench`, exercises the sorted-index fast
+in :mod:`tests.core._reference_kernels`, exercises the sorted-index fast
 paths against brute force, and covers the backend selection machinery
 itself (env resolution, strict failures, context restoration).
 """
@@ -29,7 +29,7 @@ from repro.core.backend import (
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.indexes import SortedSampleIndex
 from repro.core.kernels import EPANECHNIKOV, GAUSSIAN
-from repro.eval.kernels_bench import reference_pdf, reference_range_batch
+from tests.core._reference_kernels import reference_pdf, reference_range_batch
 
 HAVE_NUMBA = "numba" in available_backends()
 
@@ -76,6 +76,34 @@ class TestNumpyBitIdentity:
         assert np.array_equal(est.pdf(queries),
                               reference_pdf(kernel, queries, centers,
                                             bandwidths))
+
+    @pytest.mark.parametrize("query, kernel, d, n_centers", [
+        ("range", EPANECHNIKOV, 1, 1_024),
+        ("range", EPANECHNIKOV, 2, 1_024),
+        ("range", EPANECHNIKOV, 3, 512),
+        ("range", GAUSSIAN, 1, 1_024),
+        ("pdf", EPANECHNIKOV, 1, 1_024),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_multi_block_shapes_identical(self, query, kernel, d, n_centers):
+        # 2048 queries span several REPRO_KERNEL_BLOCK query blocks, so
+        # the block seams are checked, not just one block's arithmetic.
+        n_queries = 2_048
+        assert n_queries >= 2 * (block_cells() // n_centers)
+        rng = np.random.default_rng(60 + d)
+        centers = rng.random((n_centers, d))
+        queries = rng.random((n_queries, d))
+        bandwidths = np.full(d, 0.05)
+        est = KernelDensityEstimator(centers, bandwidths=bandwidths,
+                                     kernel=kernel)
+        if query == "range":
+            got = np.asarray(est.range_probability(queries - 0.02,
+                                                   queries + 0.02))
+            want = reference_range_batch(kernel, queries - 0.02,
+                                         queries + 0.02, centers, bandwidths)
+        else:
+            got = est.pdf(queries)
+            want = reference_pdf(kernel, queries, centers, bandwidths)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bw", [1e-12, 1e12])
     def test_degenerate_bandwidths_identical(self, bw):

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro._artifacts import (
-    atomic_append_text,
-    atomic_write_bytes,
-    atomic_write_text,
-)
+from repro._artifacts import atomic_write_bytes, atomic_write_text
 
 
 class TestAtomicWrite:
@@ -62,29 +57,3 @@ class TestAtomicWrite:
         monkeypatch.undo()
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
-
-
-class TestAtomicAppend:
-    def test_append_creates_then_extends(self, tmp_path):
-        ledger = tmp_path / "history.jsonl"
-        atomic_append_text(ledger, json.dumps({"n": 1}) + "\n")
-        atomic_append_text(ledger, json.dumps({"n": 2}) + "\n")
-        lines = ledger.read_text().splitlines()
-        assert [json.loads(line)["n"] for line in lines] == [1, 2]
-
-    def test_kill_mid_append_keeps_every_prior_line(self, tmp_path,
-                                                    monkeypatch):
-        ledger = tmp_path / "history.jsonl"
-        atomic_append_text(ledger, '{"n": 1}\n')
-
-        def dying_fsync(fd):
-            raise KeyboardInterrupt("killed mid-append")
-
-        monkeypatch.setattr(os, "fsync", dying_fsync)
-        with pytest.raises(KeyboardInterrupt):
-            atomic_append_text(ledger, '{"n": 2}\n')
-        monkeypatch.undo()
-        # All-or-nothing: the half-appended line is fully absent and
-        # every prior line still parses.
-        lines = ledger.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [{"n": 1}]

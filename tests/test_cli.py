@@ -34,8 +34,8 @@ class TestParser:
         # Every benchmark-style subcommand exposes the same --seed,
         # --json-out and --metrics-out flags, each with its own default.
         for command, seed, json_out in (
-                (["bench-throughput"], 0, "BENCH_throughput.json"),
                 (["bench-resilience"], 7, "BENCH_resilience.json"),
+                (["bench-recovery"], 7, "BENCH_recovery.json"),
                 (["trace", "d3"], 7, None),
                 (["profile"], 0, None)):
             args = build_parser().parse_args(command)
@@ -97,7 +97,7 @@ class TestParser:
 
     def test_output_is_an_alias_for_json_out(self):
         args = build_parser().parse_args(
-            ["bench-throughput", "--output", "custom.json"])
+            ["bench-resilience", "--output", "custom.json"])
         assert args.json_out == "custom.json"
 
     def test_trace_arguments(self):
@@ -116,6 +116,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "repro 1.0.0" in out
         assert "figure11" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["bench-resilience", "--window", "-5"],
+        ["trace", "d3", "--leaves", "0"],
+    ])
+    def test_bad_parameter_reported_like_argparse(self, argv, tmp_path,
+                                                  monkeypatch, capsys):
+        # A value outside its domain is a usage error: one
+        # "repro <cmd>: error: ..." line and exit 2, not a traceback.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: error: ")
+        assert "must be >= 1" in err
 
     def test_reproduce_figure5(self, capsys):
         assert main(["reproduce", "figure5"]) == 0
