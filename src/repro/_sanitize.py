@@ -16,6 +16,9 @@ mathematics promise:
   element per slot, strictly increasing chain timestamps inside the
   window, a pending successor in ``(newest, newest + |W|]``, and a
   monotonically non-decreasing ``mutation_count``;
+* :class:`~repro.engine.core.DetectorEngine` keeps the same chain and
+  bucket invariants over its structure-of-arrays state, checked at the
+  end of every ``ingest``;
 * the 16-bit wire codec round-trips model state within one quantisation
   step.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,9 +48,12 @@ __all__ = [
     "check_probabilities",
     "check_mass",
     "check_bandwidths",
+    "check_chain",
     "check_chain_sample",
+    "check_eh_lane",
     "check_eh_sketch",
     "check_codec_roundtrip",
+    "check_engine",
 ]
 
 #: Absolute slack for probability bounds: kernel-CDF sums cancel in
@@ -150,23 +156,34 @@ def check_chain_sample(sample: Any, *, mutations_before: int | None = None,
         _fail(label, f"mutation_count moved backwards "
                      f"({mutations_before} -> {sample.mutation_count})")
     for slot, chain in enumerate(sample._chains):
-        previous = None
-        for ts, value in chain.items:
-            if ts <= now - window or ts > now:
-                _fail(label, f"slot {slot} holds timestamp {ts} outside "
-                             f"window ({now - window}, {now}]")
-            if previous is not None and ts <= previous:
-                _fail(label, f"slot {slot} chain timestamps not strictly "
-                             f"increasing ({previous} -> {ts})")
-            if not np.isfinite(np.asarray(value, dtype=float)).all():
-                _fail(label, f"slot {slot} holds a non-finite value")
-            previous = ts
-        if chain.items:
-            newest = chain.items[-1][0]
-            if not newest < chain.successor_ts <= newest + window:
-                _fail(label, f"slot {slot} successor_ts "
-                             f"{chain.successor_ts} not in "
-                             f"({newest}, {newest + window}]")
+        check_chain(chain.items, chain.successor_ts, now, window,
+                    label=f"{label} slot {slot}")
+
+
+def check_chain(items: "Sequence[tuple[int, Any]]", successor_ts: int,
+                now: int, window: int, *, label: str) -> None:
+    """Assert one chain-sampling slot's invariants at timestamp ``now``.
+
+    Timestamps strictly increase inside the window ``(now - |W|, now]``,
+    values are finite, and a non-empty chain's pending successor is due
+    in ``(newest, newest + |W|]``.
+    """
+    previous = None
+    for ts, value in items:
+        if ts <= now - window or ts > now:
+            _fail(label, f"holds timestamp {ts} outside window "
+                         f"({now - window}, {now}]")
+        if previous is not None and ts <= previous:
+            _fail(label, f"chain timestamps not strictly increasing "
+                         f"({previous} -> {ts})")
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            _fail(label, "holds a non-finite value")
+        previous = ts
+    if items:
+        newest = items[-1][0]
+        if not newest < successor_ts <= newest + window:
+            _fail(label, f"successor_ts {successor_ts} not in "
+                         f"({newest}, {newest + window}]")
 
 
 def check_eh_sketch(sketch: Any, *, label: str = "EHVarianceSketch") -> None:
@@ -178,27 +195,59 @@ def check_eh_sketch(sketch: Any, *, label: str = "EHVarianceSketch") -> None:
     bounds), every count is a positive integer, and every ``m2`` is
     non-negative and finite.
     """
-    buckets = sketch._buckets
-    now = sketch.timestamp
-    window = sketch.window_size
+    check_eh_lane(sketch._lane, sketch.timestamp, sketch.window_size,
+                  label=label)
+
+
+def check_eh_lane(lane: Any, now: int, window: int, *, label: str) -> None:
+    """Assert one EH lane's bucket invariants at timestamp ``now``.
+
+    See :func:`check_eh_sketch`; ``lane`` is a
+    :class:`~repro.streams.variance.EHLane`.
+    """
     previous_ts = None
-    for i, bucket in enumerate(buckets):
-        if bucket.count < 1:
-            _fail(label, f"bucket {i} has count {bucket.count} < 1")
-        if not (np.isfinite(bucket.mean) and np.isfinite(bucket.m2)):
+    for i, (ts, count, mean, m2) in enumerate(
+            zip(lane.ts, lane.counts, lane.means, lane.m2s)):
+        if count < 1:
+            _fail(label, f"bucket {i} has count {count} < 1")
+        if not (np.isfinite(mean) and np.isfinite(m2)):
             _fail(label, f"bucket {i} has non-finite moments")
-        if bucket.m2 < -ATOL:
-            _fail(label, f"bucket {i} has negative m2 {bucket.m2!r}")
-        if bucket.newest_ts > now:
-            _fail(label, f"bucket {i} timestamp {bucket.newest_ts} is in "
-                         f"the future (now {now})")
-        if i > 0 and bucket.newest_ts <= now - window:
-            _fail(label, f"non-oldest bucket {i} expired at "
-                         f"{bucket.newest_ts} but was kept")
-        if previous_ts is not None and bucket.newest_ts <= previous_ts:
+        if m2 < -ATOL:
+            _fail(label, f"bucket {i} has negative m2 {m2!r}")
+        if ts > now:
+            _fail(label, f"bucket {i} timestamp {ts} is in the future "
+                         f"(now {now})")
+        if i > 0 and ts <= now - window:
+            _fail(label, f"non-oldest bucket {i} expired at {ts} but was "
+                         f"kept")
+        if previous_ts is not None and ts <= previous_ts:
             _fail(label, f"bucket timestamps not strictly increasing "
-                         f"({previous_ts} -> {bucket.newest_ts})")
-        previous_ts = bucket.newest_ts
+                         f"({previous_ts} -> {ts})")
+        previous_ts = ts
+
+
+def check_engine(engine: Any, *, label: str = "DetectorEngine") -> None:
+    """Assert a :class:`~repro.engine.core.DetectorEngine`'s stream state.
+
+    Once a tick has been ingested every chain-sample slot of every
+    stream holds a head, and each chain satisfies :func:`check_chain`:
+    timestamps inside the window and the pending successor due within
+    ``|W|`` of the chain's newest item.  Every (stream, dimension) EH
+    lane satisfies :func:`check_eh_lane`.
+    """
+    now = engine._tick - 1
+    for flat in range(engine._head_ts.size):
+        where = f"{label} stream {flat // engine._sample_size} " \
+                f"slot {flat % engine._sample_size}"
+        items = engine._chain(flat)
+        if now >= 0 and not items:
+            _fail(where, "holds no element")
+        check_chain(items, int(engine._succ_ts.flat[flat]), now,
+                    engine._window, label=where)
+    for lane_index, lane in enumerate(engine._lanes):
+        stream, dim = divmod(lane_index, engine._n_dims)
+        check_eh_lane(lane, now, engine._window,
+                      label=f"{label} stream {stream} dim {dim}")
 
 
 def check_codec_roundtrip(payload: bytes, sample: np.ndarray,

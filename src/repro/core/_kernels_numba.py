@@ -28,7 +28,8 @@ from numba import njit, prange
 from repro.core import _kernels_numpy as _np_impl
 from repro.core.kernels import Kernel
 
-__all__ = ["range_batch", "pdf_batch", "cdf_diff_rows", "eh_compress"]
+__all__ = ["range_batch", "range_batch_stacked", "pdf_batch", "cdf_diff_rows",
+           "eh_compress"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_TWO_PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -127,6 +128,17 @@ def range_batch(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
     else:
         _np_impl.range_batch(kernel, lows, highs, centers, inv_bw, out,
                              block_cells)
+
+
+def range_batch_stacked(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
+                        centers: np.ndarray, inv_bw: np.ndarray,
+                        out: np.ndarray, block_cells: int) -> None:
+    """Many models' range probabilities: :func:`range_batch` per model,
+    so each model's rows equal its own single-model call exactly."""
+    # One compiled call per model, not a per-element walk.
+    for s in range(lows.shape[0]):  # repro-lint: disable=RL008
+        range_batch(kernel, lows[s], highs[s], centers[s], inv_bw[s],
+                    out[s], block_cells)
 
 
 def pdf_batch(kernel: Kernel, queries: np.ndarray, centers: np.ndarray,

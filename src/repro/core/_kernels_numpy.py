@@ -25,7 +25,9 @@ are exact under IEEE-754 round-to-nearest:
 * sweeping the dimensions of a multi-dimensional query as 2-d slabs
   with a running product (numpy's multiply reduction over a short last
   axis is sequential left to right, so the accumulator reproduces
-  ``prod(axis=2)`` exactly).
+  ``prod(axis=2)`` exactly);
+* ``np.add.reduce`` followed by ``np.true_divide`` by the row length
+  for ``np.mean``, which is how ``mean`` computes.
 
 Divisions are preserved as divisions and reciprocal-multiplications as
 reciprocal-multiplications, per call site: the two differ in the last
@@ -43,7 +45,7 @@ from scipy.special import ndtr
 
 from repro.core.kernels import Kernel
 
-__all__ = ["range_batch", "pdf_batch", "cdf_diff_rows"]
+__all__ = ["range_batch", "range_batch_stacked", "pdf_batch", "cdf_diff_rows"]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -94,60 +96,72 @@ def range_batch(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
 
     ``out[i] = mean_j prod_k (cdf(z_hi[i,j,k]) - cdf(z_lo[i,j,k]))`` with
     ``z = (bound - centre) * inv_bw``.  Unclipped and unsanitised -- the
-    estimator applies both.
+    estimator applies both.  A one-model :func:`range_batch_stacked`.
     """
-    m = lows.shape[0]
-    if m == 0:
+    range_batch_stacked(kernel, lows[None], highs[None], centers[None],
+                        inv_bw[None], out[None], block_cells)
+
+
+def range_batch_stacked(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
+                        centers: np.ndarray, inv_bw: np.ndarray,
+                        out: np.ndarray, block_cells: int) -> None:
+    """Eq. 5 range probabilities of ``S`` models at once into ``out``.
+
+    Model ``s`` has centres ``centers[s]`` (all models hold ``n``) and
+    inverse bandwidths ``inv_bw[s]``; its ``m`` query boxes are
+    ``lows[s]``/``highs[s]`` and land in ``out[s]``.  The operations are
+    the historical single-model expression's with a leading model axis,
+    and each (model, query) row is reduced on its own, so every row
+    equals a one-model call bit for bit.  Blocks hold at most
+    ``block_cells`` cells per scratch array: whole models while they
+    fit, queries within one model otherwise.
+    """
+    n_models, m, d = lows.shape
+    if n_models == 0 or m == 0:
         return
-    n, d = centers.shape
+    n = centers.shape[1]
     name = getattr(kernel, "name", "")
-    if d == 1:
-        lo, hi, c = lows[:, 0], highs[:, 0], centers[:, 0]
-        scale = inv_bw[0]
-        qb = max(1, min(m, block_cells // max(1, n)))
-        z_hi = np.empty((qb, n))
-        z_lo = np.empty((qb, n))
-        buf = np.empty((qb, n))
-        for s in range(0, m, qb):
-            e = min(s + qb, m)
-            k = e - s
-            zh, zl, t = z_hi[:k], z_lo[:k], buf[:k]
-            np.subtract(hi[s:e, None], c[None, :], out=zh)
-            np.multiply(zh, scale, out=zh)
-            np.subtract(lo[s:e, None], c[None, :], out=zl)
-            np.multiply(zl, scale, out=zl)
-            _cdf_inplace(kernel, name, zh, t)
-            _cdf_inplace(kernel, name, zl, t)
-            np.subtract(zh, zl, out=zh)
-            np.mean(zh, axis=1, out=out[s:e])
-        return
-    # d > 1: sweep the dimensions one (qb, n) slab at a time instead of
-    # materialising (qb, n, d) cubes -- every op stays contiguous, and
-    # the running product accumulates dimensions left to right exactly
-    # like ``prod(axis=2)`` over the historical 3-d array.
     qb = max(1, min(m, block_cells // max(1, n)))
-    z_hi = np.empty((qb, n))
-    z_lo = np.empty((qb, n))
-    buf = np.empty((qb, n))
-    acc = np.empty((qb, n))
-    for s in range(0, m, qb):
-        e = min(s + qb, m)
-        k = e - s
-        zh, zl, t, p = z_hi[:k], z_lo[:k], buf[:k], acc[:k]
-        for j in range(d):
-            c = centers[:, j]
-            np.subtract(highs[s:e, j, None], c[None, :], out=zh)
-            np.multiply(zh, inv_bw[j], out=zh)
-            np.subtract(lows[s:e, j, None], c[None, :], out=zl)
-            np.multiply(zl, inv_bw[j], out=zl)
-            _cdf_inplace(kernel, name, zh, t)
-            _cdf_inplace(kernel, name, zl, t)
-            np.subtract(zh, zl, out=zh)
-            if j == 0:
-                p[...] = zh
-            else:
-                np.multiply(p, zh, out=p)
-        np.mean(p, axis=1, out=out[s:e])
+    sb = max(1, min(n_models, block_cells // max(1, qb * n)))
+    z_hi = np.empty((sb, qb, n))
+    z_lo = np.empty((sb, qb, n))
+    buf = np.empty((sb, qb, n))
+    # d > 1: sweep the dimensions one slab at a time instead of
+    # materialising a trailing d axis -- every op stays contiguous, and
+    # the running product accumulates dimensions left to right exactly
+    # like ``prod(axis=-1)`` over the historical array.
+    acc = np.empty((sb, qb, n)) if d > 1 else z_hi
+    for s0 in range(0, n_models, sb):
+        s1 = min(s0 + sb, n_models)
+        for q0 in range(0, m, qb):
+            q1 = min(q0 + qb, m)
+            zh, zl, t, p = z_hi, z_lo, buf, acc
+            if s1 - s0 < sb or q1 - q0 < qb:
+                # A ragged last block: contiguous views of its size.
+                shape = (s1 - s0, q1 - q0, n)
+                size = shape[0] * shape[1] * n
+                zh, zl, t, p = (a.reshape(-1)[:size].reshape(shape)
+                                for a in (z_hi, z_lo, buf, acc))
+            for j in range(d):
+                c = centers[s0:s1, None, :, j]
+                scale = inv_bw[s0:s1, j, None, None]
+                np.subtract(highs[s0:s1, q0:q1, j, None], c, out=zh)
+                np.multiply(zh, scale, out=zh)
+                np.subtract(lows[s0:s1, q0:q1, j, None], c, out=zl)
+                np.multiply(zl, scale, out=zl)
+                _cdf_inplace(kernel, name, zh, t)
+                _cdf_inplace(kernel, name, zl, t)
+                np.subtract(zh, zl, out=zh)
+                if d == 1:
+                    pass            # p is zh
+                elif j == 0:
+                    p[...] = zh
+                else:
+                    np.multiply(p, zh, out=p)
+            # np.mean's own two steps, without its Python-level wrapper.
+            rows = out[s0:s1, q0:q1]
+            np.add.reduce(p, axis=2, out=rows)
+            np.true_divide(rows, n, out=rows)
 
 
 def pdf_batch(kernel: Kernel, queries: np.ndarray, centers: np.ndarray,

@@ -60,12 +60,15 @@ class Backend:
     """A set of compiled/vectorised kernels the estimator dispatches to.
 
     ``range_batch``/``pdf_batch``/``cdf_diff_rows`` cover the Eq. 4-6
-    evaluation paths; ``eh_compress`` optionally compiles the EH sketch
-    bucket merge (``None`` means the pure-Python merge stays in charge).
+    evaluation paths (``range_batch_stacked`` serves many models of equal
+    sample size in one call); ``eh_compress`` optionally compiles the EH
+    sketch bucket merge (``None`` means the pure-Python merge stays in
+    charge).
     """
 
     name: str
     range_batch: Callable[..., None]
+    range_batch_stacked: Callable[..., None]
     pdf_batch: Callable[..., None]
     cdf_diff_rows: Callable[..., np.ndarray]
     eh_compress: "Callable[..., Any] | None" = None
@@ -81,6 +84,7 @@ def _numpy_backend() -> Backend:
         _CACHE["numpy"] = Backend(
             name="numpy",
             range_batch=mod.range_batch,
+            range_batch_stacked=mod.range_batch_stacked,
             pdf_batch=mod.pdf_batch,
             cdf_diff_rows=mod.cdf_diff_rows,
             eh_compress=None)
@@ -96,6 +100,7 @@ def _numba_backend() -> "Backend | None":
         _CACHE["numba"] = Backend(
             name="numba",
             range_batch=mod.range_batch,
+            range_batch_stacked=mod.range_batch_stacked,
             pdf_batch=mod.pdf_batch,
             cdf_diff_rows=mod.cdf_diff_rows,
             eh_compress=mod.eh_compress)

@@ -47,7 +47,40 @@ from repro.core.bandwidth import scott_bandwidths
 from repro.core.indexes import SortedSampleIndex
 from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
 
-__all__ = ["KernelDensityEstimator", "merge_estimators"]
+__all__ = ["KernelDensityEstimator", "merge_estimators", "range_probabilities"]
+
+
+def range_probabilities(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
+                        centers: np.ndarray,
+                        bandwidths: np.ndarray) -> np.ndarray:
+    """Eq. 5 box probabilities through the compute backend, in ``[0, 1]``.
+
+    One model: ``(m, d)`` boxes against ``(n, d)`` centres and ``(d,)``
+    bandwidths give ``(m,)`` probabilities.  A stack of ``S`` models of
+    equal size: ``(S, m, d)`` boxes against ``(S, n, d)`` centres and
+    ``(S, d)`` bandwidths give ``(S, m)``, every row equal to its
+    model's own call.
+    """
+    t0 = time.perf_counter() if obs.ACTIVE else 0.0
+    try:
+        backend = _backend.get_backend()
+        run = backend.range_batch if lows.ndim == 2 \
+            else backend.range_batch_stacked
+        out = np.empty(lows.shape[:-1], dtype=float)
+        run(kernel, lows, highs, centers, 1.0 / bandwidths, out,
+            _backend.block_cells())
+        if _sanitize.ACTIVE:
+            _sanitize.check_probabilities(out, label="range_probability")
+        # Clamp tiny negative values from floating point cancellation.
+        return np.clip(out, 0.0, 1.0)
+    finally:
+        # A failing query (e.g. a sanitizer trip) still charges its
+        # phase; without this the profile reports 0 ns for it.
+        if obs.ACTIVE:
+            elapsed = time.perf_counter() - t0
+            obs.profiler().record("kernels.range_batch", elapsed)
+            obs.metrics().histogram(
+                "estimator.range_query.latency").observe(elapsed)
 
 
 # repro-lint: shard-state
@@ -285,25 +318,8 @@ class KernelDensityEstimator:
     def _range_probability_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         if (highs < lows).any():
             raise ParameterError("each high must be >= the corresponding low")
-        t0 = time.perf_counter() if obs.ACTIVE else 0.0
-        try:
-            out = np.empty(lows.shape[0], dtype=float)
-            inv_bw = 1.0 / self._bandwidths
-            _backend.get_backend().range_batch(
-                self._kernel, lows, highs, self._sample, inv_bw, out,
-                _backend.block_cells())
-            if _sanitize.ACTIVE:
-                _sanitize.check_probabilities(out, label="range_probability")
-            # Clamp tiny negative values from floating point cancellation.
-            return np.clip(out, 0.0, 1.0)
-        finally:
-            # A failing query (e.g. a sanitizer trip) still charges its
-            # phase; without this the profile reports 0 ns for it.
-            if obs.ACTIVE:
-                elapsed = time.perf_counter() - t0
-                obs.profiler().record("kernels.range_batch", elapsed)
-                obs.metrics().histogram(
-                    "estimator.range_query.latency").observe(elapsed)
+        return range_probabilities(self._kernel, lows, highs, self._sample,
+                                   self._bandwidths)
 
     def _range_probability_sorted_1d(self, low: float, high: float) -> float:
         """Theorem 2 fast path: prune kernels outside the query's reach."""

@@ -10,7 +10,7 @@ This module factors that trio out of the algorithm classes.
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
 from repro.streams.sampling import ChainSample
 from repro.streams.variance import MultiDimVarianceSketch
 
-__all__ = ["StreamModelState", "ChildStalenessTracker"]
+__all__ = ["StreamModelState", "ChildStalenessTracker", "arrivals_until_due",
+           "model_chunks", "model_is_stale", "model_bandwidths"]
 
 #: Check whether the cached kernel model is stale at most once per this
 #: many arrivals (callers may override).  A due check rebuilds only when
@@ -35,6 +36,86 @@ DEFAULT_MODEL_REFRESH = 16
 #: when no sample slot changed (Scott bandwidths scale linearly with the
 #: deviation, so this bounds the bandwidth staleness of a reused model).
 DEFAULT_BANDWIDTH_TOL = 0.05
+
+
+def default_min_arrivals(sample_size: int) -> int:
+    """Arrivals before a model is built, unless the owner says otherwise."""
+    return max(2, sample_size // 8)
+
+
+# The refresh rule below is shared by StreamModelState (one node) and
+# DetectorEngine (all its streams as arrays), so both build the same
+# models at the same arrivals.
+
+def arrivals_until_due(has_model: bool, arrivals: int, last_check: int,
+                       min_arrivals: int, model_refresh: int) -> int:
+    """Arrivals after which the next model check falls due (>= 1).
+
+    Before the first model the check waits for ``min_arrivals``; after
+    it, checks run ``model_refresh`` arrivals apart, counted from the
+    last one (at arrival ``last_check``).
+    """
+    if not has_model:
+        return max(1, min_arrivals - arrivals)
+    return max(1, model_refresh - (arrivals - last_check))
+
+
+def model_chunks(m: int, seen: int, warmup: int,
+                 until_due: Callable[[], int],
+                 ) -> "Iterator[tuple[int, int, bool | None]]":
+    """Split a block of ``m`` arrivals into the chunks batched callers walk.
+
+    ``seen`` arrivals came before the block, and readings are scored
+    only after the first ``warmup``.  Yields ``(start, stop, due)`` for
+    arrivals ``start:stop`` of the block: ``due`` is ``None`` for a
+    warm-up chunk (observe only: no decisions and no model checks),
+    ``False`` when every arrival of the chunk is scored against the
+    current cached model, and ``True`` when a model check falls due at
+    the chunk's last arrival (the others see the cache, the last one the
+    checked model).  ``until_due`` is called after the caller has
+    handled the previous chunk, so it reads the state as it now stands
+    -- which reproduces the one-reading-at-a-time schedule exactly.
+    """
+    i = 0
+    while i < m:
+        if seen + i < warmup:
+            k = min(warmup - seen - i, m - i)
+            yield i, i + k, None
+        else:
+            until = until_due()
+            k = min(m - i, until)
+            yield i, i + k, k == until
+        i += k
+
+
+def model_is_stale(mutations: Any, built_mutations: Any, window_size: Any,
+                   built_window_size: Any, std: np.ndarray,
+                   built_std: np.ndarray, tol: float) -> Any:
+    """Whether a due check must rebuild a cached model.
+
+    It must when the sample changed (its mutation count moved), the
+    count window was resized, or the sketched deviation drifted beyond
+    relative ``tol`` in some dimension.  Works elementwise over leading
+    stream axes (``std`` is ``(..., d)``), returning a bool per stream.
+    """
+    drifted = ~np.isclose(std, built_std, rtol=tol, atol=1e-12).all(axis=-1)
+    return ((mutations != built_mutations)
+            | (window_size != built_window_size) | drifted)
+
+
+def model_bandwidths(std: np.ndarray, n_sample: int, window_size: int,
+                     basis: str, cap: "float | None") -> np.ndarray:
+    """Scott bandwidths of a model built from ``n_sample`` centres.
+
+    ``basis`` picks Scott's ``n``: ``"window"`` uses the larger of the
+    sample size and the count window, ``"sample"`` the sample size; the
+    result is capped at ``cap`` when one is given.
+    """
+    n_basis = max(n_sample, window_size) if basis == "window" else n_sample
+    bandwidths = scott_bandwidths(std, n_basis, std.shape[-1])
+    if cap is not None:
+        bandwidths = np.minimum(bandwidths, cap)
+    return bandwidths
 
 
 # repro-lint: shard-state
@@ -104,7 +185,7 @@ class StreamModelState:
         self._model_refresh = model_refresh
         self._bandwidth_tol = bandwidth_tol
         if min_arrivals is None:
-            min_arrivals = max(2, sample_size // 8)
+            min_arrivals = default_min_arrivals(sample_size)
         self._min_arrivals = min_arrivals
         self._arrivals = 0
         self._last_check = -1
@@ -183,9 +264,9 @@ class StreamModelState:
         against the current cache -- reproducing the one-at-a-time
         schedule exactly.
         """
-        if self._cached is None:
-            return max(1, self._min_arrivals - self._arrivals)
-        return max(1, self._model_refresh - (self._arrivals - self._last_check))
+        return arrivals_until_due(self._cached is not None, self._arrivals,
+                                  self._last_check, self._min_arrivals,
+                                  self._model_refresh)
 
     def model(self) -> "KernelDensityEstimator | None":
         """The current kernel model, or None before ``min_arrivals``.
@@ -209,20 +290,15 @@ class StreamModelState:
         self._last_check = self._arrivals
         std = self._sketch.std()
         window_size = max(1, int(self.count_window_size))
-        if (self._cached is not None
-                and self._sample.mutation_count == self._built_mutations
-                and window_size == self._built_window_size
-                and np.allclose(std, self._built_std,
-                                rtol=self._bandwidth_tol, atol=1e-12)):
+        if self._cached is not None and not model_is_stale(
+                self._sample.mutation_count, self._built_mutations,
+                window_size, self._built_window_size, std, self._built_std,
+                self._bandwidth_tol):
             return self._cached
         sample = self._sample.values()
-        if self._bandwidth_basis == "window":
-            n_basis = max(sample.shape[0], window_size)
-        else:
-            n_basis = sample.shape[0]
-        bandwidths = scott_bandwidths(std, n_basis, sample.shape[1])
-        if self._bandwidth_cap is not None:
-            bandwidths = np.minimum(bandwidths, self._bandwidth_cap)
+        bandwidths = model_bandwidths(std, sample.shape[0], window_size,
+                                      self._bandwidth_basis,
+                                      self._bandwidth_cap)
         if obs.ACTIVE:
             # finally: a constructor that raises must still charge the
             # rebuild phase, or the profile shows 0 ns for failed builds.

@@ -46,9 +46,37 @@ from repro.core.outliers import (
     DistanceOutlierSpec,
     is_distance_outlier,
 )
-from repro.detectors._state import StreamModelState
+from repro.detectors._state import StreamModelState, model_chunks
 
-__all__ = ["OnlineOutlierDetector"]
+__all__ = ["OnlineOutlierDetector", "bandwidth_cap", "spec_from_state",
+           "spec_state"]
+
+
+def bandwidth_cap(spec: "DistanceOutlierSpec | MDEFSpec") -> "float | None":
+    """The kernel-bandwidth cap a detector applying ``spec`` uses.
+
+    MDEF probes density contrast at the counting-radius scale, so its
+    bandwidth is capped there (see MGDDConfig.bandwidth_cap).
+    """
+    return 2.0 * spec.counting_radius if isinstance(spec, MDEFSpec) \
+        else None
+
+
+def spec_state(spec: "DistanceOutlierSpec | MDEFSpec") -> "dict[str, Any]":
+    """An outlier spec as a tagged field dict (plain snapshot data)."""
+    kind = "distance" if isinstance(spec, DistanceOutlierSpec) else "mdef"
+    return {"kind": kind, **asdict(spec)}
+
+
+def spec_from_state(state: "dict[str, Any]") -> "DistanceOutlierSpec | MDEFSpec":
+    """Inverse of :func:`spec_state`."""
+    fields = dict(state)
+    kind = fields.pop("kind")
+    if kind == "distance":
+        return DistanceOutlierSpec(**fields)
+    if kind == "mdef":
+        return MDEFSpec(**fields)
+    raise SnapshotError(f"unknown outlier-spec kind {kind!r}")
 
 
 # repro-lint: shard-state
@@ -91,14 +119,11 @@ class OnlineOutlierDetector:
         self._spec = spec
         self._warmup = warmup
         self._window_size = window_size
-        # MDEF probes density contrast at the counting-radius scale, so
-        # cap the bandwidth there (see MGDDConfig.bandwidth_cap).
-        cap = 2.0 * spec.counting_radius if isinstance(spec, MDEFSpec) \
-            else None
         self._state = StreamModelState(
             window_size, sample_size, n_dims, epsilon=epsilon,
             model_refresh=model_refresh, kernel=kernel,
-            bandwidth_cap=cap, bandwidth_basis=bandwidth_basis, rng=rng)
+            bandwidth_cap=bandwidth_cap(spec),
+            bandwidth_basis=bandwidth_basis, rng=rng)
         self._seen = 0
         self._flagged = 0
 
@@ -183,39 +208,26 @@ class OnlineOutlierDetector:
                 f"values must have shape (m, {n_dims}), got {vals.shape}")
         m = vals.shape[0]
         decisions: "list[DistanceOutlierDecision | MDEFDecision | None]" = [None] * m
-        i = 0
-        while i < m:
-            if self._seen < self._warmup:
-                # No decisions (and no model checks) before warm-up ends.
-                k = min(self._warmup - self._seen, m - i)
-                self._state.observe_many(vals[i:i + k])
-                self._seen += k
-                i += k
+        for i, j, due in model_chunks(m, self._seen, self._warmup,
+                                      self._state.arrivals_until_check):
+            self._state.observe_many(vals[i:j])
+            self._seen += j - i
+            if due is None:
                 continue
-            # Observe up to (and including) the next possible model
-            # refresh; every reading before it sees the current cache.
-            until = self._state.arrivals_until_check()
-            k = min(m - i, until)
-            check_hit = k == until
-            self._state.observe_many(vals[i:i + k])
-            self._seen += k
             cached = self._state.cached_model
-            if not check_hit:
+            if not due:
                 if cached is not None:
-                    self._decide_batch(cached, vals[i:i + k], decisions, i)
+                    self._decide_batch(cached, vals[i:j], decisions, i)
+                continue
+            model = self.model()
+            if model is cached and model is not None:
+                # Clean check: the whole chunk shares one model.
+                self._decide_batch(model, vals[i:j], decisions, i)
             else:
-                model = self.model()
-                if model is cached and model is not None:
-                    # Clean check: the whole chunk shares one model.
-                    self._decide_batch(model, vals[i:i + k], decisions, i)
-                else:
-                    if k > 1 and cached is not None:
-                        self._decide_batch(cached, vals[i:i + k - 1],
-                                           decisions, i)
-                    if model is not None:
-                        self._decide_batch(model, vals[i + k - 1:i + k],
-                                           decisions, i + k - 1)
-            i += k
+                if j - i > 1 and cached is not None:
+                    self._decide_batch(cached, vals[i:j - 1], decisions, i)
+                if model is not None:
+                    self._decide_batch(model, vals[j - 1:j], decisions, j - 1)
         return decisions
 
     def _decide_batch(self, model: KernelDensityEstimator, points: np.ndarray,
@@ -252,10 +264,8 @@ class OnlineOutlierDetector:
         The spec travels as a tagged field dict so the codec payload
         stays plain data (no pickled spec classes).
         """
-        kind = "distance" if isinstance(self._spec, DistanceOutlierSpec) \
-            else "mdef"
         return {
-            "spec": {"kind": kind, **asdict(self._spec)},
+            "spec": spec_state(self._spec),
             "warmup": self._warmup,
             "window_size": self._window_size,
             "state": self._state.snapshot_state(),
@@ -266,17 +276,8 @@ class OnlineOutlierDetector:
     @classmethod
     def restore_state(cls, state: "dict[str, Any]") -> "OnlineOutlierDetector":
         """Rebuild a detector from a :meth:`snapshot_state` dict."""
-        spec_state = dict(state["spec"])
-        kind = spec_state.pop("kind")
-        if kind == "distance":
-            spec: "DistanceOutlierSpec | MDEFSpec" = \
-                DistanceOutlierSpec(**spec_state)
-        elif kind == "mdef":
-            spec = MDEFSpec(**spec_state)
-        else:
-            raise SnapshotError(f"unknown outlier-spec kind {kind!r}")
         detector = cls.__new__(cls)
-        detector._spec = spec
+        detector._spec = spec_from_state(state["spec"])
         detector._warmup = int(state["warmup"])
         detector._window_size = int(state["window_size"])
         detector._state = StreamModelState.restore_state(state["state"])

@@ -72,7 +72,9 @@ SNAPSHOT_MAGIC = b"RSNP"
 
 #: Bump on any incompatible change to the framing or to a registered
 #: class's ``snapshot_state`` layout; decode rejects other versions.
-SNAPSHOT_SCHEMA_VERSION = 1
+#: Version 2: ``DetectorEngine`` stores flat chain and EH-lane arrays
+#: instead of one nested detector state per stream.
+SNAPSHOT_SCHEMA_VERSION = 2
 
 #: ``magic | version (u16) | payload length (u64) | sha256 digest``.
 _HEADER = struct.Struct(">4sHQ32s")

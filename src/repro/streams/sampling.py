@@ -30,14 +30,18 @@ generators fill a ``(m, |R|)`` block with exactly the same doubles, in
 the same order, as ``m`` sequential ``random(|R|)`` calls, and successor
 timestamps are drawn from per-slot generator substreams, so their
 consumption order is independent of how arrivals are grouped.
+
+The per-slot event walk is the module-level :func:`walk_slot`, with
+:func:`expire_chain` for window expiry; the cross-stream
+:class:`~repro.engine.core.DetectorEngine` runs the same two functions
+over its structure-of-arrays chain state.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,17 +50,137 @@ from repro._exceptions import ParameterError
 from repro._rng import resolve_rng, rng_from_state, rng_state
 from repro._validation import require_positive_int
 
-__all__ = ["ChainSample", "ReservoirSample"]
+__all__ = [
+    "ChainSample",
+    "ReservoirSample",
+    "expire_chain",
+    "report_chain_changes",
+    "slot_generators",
+    "walk_slot",
+]
+
+#: One slot's chain: (timestamp, value) pairs, oldest first; ``[0]`` is
+#: the active sample element, the rest are queued successors.
+ChainItems = List[Tuple[int, np.ndarray]]
 
 
 @dataclass
 class _Chain:
     """One chain-sampling slot: the active element plus queued successors."""
 
-    #: (timestamp, value) pairs; ``items[0]`` is the active sample element.
-    items: Deque[Tuple[int, np.ndarray]] = field(default_factory=deque)
+    items: ChainItems = field(default_factory=list)
     #: Timestamp at which the next successor is due to be captured.
     successor_ts: int = -1
+
+
+def slot_generators(rng: np.random.Generator,
+                    sample_size: int) -> "list[np.random.Generator]":
+    """The per-slot successor substreams of a sample drawing from ``rng``.
+
+    Successor timestamps come from per-slot substreams so that the
+    batched and one-at-a-time ingestion paths consume each slot's stream
+    in the same order (see the module docstring).  Spawning derives the
+    substreams from the generator's SeedSequence without advancing its
+    bitstream, so construction leaves the caller's generator untouched.
+    The first spawned child is reserved for the sample itself (slot
+    substreams keep their identity if a per-sample stream is ever
+    claimed).
+    """
+    try:
+        return list(rng.spawn(sample_size + 1)[1:])
+    except (AttributeError, TypeError):
+        seeds = rng.integers(0, 2**63, size=sample_size + 1)[1:]
+        return [np.random.default_rng(int(seed)) for seed in seeds]
+
+
+def draw_successor(rng: np.random.Generator, ts: int, window: int) -> int:
+    """A successor timestamp uniform over ``(ts, ts + window]``."""
+    # rng.integers' high bound is exclusive.
+    return ts + int(rng.integers(1, window + 1))
+
+
+def expire_chain(items: ChainItems, horizon: int) -> int:
+    """Drop the chain's leading items with timestamp ``<= horizon``.
+
+    Returns how many were dropped; each one is an active-element change
+    (an expiry), so callers add the count to their mutation and
+    eviction counters.
+    """
+    n = 0
+    for ts, _ in items:
+        if ts > horizon:
+            break
+        n += 1
+    if n:
+        del items[:n]
+    return n
+
+
+def report_chain_changes(mutations: int, evictions: int,
+                         timestamp: int) -> None:
+    """Report one ingest call's chain-sample changes to ``repro.obs``."""
+    if mutations:
+        obs.metrics().counter("sample.mutations").inc(mutations)
+    if evictions:
+        obs.metrics().counter("sample.evictions").inc(evictions)
+        obs.emit("sample.evict", count=evictions, timestamp=timestamp)
+
+
+def walk_slot(items: ChainItems, successor_ts: int,
+              rng: np.random.Generator, rows: np.ndarray, vals: np.ndarray,
+              ts0: int, window: int,
+              accepted: "list[int] | None" = None) -> "tuple[int, int, int]":
+    """Replay one slot's events over a block of arrivals.
+
+    The block holds ``vals.shape[0]`` arrivals at timestamps ``ts0, ts0
+    + 1, ...``; ``rows`` are the (ascending) block rows whose acceptance
+    draw hit this slot.  Captures the pending successor when it falls
+    due, replaces the chain at each acceptance and charges the expiries
+    in between exactly as one-at-a-time offers would, drawing successors
+    from ``rng`` in the same order.  ``items`` is updated in place and
+    each acceptance row is appended to ``accepted`` when given.
+
+    Returns ``(successor_ts, mutations, evictions)``: the new pending
+    successor and the active-element changes and expiries charged.
+    Expiries after the last event are left to the caller's
+    :func:`expire_chain` at the block's final timestamp.
+    """
+    ts_end = ts0 + vals.shape[0] - 1
+    mutations = evictions = 0
+    pos, n_rows = 0, rows.shape[0]
+    cursor = ts0 - 1      # latest timestamp already handled
+    while True:
+        acc_ts = ts0 + int(rows[pos]) if pos < n_rows else None
+        # A pending successor is captured at its exact timestamp, unless
+        # an acceptance at the same arrival pre-empts it.
+        if (cursor < successor_ts <= ts_end
+                and (acc_ts is None or successor_ts < acc_ts)):
+            # The chain must still be live when the successor arrives:
+            # expire through the *previous* arrival, the state the
+            # scalar path checks the capture against.
+            expired = expire_chain(items, successor_ts - 1 - window)
+            mutations += expired
+            evictions += expired
+            cursor = successor_ts
+            if items:
+                items.append((successor_ts, vals[successor_ts - ts0].copy()))
+                successor_ts = draw_successor(rng, successor_ts, window)
+        elif acc_ts is not None:
+            # Items that expired at arrivals *before* the acceptance are
+            # charged exactly as the scalar path charges them; only the
+            # still-live remainder is discarded uncounted by the
+            # replacement below.
+            expired = expire_chain(items, acc_ts - 1 - window)
+            mutations += expired + 1
+            evictions += expired
+            items[:] = [(acc_ts, vals[acc_ts - ts0].copy())]
+            successor_ts = draw_successor(rng, acc_ts, window)
+            if accepted is not None:
+                accepted.append(acc_ts - ts0)
+            pos += 1
+            cursor = acc_ts
+        else:
+            return successor_ts, mutations, evictions
 
 
 # repro-lint: shard-state
@@ -87,20 +211,7 @@ class ChainSample:
         self._sample_size = sample_size
         self._n_dims = n_dims
         self._rng = resolve_rng(rng)
-        # Successor timestamps come from per-slot substreams so that the
-        # batched and one-at-a-time ingestion paths consume each slot's
-        # stream in the same order (see the module docstring).  Spawning
-        # derives the substreams from the generator's SeedSequence
-        # without advancing its bitstream, so construction leaves the
-        # caller's generator untouched.  The first spawned child is
-        # reserved for the sample itself (slot substreams keep their
-        # identity if a per-sample stream is ever claimed).
-        try:
-            self._successor_rngs = self._rng.spawn(sample_size + 1)[1:]
-        except (AttributeError, TypeError):
-            seeds = self._rng.integers(0, 2**63, size=sample_size + 1)[1:]
-            self._successor_rngs = [np.random.default_rng(int(seed))
-                                    for seed in seeds]
+        self._successor_rngs = slot_generators(self._rng, sample_size)
         self._chains = [_Chain() for _ in range(sample_size)]
         self._timestamp = -1   # timestamp of the latest offered value
         self._mutations = 0    # active-element changes (see mutation_count)
@@ -173,22 +284,12 @@ class ChainSample:
 
     # ------------------------------------------------------------------
 
-    def _draw_successor(self, slot: int, ts: int) -> int:
-        # Uniform over (ts, ts + W]; rng.integers' high bound is exclusive.
-        return ts + int(self._successor_rngs[slot].integers(
-            1, self._window_size + 1))
-
     def _note_obs(self, mutations_before: int,
                   evictions_before: int) -> None:
         """Report this call's mutation/eviction deltas to ``repro.obs``."""
-        d_mut = self._mutations - mutations_before
-        d_evict = self._evictions - evictions_before
-        if d_mut:
-            obs.metrics().counter("sample.mutations").inc(d_mut)
-        if d_evict:
-            obs.metrics().counter("sample.evictions").inc(d_evict)
-            obs.emit("sample.evict", count=d_evict,
-                     timestamp=self._timestamp)
+        report_chain_changes(self._mutations - mutations_before,
+                             self._evictions - evictions_before,
+                             self._timestamp)
 
     def offer(self, value: "np.ndarray | Sequence[float] | float",
               timestamp: int | None = None) -> bool:
@@ -226,26 +327,28 @@ class ChainSample:
         evictions_before = self._evictions
 
         inclusion_prob = 1.0 / min(timestamp + 1, self._window_size)
+        horizon = timestamp - self._window_size
         # One random draw per slot; vectorised for the common large-|R| case.
         draws = self._rng.random(self._sample_size)
         changed: "list[int]" = []
         for slot, (chain, draw) in enumerate(zip(self._chains, draws)):
             if draw < inclusion_prob:
                 # The arrival replaces this slot's entire chain.
-                chain.items.clear()
-                chain.items.append((timestamp, point))
-                chain.successor_ts = self._draw_successor(slot, timestamp)
+                chain.items[:] = [(timestamp, point)]
+                chain.successor_ts = draw_successor(
+                    self._successor_rngs[slot], timestamp, self._window_size)
                 changed.append(slot)
                 self._mutations += 1
             elif chain.items and timestamp == chain.successor_ts:
                 # Capture the successor chosen earlier; queue it.
                 chain.items.append((timestamp, point))
-                chain.successor_ts = self._draw_successor(slot, timestamp)
+                chain.successor_ts = draw_successor(
+                    self._successor_rngs[slot], timestamp, self._window_size)
             # Expire the active element once it falls out of the window.
-            while chain.items and chain.items[0][0] <= timestamp - self._window_size:
-                chain.items.popleft()
-                self._mutations += 1
-                self._evictions += 1
+            if chain.items and chain.items[0][0] <= horizon:
+                expired = expire_chain(chain.items, horizon)
+                self._mutations += expired
+                self._evictions += expired
         if _sanitize.ACTIVE:
             _sanitize.check_chain_sample(self)
         if obs.ACTIVE:
@@ -314,57 +417,21 @@ class ChainSample:
             (boundaries[1:] > boundaries[:-1])
             | ((successor_ts >= ts0) & (successor_ts <= ts_end)))[0]
         for slot in active_slots.tolist():
-            rows = hit_rows[boundaries[slot]:boundaries[slot + 1]]
             chain = self._chains[slot]
-            items = chain.items
-            pos, n_rows = 0, rows.shape[0]
-            cursor = ts0 - 1      # latest timestamp already handled
-            while True:
-                acc_ts = ts0 + int(rows[pos]) if pos < n_rows else None
-                succ_ts = chain.successor_ts
-                # A pending successor is captured at its exact timestamp,
-                # unless an acceptance at the same arrival pre-empts it.
-                if (cursor < succ_ts <= ts_end
-                        and (acc_ts is None or succ_ts < acc_ts)):
-                    # The chain must still be live when the successor
-                    # arrives: expire through the *previous* arrival, the
-                    # state the scalar path checks the capture against.
-                    horizon = succ_ts - 1 - window
-                    while items and items[0][0] <= horizon:
-                        items.popleft()
-                        self._mutations += 1
-                        self._evictions += 1
-                    if items:
-                        items.append((succ_ts, vals[succ_ts - ts0].copy()))
-                        chain.successor_ts = self._draw_successor(slot, succ_ts)
-                    cursor = succ_ts
-                elif acc_ts is not None:
-                    # Items that expired at arrivals *before* the
-                    # acceptance are charged exactly as the scalar path
-                    # charges them; only the still-live remainder is
-                    # discarded uncounted by the replacement below.
-                    horizon = acc_ts - 1 - window
-                    while items and items[0][0] <= horizon:
-                        items.popleft()
-                        self._mutations += 1
-                        self._evictions += 1
-                    items.clear()
-                    items.append((acc_ts, vals[acc_ts - ts0].copy()))
-                    chain.successor_ts = self._draw_successor(slot, acc_ts)
-                    event_rows.append(acc_ts - ts0)
-                    event_slots.append(slot)
-                    pos += 1
-                    cursor = acc_ts
-                    self._mutations += 1
-                else:
-                    break
+            n_before = len(event_rows)
+            chain.successor_ts, mutations, evictions = walk_slot(
+                chain.items, chain.successor_ts, self._successor_rngs[slot],
+                hit_rows[boundaries[slot]:boundaries[slot + 1]], vals, ts0,
+                window, event_rows)
+            event_slots.extend([slot] * (len(event_rows) - n_before))
+            self._mutations += mutations
+            self._evictions += evictions
         horizon = ts_end - window
         for chain in self._chains:
-            items = chain.items
-            while items and items[0][0] <= horizon:
-                items.popleft()
-                self._mutations += 1
-                self._evictions += 1
+            if chain.items and chain.items[0][0] <= horizon:
+                expired = expire_chain(chain.items, horizon)
+                self._mutations += expired
+                self._evictions += expired
         if _sanitize.ACTIVE:
             _sanitize.check_chain_sample(self, mutations_before=mutations_before)
         # The walk emits events slot-major; sorting the flat pairs by
@@ -470,8 +537,8 @@ class ChainSample:
         sample._successor_rngs = [
             rng_from_state(s) for s in state["successor_rngs"]]
         sample._chains = [
-            _Chain(items=deque((int(ts), np.asarray(value, dtype=float))
-                               for ts, value in chain["items"]),
+            _Chain(items=[(int(ts), np.asarray(value, dtype=float))
+                          for ts, value in chain["items"]],
                    successor_ts=int(chain["successor_ts"]))
             for chain in state["chains"]]
         sample._timestamp = int(state["timestamp"])

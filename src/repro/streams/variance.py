@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -49,10 +49,13 @@ from repro._validation import require_fraction, require_positive_int
 from repro.streams.window import SlidingWindow
 
 __all__ = [
+    "EHLane",
     "ExactWindowedVariance",
     "EHVarianceSketch",
     "MultiDimVarianceSketch",
+    "insert_lanes",
     "theoretical_bound_words",
+    "variance_budget",
 ]
 
 #: Machine words per stored bucket: newest timestamp, count, mean, m2.
@@ -70,14 +73,6 @@ def theoretical_bound_words(epsilon: float, window_size: int) -> int:
     return int(math.ceil((1.0 / epsilon**2) * math.log2(max(window_size, 2))))
 
 
-@dataclass(slots=True)
-class _Bucket:
-    newest_ts: int
-    count: int
-    mean: float
-    m2: float
-
-
 #: Scale factor applied to ``eps^2`` in the merge budget.  Chosen so the
 #: measured footprint lands at roughly 40-50% of Theorem 1's
 #: ``(1/eps^2) log2 |W|``-word budget (the paper's Section 10.3 reports
@@ -85,19 +80,199 @@ class _Bucket:
 #: observed variance error under ``eps`` away from distribution shifts.
 _BUDGET_FACTOR = 10.0
 
+
+def variance_budget(epsilon: float) -> float:
+    """The merge budget's ``eps^2`` multiple (see :meth:`EHLane.compress`)."""
+    return _BUDGET_FACTOR * epsilon * epsilon
+
+
 #: Compress once per this many inserts; between compressions new values
 #: sit in singleton buckets, which costs a little transient memory but
 #: keeps the amortised insert cost O(B / interval).
 _COMPRESS_INTERVAL = 8
 
 
-def _merge(a: _Bucket, b: _Bucket) -> _Bucket:
-    """Combine two buckets with the parallel-axis (Chan et al.) rule."""
-    n = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / n)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / n)
-    return _Bucket(max(a.newest_ts, b.newest_ts), n, mean, m2)
+@dataclass(slots=True)
+class EHLane:
+    """The buckets of one scalar EH sketch, as parallel lists.
+
+    Bucket ``i`` (oldest first) holds ``counts[i]`` values whose newest
+    timestamp is ``ts[i]``, with mean ``means[i]`` and sum of squared
+    deviations ``m2s[i]``.  :class:`EHVarianceSketch` keeps one lane;
+    the cross-stream :class:`~repro.engine.core.DetectorEngine` keeps
+    one per (stream, dimension), and both run the methods below.
+    """
+
+    ts: "list[int]" = field(default_factory=list)
+    counts: "list[int]" = field(default_factory=list)
+    means: "list[float]" = field(default_factory=list)
+    m2s: "list[float]" = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def append(self, ts0: int, values: "list[float]") -> None:
+        """Append singleton buckets for ``values`` at ``ts0, ts0 + 1, ...``."""
+        k = len(values)
+        self.ts.extend(range(ts0, ts0 + k))
+        self.counts.extend([1] * k)
+        self.means.extend(values)
+        self.m2s.extend([0.0] * k)
+
+    def expire(self, horizon: int) -> None:
+        """Drop the buckets whose newest timestamp is ``<= horizon``."""
+        ts = self.ts
+        drop = 0
+        while drop < len(ts) and ts[drop] <= horizon:
+            drop += 1
+        if drop:
+            del ts[:drop], self.counts[:drop], self.means[:drop], \
+                self.m2s[:drop]
+
+    def compress(self, max_count: float, budget: float) -> None:
+        """Greedily merge adjacent buckets, oldest first, within budget.
+
+        Each merge must respect both budgets:
+          (a) 9 * m2(merged) <= eps^2 * m2(suffix headed by merged);
+          (b) count(merged)  <= eps/2 * window population
+        (``budget`` and ``max_count`` carry the two right-hand sides).
+        """
+        n = len(self.ts)
+        if n < 2:
+            return
+        compiled = get_backend().eh_compress
+        if compiled is not None:
+            # Compiled merge pass (numba backend): same two passes over
+            # parallel arrays, bit-identical to the Python loops below.
+            out_ts, out_counts, out_means, out_m2s = compiled(
+                np.array(self.ts, dtype=np.int64),
+                np.array(self.counts, dtype=np.float64),
+                np.array(self.means, dtype=np.float64),
+                np.array(self.m2s, dtype=np.float64), max_count, budget)
+            self.ts = out_ts.tolist()
+            self.counts = [int(c) for c in out_counts.tolist()]
+            self.means = out_means.tolist()
+            self.m2s = out_m2s.tolist()
+            return
+        counts, means, m2s, newest = self.counts, self.means, self.m2s, \
+            self.ts
+        # suffix_m2[i] is the m2 of the union of buckets[i:], built newest
+        # to oldest.  The key property making one pass sufficient: merging
+        # buckets[i:j] into one bucket leaves the union (and hence the
+        # suffix aggregate headed by the merged bucket) unchanged.  Both
+        # passes inline the parallel-axis rule on plain floats: this runs
+        # every ``_COMPRESS_INTERVAL`` inserts over a few dozen buckets,
+        # where object (or numpy-array) handling dominates the arithmetic.
+        suffix_m2 = [0.0] * n
+        s_count, s_mean, s_m2 = counts[n - 1], means[n - 1], m2s[n - 1]
+        suffix_m2[n - 1] = s_m2
+        for i in range(n - 2, -1, -1):
+            c = counts[i]
+            total = c + s_count
+            delta = s_mean - means[i]
+            s_m2 = m2s[i] + s_m2 + delta * delta * (c * s_count / total)
+            s_mean = means[i] + delta * (s_count / total)
+            s_count = total
+            suffix_m2[i] = s_m2
+        out_ts: "list[int]" = []
+        out_counts: "list[int]" = []
+        out_means: "list[float]" = []
+        out_m2s: "list[float]" = []
+        c_ts = newest[0]
+        c_count, c_mean, c_m2 = counts[0], means[0], m2s[0]
+        head = 0          # index whose suffix aggregate the run heads
+        for i in range(1, n):
+            b_count = counts[i]
+            total = c_count + b_count
+            delta = means[i] - c_mean
+            cand_m2 = c_m2 + m2s[i] + delta * delta * (c_count * b_count / total)
+            if total <= max_count and cand_m2 <= budget * suffix_m2[head]:
+                c_mean += delta * (b_count / total)
+                c_m2 = cand_m2
+                c_count = total
+                c_ts = newest[i]
+            else:
+                out_ts.append(c_ts)
+                out_counts.append(c_count)
+                out_means.append(c_mean)
+                out_m2s.append(c_m2)
+                c_ts = newest[i]
+                c_count, c_mean, c_m2 = b_count, means[i], m2s[i]
+                head = i
+        out_ts.append(c_ts)
+        out_counts.append(c_count)
+        out_means.append(c_mean)
+        out_m2s.append(c_m2)
+        self.ts, self.counts, self.means, self.m2s = \
+            out_ts, out_counts, out_means, out_m2s
+
+    def aggregate(self) -> "tuple[int, float, float] | None":
+        """``(count, mean, m2)`` of the window, or None when empty.
+
+        The oldest bucket straddles the window edge, so it is charged at
+        half weight; the rest merge in by the parallel-axis (Chan et
+        al.) rule.
+        """
+        n = len(self.ts)
+        if not n:
+            return None
+        count, mean, m2 = self.counts[0], self.means[0], self.m2s[0]
+        if n == 1:
+            return count, mean, m2
+        count, m2 = max(1, count // 2), m2 / 2.0
+        counts, means, m2s = self.counts, self.means, self.m2s
+        for i in range(1, n):
+            b_count = counts[i]
+            total = count + b_count
+            delta = means[i] - mean
+            mean = mean + delta * (b_count / total)
+            m2 = m2 + m2s[i] + delta * delta * (count * b_count / total)
+            count = total
+        return count, mean, m2
+
+    def std(self) -> float:
+        """Estimated standard deviation of the window."""
+        agg = self.aggregate()
+        if agg is None:
+            raise ParameterError("no values inserted yet")
+        return math.sqrt(max(agg[2] / agg[0], 0.0))
+
+
+def insert_lanes(lanes: "Sequence[EHLane]", columns: "list[list[float]]",
+                 ts0: int, since_compress: int, window: int,
+                 count_fraction: float, budget: float) -> "tuple[int, int]":
+    """Insert one column of values per lane at ``ts0, ts0 + 1, ...``.
+
+    All lanes share timestamps and compress cadence: values go in as
+    singleton buckets in chunks aligned to :data:`_COMPRESS_INTERVAL`,
+    expiry is charged once at each chunk's final timestamp (no merge
+    decision is taken before the next compression point), and every
+    lane compresses when the cadence comes due.  The result is exactly
+    the bucket state of one-at-a-time inserts.  Returns the new
+    inserts-since-compress phase and the largest bucket count any lane
+    held after a compress in this call (0 when none ran).
+    """
+    m = len(columns[0]) if columns else 0
+    peak = 0
+    i = 0
+    while i < m:
+        k = min(m - i, _COMPRESS_INTERVAL - since_compress)
+        last_ts = ts0 + i + k - 1
+        horizon = last_ts - window
+        for lane, column in zip(lanes, columns):
+            lane.append(ts0 + i, column[i:i + k])
+            if lane.ts[0] <= horizon:
+                lane.expire(horizon)
+        since_compress += k
+        i += k
+        if since_compress >= _COMPRESS_INTERVAL:
+            population = min(last_ts + 1, window)
+            max_count = max(1.0, count_fraction * population)
+            for lane in lanes:
+                lane.compress(max_count, budget)
+                peak = max(peak, len(lane.ts))
+            since_compress = 0
+    return since_compress, peak
 
 
 # repro-lint: shard-state
@@ -121,11 +296,11 @@ class EHVarianceSketch:
         # Variance budget: a merged bucket's internal variance must stay
         # within a small multiple of eps^2 of the variance of the stream
         # suffix it heads (the PODS'03 invariant family).
-        self._variance_budget = _BUDGET_FACTOR * epsilon * epsilon
+        self._variance_budget = variance_budget(epsilon)
         # Edge-correction budget: no bucket may hold more than eps/2 of
         # the window population, bounding the halved-oldest count error.
         self._count_fraction = epsilon / 2.0
-        self._buckets: list[_Bucket] = []   # oldest first
+        self._lane = EHLane()   # oldest bucket first
         self._timestamp = -1
         self._max_bucket_count = 0
         self._since_compress = 0
@@ -150,7 +325,7 @@ class EHVarianceSketch:
     @property
     def bucket_count(self) -> int:
         """Number of buckets currently stored."""
-        return len(self._buckets)
+        return len(self._lane)
 
     @property
     def max_bucket_count(self) -> int:
@@ -159,7 +334,7 @@ class EHVarianceSketch:
 
     def memory_words(self) -> int:
         """Current logical footprint in machine words."""
-        return len(self._buckets) * WORDS_PER_BUCKET
+        return len(self._lane) * WORDS_PER_BUCKET
 
     def max_memory_words(self) -> int:
         """Peak logical footprint in machine words over the sketch's life."""
@@ -178,16 +353,23 @@ class EHVarianceSketch:
         if not np.isfinite(value):
             raise ParameterError(f"value must be finite, got {value!r}")
         self._timestamp = timestamp
+        lane = self._lane
         # Expire buckets whose newest element has left the window.
         horizon = timestamp - self._window_size
-        while self._buckets and self._buckets[0].newest_ts <= horizon:
-            self._buckets.pop(0)
-        self._buckets.append(_Bucket(timestamp, 1, float(value), 0.0))
+        if lane.ts and lane.ts[0] <= horizon:
+            lane.expire(horizon)
+        lane.ts.append(timestamp)
+        lane.counts.append(1)
+        lane.means.append(float(value))
+        lane.m2s.append(0.0)
         self._since_compress += 1
         if self._since_compress >= _COMPRESS_INTERVAL:
-            self._compress()
+            population = min(self._timestamp + 1, self._window_size)
+            self._lane.compress(max(1.0, self._count_fraction * population),
+                                self._variance_budget)
             self._since_compress = 0
-            self._max_bucket_count = max(self._max_bucket_count, len(self._buckets))
+            self._max_bucket_count = max(self._max_bucket_count,
+                                         len(self._lane))
             if _sanitize.ACTIVE:
                 _sanitize.check_eh_sketch(self)
 
@@ -196,11 +378,8 @@ class EHVarianceSketch:
         """Insert a block of values at consecutive timestamps.
 
         Produces *exactly* the bucket state of the equivalent sequence of
-        :meth:`insert` calls: values are appended as singleton buckets in
-        chunks aligned to the compression cadence, and within a chunk
-        expiry can be charged once at the chunk's final timestamp because
-        no merge decision is taken before the next compression point.
-        Validation (finiteness, monotone timestamps) runs once up front.
+        :meth:`insert` calls (see :func:`insert_lanes`).  Validation
+        (finiteness, monotone timestamps) runs once up front.
         """
         vals = np.asarray(values, dtype=float).reshape(-1)
         m = vals.shape[0]
@@ -214,151 +393,40 @@ class EHVarianceSketch:
                 f"(got {ts0} after {self._timestamp})")
         if not np.isfinite(vals).all():
             raise ParameterError("values must all be finite")
-        window = self._window_size
         # One bulk tolist() instead of m float(vals[i]) boxings; the
         # resulting Python floats are the same doubles bit for bit.
-        vals_list = vals.tolist()
-        i = 0
-        while i < m:
-            k = min(m - i, _COMPRESS_INTERVAL - self._since_compress)
-            last_ts = ts0 + i + k - 1
-            buckets = self._buckets
-            buckets.extend(_Bucket(ts0 + i + j, 1, vals_list[i + j], 0.0)
-                           for j in range(k))
-            horizon = last_ts - window
-            drop = 0
-            while drop < len(buckets) and buckets[drop].newest_ts <= horizon:
-                drop += 1
-            if drop:
-                del buckets[:drop]
-            self._timestamp = last_ts
-            self._since_compress += k
-            i += k
-            if self._since_compress >= _COMPRESS_INTERVAL:
-                self._compress()
-                self._since_compress = 0
-                self._max_bucket_count = max(self._max_bucket_count,
-                                             len(self._buckets))
+        self._since_compress, peak = insert_lanes(
+            [self._lane], [vals.tolist()], ts0, self._since_compress,
+            self._window_size, self._count_fraction, self._variance_budget)
+        self._timestamp = ts0 + m - 1
+        self._max_bucket_count = max(self._max_bucket_count, peak)
         if _sanitize.ACTIVE:
             _sanitize.check_eh_sketch(self)
 
-    def _compress(self) -> None:
-        # Greedily merge adjacent buckets, oldest first, while each merge
-        # respects both budgets:
-        #   (a) 9 * m2(merged) <= eps^2 * m2(suffix headed by merged);
-        #   (b) count(merged)  <= eps/2 * window population.
-        # Suffix aggregates are rebuilt once per pass (O(B) per pass, and
-        # passes shrink the list, so the amortised cost stays small).
-        buckets = self._buckets
-        n = len(buckets)
-        if n < 2:
-            return
-        window_population = min(self._timestamp + 1, self._window_size)
-        max_count = max(1.0, self._count_fraction * window_population)
-        compiled = get_backend().eh_compress
-        if compiled is not None:
-            # Compiled merge pass (numba backend): same two passes over
-            # parallel arrays, bit-identical to the Python loops below.
-            newest = np.fromiter((b.newest_ts for b in buckets),
-                                 dtype=np.int64, count=n)
-            counts_arr = np.fromiter((b.count for b in buckets),
-                                     dtype=np.float64, count=n)
-            means_arr = np.fromiter((b.mean for b in buckets),
-                                    dtype=np.float64, count=n)
-            m2s_arr = np.fromiter((b.m2 for b in buckets),
-                                  dtype=np.float64, count=n)
-            out_ts, out_counts, out_means, out_m2s = compiled(
-                newest, counts_arr, means_arr, m2s_arr,
-                max_count, self._variance_budget)
-            self._buckets = [
-                _Bucket(ts, int(cnt), mean, m2)
-                for ts, cnt, mean, m2 in zip(
-                    out_ts.tolist(), out_counts.tolist(),
-                    out_means.tolist(), out_m2s.tolist())]
-            return
-        counts = [b.count for b in buckets]
-        means = [b.mean for b in buckets]
-        m2s = [b.m2 for b in buckets]
-        # suffix_m2[i] is the m2 of the union of buckets[i:], built newest
-        # to oldest.  The key property making one pass sufficient: merging
-        # buckets[i:j] into one bucket leaves the union (and hence the
-        # suffix aggregate headed by the merged bucket) unchanged.  Both
-        # passes inline the parallel-axis rule of :func:`_merge` on plain
-        # floats: this runs every ``_COMPRESS_INTERVAL`` inserts over a
-        # few dozen buckets, where bucket-object (or numpy-array)
-        # handling dominates the arithmetic.
-        suffix_m2 = [0.0] * n
-        s_count, s_mean, s_m2 = counts[n - 1], means[n - 1], m2s[n - 1]
-        suffix_m2[n - 1] = s_m2
-        for i in range(n - 2, -1, -1):
-            c = counts[i]
-            total = c + s_count
-            delta = s_mean - means[i]
-            s_m2 = m2s[i] + s_m2 + delta * delta * (c * s_count / total)
-            s_mean = means[i] + delta * (s_count / total)
-            s_count = total
-            suffix_m2[i] = s_m2
-        out: list[_Bucket] = []
-        c_ts = buckets[0].newest_ts
-        c_count, c_mean, c_m2 = counts[0], means[0], m2s[0]
-        head = 0          # index whose suffix aggregate the run heads
-        budget = self._variance_budget
-        for i in range(1, n):
-            b_count = counts[i]
-            total = c_count + b_count
-            delta = means[i] - c_mean
-            cand_m2 = c_m2 + m2s[i] + delta * delta * (c_count * b_count / total)
-            if total <= max_count and cand_m2 <= budget * suffix_m2[head]:
-                c_mean += delta * (b_count / total)
-                c_m2 = cand_m2
-                c_count = total
-                c_ts = buckets[i].newest_ts
-            else:
-                out.append(_Bucket(c_ts, c_count, c_mean, c_m2))
-                c_ts = buckets[i].newest_ts
-                c_count, c_mean, c_m2 = b_count, means[i], m2s[i]
-                head = i
-        out.append(_Bucket(c_ts, c_count, c_mean, c_m2))
-        self._buckets = out
-
     # ------------------------------------------------------------------
-
-    def _window_aggregate(self) -> _Bucket | None:
-        if not self._buckets:
-            return None
-        oldest = self._buckets[0]
-        if len(self._buckets) == 1:
-            return oldest
-        # Oldest bucket straddles the window edge: charge it half.
-        half = _Bucket(oldest.newest_ts, max(1, oldest.count // 2),
-                       oldest.mean, oldest.m2 / 2.0)
-        agg = half
-        for bucket in self._buckets[1:]:
-            agg = _merge(agg, bucket)
-        return agg
 
     def count(self) -> int:
         """Estimated number of in-window values."""
-        agg = self._window_aggregate()
-        return 0 if agg is None else agg.count
+        agg = self._lane.aggregate()
+        return 0 if agg is None else agg[0]
 
     def mean(self) -> float:
         """Estimated mean of the window."""
-        agg = self._window_aggregate()
+        agg = self._lane.aggregate()
         if agg is None:
             raise ParameterError("no values inserted yet")
-        return agg.mean
+        return agg[1]
 
     def variance(self) -> float:
         """Estimated (population) variance of the window."""
-        agg = self._window_aggregate()
+        agg = self._lane.aggregate()
         if agg is None:
             raise ParameterError("no values inserted yet")
-        return agg.m2 / agg.count
+        return agg[2] / agg[0]
 
     def std(self) -> float:
         """Estimated standard deviation of the window."""
-        return math.sqrt(max(self.variance(), 0.0))
+        return self._lane.std()
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.engine.snapshot)
@@ -371,11 +439,11 @@ class EHVarianceSketch:
         the compression phase (``_since_compress``) is included so the
         restored sketch merges at exactly the same insert boundaries.
         """
+        lane = self._lane
         return {
             "window_size": self._window_size,
             "epsilon": self._epsilon,
-            "buckets": [(b.newest_ts, b.count, b.mean, b.m2)
-                        for b in self._buckets],
+            "buckets": list(zip(lane.ts, lane.counts, lane.means, lane.m2s)),
             "timestamp": self._timestamp,
             "max_bucket_count": self._max_bucket_count,
             "since_compress": self._since_compress,
@@ -385,9 +453,11 @@ class EHVarianceSketch:
     def restore_state(cls, state: "dict[str, Any]") -> "EHVarianceSketch":
         """Rebuild a sketch from a :meth:`snapshot_state` dict."""
         sketch = cls(int(state["window_size"]), float(state["epsilon"]))
-        sketch._buckets = [
-            _Bucket(int(ts), int(count), float(mean), float(m2))
-            for ts, count, mean, m2 in state["buckets"]]
+        for ts, count, mean, m2 in state["buckets"]:
+            sketch._lane.ts.append(int(ts))
+            sketch._lane.counts.append(int(count))
+            sketch._lane.means.append(float(mean))
+            sketch._lane.m2s.append(float(m2))
         sketch._timestamp = int(state["timestamp"])
         sketch._max_bucket_count = int(state["max_bucket_count"])
         sketch._since_compress = int(state["since_compress"])

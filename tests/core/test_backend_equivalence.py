@@ -158,6 +158,37 @@ class TestNumpyBitIdentity:
                               reference_pdf(kernel, queries, centers,
                                             bandwidths))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=25),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([1, 7, 64, 500, 262_144]),
+           st.integers(min_value=0, max_value=2 ** 16),
+           st.booleans())
+    def test_stacked_rows_equal_one_model_calls(self, n_models, n, m, d,
+                                                cells, seed, gaussian):
+        """Every model's rows of the stacked Eq. 5 kernel equal its own
+        single-model call, whatever the stream and query blocking."""
+        kernel = GAUSSIAN if gaussian else EPANECHNIKOV
+        rng = np.random.default_rng(seed)
+        centers = rng.random((n_models, n, d))
+        queries = rng.random((n_models, m, d))
+        widths = rng.uniform(0.0, 0.2, size=(n_models, m, d))
+        inv_bw = 1.0 / rng.uniform(0.01, 0.5, size=(n_models, d))
+        backend = get_backend()
+        got = np.empty((n_models, m))
+        backend.range_batch_stacked(kernel, queries - widths,
+                                    queries + widths, centers, inv_bw, got,
+                                    cells)
+        for model in range(n_models):
+            want = np.empty(m)
+            backend.range_batch(kernel, queries[model] - widths[model],
+                                queries[model] + widths[model],
+                                centers[model], inv_bw[model], want,
+                                block_cells())
+            assert np.array_equal(got[model], want)
+
 
 # ---------------------------------------------------------------------------
 # sorted-index fast paths vs brute force
@@ -252,7 +283,7 @@ class TestNumbaEquivalence:
             compiled = EHVarianceSketch(128)
             compiled.insert_many(values)
         assert plain.variance() == compiled.variance()
-        assert plain._buckets == compiled._buckets
+        assert plain._lane == compiled._lane
 
 
 # ---------------------------------------------------------------------------

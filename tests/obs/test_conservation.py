@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
+from repro.detectors.single import OnlineOutlierDetector
 from repro.engine.core import DetectorEngine
 from repro.engine.supervisor import SupervisedEngine
 from repro.eval.harness import ExperimentConfig, run_accuracy_run
@@ -173,6 +175,75 @@ class TestEngineRecoveryEvents:
         sup.close()
         assert sup.restarts == 1
         assert obs.tracer().n_emitted == 0
+
+
+def _maintenance_telemetry(run) -> "tuple[dict, list]":
+    """Run ``run()`` traced; return its obs snapshot and outputs."""
+    obs.reset()
+    with obs.enabled():
+        outputs = run()
+    snap = obs.snapshot()
+    events = obs.tracer().events()
+    snap["evicted_by_events"] = sum(e["count"] for e in events
+                                    if e["event"] == "sample.evict")
+    snap["schema_problems"] = [p for e in events
+                               for p in schema.validate_event(e)]
+    obs.reset()
+    return snap, outputs
+
+
+class TestEngineMaintenanceTelemetry:
+    """A traced engine reports the stream-maintenance and model-rebuild
+    telemetry that per-stream detectors report for the same readings."""
+
+    @pytest.mark.parametrize("spec,n_dims", [
+        (DistanceOutlierSpec(radius=0.5, count_threshold=3), 1),
+        (MDEFSpec(sampling_radius=1.0, counting_radius=0.25), 2)])
+    def test_engine_matches_per_stream_detectors(self, spec, n_dims):
+        n_streams, window, sample = 3, 24, 8
+        data = np.random.default_rng(5).normal(size=(90, n_streams, n_dims))
+        seeds = [11, 12, 13]
+
+        def engine_run():
+            engine = DetectorEngine(n_streams, spec, window_size=window,
+                                    sample_size=sample, n_dims=n_dims,
+                                    model_refresh=8, stream_seeds=seeds)
+            return [engine.ingest(data[i:i + 13]) for i in range(0, 90, 13)]
+
+        def detector_run():
+            detectors = [OnlineOutlierDetector(
+                window, sample, spec, n_dims=n_dims, model_refresh=8,
+                rng=np.random.default_rng(seed)) for seed in seeds]
+            return [det.process_many(data[:, s]) for s, det in
+                    enumerate(detectors)]
+
+        engine_snap, _ = _maintenance_telemetry(engine_run)
+        detector_snap, _ = _maintenance_telemetry(detector_run)
+        counters = engine_snap["metrics"]["counters"]
+        assert counters["sample.mutations"] > 0
+        assert counters["sample.evictions"] > 0
+        for name in ("sample.mutations", "sample.evictions"):
+            assert counters[name] == \
+                detector_snap["metrics"]["counters"][name]
+        assert engine_snap["evicted_by_events"] == counters["sample.evictions"]
+        assert engine_snap["schema_problems"] == []
+        by_kind = engine_snap["events_by_kind"]
+        assert by_kind["estimator.rebuild"] == \
+            detector_snap["events_by_kind"]["estimator.rebuild"]
+        assert {"chain.offer_many", "sketch.update_many", "kernels.range_batch",
+                "estimator.rebuild"} <= set(engine_snap["profile"])
+
+    def test_tracing_does_not_perturb_engine(self):
+        spec = DistanceOutlierSpec(radius=0.5, count_threshold=3)
+        data = np.random.default_rng(6).normal(size=(80, 4))
+
+        def run():
+            engine = DetectorEngine(4, spec, window_size=24, sample_size=8,
+                                    rng=np.random.default_rng(2))
+            return engine.ingest(data)
+
+        _, traced = _maintenance_telemetry(run)
+        assert np.array_equal(traced, run())
 
 
 class TestSnapshotEmbedding:

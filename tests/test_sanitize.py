@@ -8,6 +8,9 @@ import pytest
 from repro import _sanitize
 from repro._sanitize import SanitizeError
 from repro.core.estimator import KernelDensityEstimator
+from repro.core.mdef import MDEFSpec
+from repro.core.outliers import DistanceOutlierSpec
+from repro.engine.core import DetectorEngine
 from repro.network.codec import (decode_model_state, encode_model_state,
                                  quantization_step)
 from repro.streams.sampling import ChainSample
@@ -142,23 +145,69 @@ class TestEHSketchChecks:
 
     def test_zero_count_bucket_raises(self, rng):
         sketch = self.make_sketch(rng)
-        sketch._buckets[0].count = 0
+        sketch._lane.counts[0] = 0
         with pytest.raises(SanitizeError, match="count"):
             _sanitize.check_eh_sketch(sketch)
 
     def test_unordered_buckets_raise(self, rng):
         sketch = self.make_sketch(rng)
-        if len(sketch._buckets) < 2:
+        if len(sketch._lane) < 2:
             pytest.skip("sketch compressed to a single bucket")
-        sketch._buckets[-1].newest_ts = sketch._buckets[0].newest_ts
+        sketch._lane.ts[-1] = sketch._lane.ts[0]
         with pytest.raises(SanitizeError, match="increasing"):
             _sanitize.check_eh_sketch(sketch)
 
     def test_negative_m2_raises(self, rng):
         sketch = self.make_sketch(rng)
-        sketch._buckets[-1].m2 = -1.0
+        sketch._lane.m2s[-1] = -1.0
         with pytest.raises(SanitizeError, match="m2"):
             _sanitize.check_eh_sketch(sketch)
+
+
+class TestEngineChecks:
+    """The engine's structure-of-arrays stream state, checked after
+    every ``ingest`` while the sanitizer is live."""
+
+    def make_engine(self, rng, spec=None, n_dims=1):
+        spec = spec or DistanceOutlierSpec(radius=0.5, count_threshold=3)
+        engine = DetectorEngine(4, spec, window_size=30, sample_size=10,
+                                n_dims=n_dims, warmup=5, model_refresh=8,
+                                rng=np.random.default_rng(1))
+        engine.ingest(rng.normal(size=(90, 4, n_dims)))
+        return engine
+
+    @pytest.mark.parametrize("mdef", [False, True])
+    def test_ingest_passes_with_checks_live(self, rng, mdef):
+        spec = MDEFSpec(sampling_radius=1.0, counting_radius=0.25) \
+            if mdef else None
+        with _sanitize.enabled():
+            engine = self.make_engine(rng, spec, n_dims=2 if mdef else 1)
+            for size in (1, 7, 32):
+                engine.ingest(rng.normal(size=(size, 4, engine._n_dims)))
+
+    def test_corrupted_lane_raises(self, rng):
+        engine = self.make_engine(rng)
+        engine._lanes[1].counts[0] = 0
+        with pytest.raises(SanitizeError, match="stream 1 dim 0"):
+            _sanitize.check_engine(engine)
+
+    def test_corrupted_lane_trips_ingest(self, rng):
+        engine = self.make_engine(rng)
+        engine._lanes[2].m2s[-1] = -1.0
+        with _sanitize.enabled(), pytest.raises(SanitizeError, match="m2"):
+            engine.ingest(rng.normal(size=(1, 4)))
+
+    def test_expired_head_raises(self, rng):
+        engine = self.make_engine(rng)
+        engine._head_ts[2, 3] = engine.tick - 40     # window is 30
+        with pytest.raises(SanitizeError, match="stream 2 slot 3.*outside window"):
+            _sanitize.check_engine(engine)
+
+    def test_late_successor_raises(self, rng):
+        engine = self.make_engine(rng)
+        engine._succ_ts[0, 0] = engine.tick + 10_000
+        with pytest.raises(SanitizeError, match="successor"):
+            _sanitize.check_engine(engine)
 
 
 class TestCodecChecks:
