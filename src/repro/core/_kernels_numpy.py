@@ -1,11 +1,12 @@
 """Fused, cache-blocked numpy kernels for the Eq. 4-6 hot paths.
 
-This module is the portable compute backend behind
-:mod:`repro.core.backend`.  Each function evaluates the exact expression
-the estimator historically inlined, but blocked over the *query* axis so
-a block's scratch arrays (sized by ``REPRO_KERNEL_BLOCK``) stay resident
-in cache, and with every elementwise step running in place instead of
-allocating a fresh temporary.
+This module is the one compute path behind the estimator
+(:mod:`repro.core.estimator`) and the cross-stream engine.  Each function
+evaluates the exact expression the estimator historically inlined, but
+blocked over the *query* axis so a block's scratch arrays (at most
+:data:`BLOCK_CELLS` cells each) stay resident in cache, and with every
+elementwise step running in place instead of allocating a fresh
+temporary.
 
 Bit-identity contract
 ---------------------
@@ -32,7 +33,7 @@ are exact under IEEE-754 round-to-nearest:
 Divisions are preserved as divisions and reciprocal-multiplications as
 reciprocal-multiplications, per call site: the two differ in the last
 ulp.  The equivalence suite in ``tests/core/test_backend_equivalence.py``
-asserts ``np.array_equal`` against frozen copies of the pre-backend
+asserts ``np.array_equal`` against frozen copies of the pre-fusion
 implementations.
 """
 
@@ -45,7 +46,12 @@ from scipy.special import ndtr
 
 from repro.core.kernels import Kernel
 
-__all__ = ["range_batch", "range_batch_stacked", "pdf_batch", "cdf_diff_rows"]
+__all__ = ["BLOCK_CELLS", "range_batch", "range_batch_stacked", "pdf_batch",
+           "cdf_diff_rows"]
+
+#: Cells per fused evaluation block: 262 144 float64 cells are 2 MB of
+#: scratch, sized so a block's working set streams through L2.
+BLOCK_CELLS = 262_144
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 

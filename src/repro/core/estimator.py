@@ -19,9 +19,8 @@ Three evaluation strategies are implemented:
 
 * a dense vectorised path, ``O(d |R|)`` per query (Theorem 2), that also
   accepts *batches* of query boxes (the MDEF test issues ``1/(2 alpha r)``
-  of them at once) -- served by the pluggable compute backend
-  (:mod:`repro.core.backend`: fused cache-blocked numpy, or compiled
-  numba when the ``repro[fast]`` extra is installed);
+  of them at once) -- served by the fused, cache-blocked numpy kernels
+  of :mod:`repro.core._kernels_numpy`;
 * a sorted 1-d fast path that prunes kernels whose support cannot
   intersect the query interval, achieving the ``O(log|R| + |R'|)`` bound
   the paper quotes for one-dimensional data;
@@ -42,7 +41,7 @@ from repro._exceptions import EmptyModelError, ParameterError
 from repro._rng import resolve_rng
 from repro._validation import as_point, as_points
 from repro import _sanitize, obs
-from repro.core import backend as _backend
+from repro.core import _kernels_numpy as _kernels
 from repro.core.bandwidth import scott_bandwidths
 from repro.core.indexes import SortedSampleIndex
 from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
@@ -53,7 +52,7 @@ __all__ = ["KernelDensityEstimator", "merge_estimators", "range_probabilities"]
 def range_probabilities(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
                         centers: np.ndarray,
                         bandwidths: np.ndarray) -> np.ndarray:
-    """Eq. 5 box probabilities through the compute backend, in ``[0, 1]``.
+    """Eq. 5 box probabilities through the fused kernels, in ``[0, 1]``.
 
     One model: ``(m, d)`` boxes against ``(n, d)`` centres and ``(d,)``
     bandwidths give ``(m,)`` probabilities.  A stack of ``S`` models of
@@ -63,12 +62,11 @@ def range_probabilities(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
     """
     t0 = time.perf_counter() if obs.ACTIVE else 0.0
     try:
-        backend = _backend.get_backend()
-        run = backend.range_batch if lows.ndim == 2 \
-            else backend.range_batch_stacked
+        run = _kernels.range_batch if lows.ndim == 2 \
+            else _kernels.range_batch_stacked
         out = np.empty(lows.shape[:-1], dtype=float)
         run(kernel, lows, highs, centers, 1.0 / bandwidths, out,
-            _backend.block_cells())
+            _kernels.BLOCK_CELLS)
         if _sanitize.ACTIVE:
             _sanitize.check_probabilities(out, label="range_probability")
         # Clamp tiny negative values from floating point cancellation.
@@ -276,9 +274,8 @@ class KernelDensityEstimator:
         out = np.empty(queries.shape[0], dtype=float)
         inv_bw = 1.0 / self._bandwidths
         norm = inv_bw.prod() / self._n
-        _backend.get_backend().pdf_batch(
-            self._kernel, queries, self._sample, inv_bw, norm, out,
-            _backend.block_cells())
+        _kernels.pdf_batch(self._kernel, queries, self._sample, inv_bw,
+                           norm, out, _kernels.BLOCK_CELLS)
         return out
 
     def range_probability(self, low: "np.ndarray | Sequence[float] | float",
@@ -418,7 +415,7 @@ class KernelDensityEstimator:
             raise ParameterError("edges must be a 1-d array with at least two entries")
         if (np.diff(edge_arr) <= 0).any():
             raise ParameterError("edges must be strictly increasing")
-        diffs = _backend.get_backend().cdf_diff_rows(
+        diffs = _kernels.cdf_diff_rows(
             self._kernel, edge_arr, self._sample[:, 0],
             self._bandwidths[0])                # (n, k)
         masses = diffs.mean(axis=0)
@@ -438,10 +435,10 @@ class KernelDensityEstimator:
         if not high > low:
             raise ParameterError("high must exceed low")
         edges = np.linspace(low, high, cells_per_dim + 1)
-        ops = _backend.get_backend()
         # Per-dimension CDF difference matrices, each (n, k).
-        per_dim = [ops.cdf_diff_rows(self._kernel, edges, self._sample[:, j],
-                                     self._bandwidths[j])
+        per_dim = [_kernels.cdf_diff_rows(self._kernel, edges,
+                                          self._sample[:, j],
+                                          self._bandwidths[j])
                    for j in range(self._d)]
         if self._d == 1:
             cells = per_dim[0].mean(axis=0)

@@ -44,7 +44,7 @@ from repro import _sanitize, obs
 from repro._exceptions import ParameterError
 from repro._rng import resolve_rng, rng_from_state, rng_state
 from repro._validation import require_fraction, require_positive_int
-from repro.core import backend as _backend
+from repro.core._kernels_numpy import BLOCK_CELLS
 from repro.core.estimator import KernelDensityEstimator, range_probabilities
 from repro.core.kernels import EPANECHNIKOV
 from repro.core.mdef import MDEFOutlierDetector, MDEFSpec
@@ -334,8 +334,7 @@ class DetectorEngine:
         # Acceptance draws are materialised for (streams, ticks, |R|);
         # bound that scratch like the kernels' (splitting a block is
         # exact: offer_many over consecutive blocks equals one call).
-        span = max(1, _backend.block_cells()
-                   // (self._n_streams * self._sample_size))
+        span = max(1, BLOCK_CELLS // (self._n_streams * self._sample_size))
         for start in range(0, k, span):
             evictions += self._offer(block[start:start + span])
         if obs.ACTIVE:

@@ -55,6 +55,7 @@ from repro.core.outliers import DistanceOutlierSpec
 from repro.engine.core import DetectorEngine
 from repro.engine.supervisor import SupervisedEngine
 from repro.eval.provenance import run_metadata
+from repro.eval.reporting import render_grid
 from repro.network.faults import EngineCrash, FaultPlan
 from repro.network.messages import MessageCounter, OutlierReport
 from repro.obs import schema
@@ -656,8 +657,4 @@ def format_table(results: "Mapping[str, object]") -> str:
             f"{cell.get('n_cross_worker', '-')}",
             f"{cell['readings_per_sec']:,.0f}",
         ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(c.rjust(widths[i]) if i else c.ljust(widths[i])
-                       for i, c in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return render_grid(rows)

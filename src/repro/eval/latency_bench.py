@@ -33,6 +33,7 @@ from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro.eval.harness import ExperimentConfig, run_accuracy_run
 from repro.eval.provenance import run_metadata
+from repro.eval.reporting import render_grid
 
 __all__ = [
     "run_latency_cell",
@@ -198,8 +199,4 @@ def format_table(results: "dict[str, object]") -> str:
             _num(cell["words_per_detection"], ".1f"),
             _num(cell["recall_level1"], ".3f"),
         ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell_.rjust(widths[i]) if i else cell_.ljust(widths[i])
-                       for i, cell_ in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return render_grid(rows)

@@ -21,6 +21,7 @@ from repro.data.synthetic import make_mixture_streams
 from repro.detectors.d3 import D3Config, build_d3_network
 from repro.detectors.single import OnlineOutlierDetector
 from repro.eval.provenance import run_metadata
+from repro.eval.reporting import render_grid
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import build_hierarchy
 
@@ -97,10 +98,7 @@ def format_profile_table(doc: dict) -> str:
                      f"{stat['total_s']:.4f}",
                      f"{stat['mean_s'] * 1e3:.4f}",
                      f"{stat['max_s'] * 1e3:.4f}"))
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
-    lines = ["  ".join(cell.rjust(widths[i]) if i else cell.ljust(widths[i])
-                       for i, cell in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
+    lines = [render_grid(rows)]
     wall = doc["wall"]
     lines.append("")
     lines.append("wall: " + "  ".join(

@@ -40,6 +40,7 @@ from repro.core.outliers import DistanceOutlierSpec
 from repro.engine.core import DetectorEngine
 from repro.engine.supervisor import SupervisedEngine
 from repro.eval.provenance import run_metadata
+from repro.eval.reporting import render_grid
 from repro.network.faults import EngineCrash, FaultPlan
 
 __all__ = [
@@ -245,8 +246,4 @@ def format_table(results: "dict[str, object]") -> str:
             f"{cell['replayed_ticks']}",
             f"{cell['max_checkpoint_bytes']:,}",
         ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell_.rjust(widths[i]) if i else cell_.ljust(widths[i])
-                       for i, cell_ in enumerate(row)) for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return render_grid(rows)

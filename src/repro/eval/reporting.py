@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["render_table", "format_value"]
+__all__ = ["render_table", "render_grid", "format_value"]
 
 
 def format_value(value: object) -> str:
@@ -34,4 +34,17 @@ def render_table(headers: "Sequence[str]",
     lines.append("  ".join("-" * w for w in widths))
     for row in str_rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def render_grid(rows: "Sequence[Sequence[str]]") -> str:
+    """Render pre-formatted rows (header first) as an aligned table.
+
+    The first column is left-justified, the others right-justified, and
+    a dashed rule separates the header from the body.
+    """
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.rjust(widths[i]) if i else cell.ljust(widths[i])
+                       for i, cell in enumerate(row)) for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)

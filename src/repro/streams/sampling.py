@@ -312,7 +312,9 @@ class ChainSample:
         global-model updates: only the changed slots travel down the
         hierarchy (Section 8.1).
         """
-        point = np.asarray(value, dtype=float).reshape(-1)
+        # A copy: the slots keep the point, and a caller may reuse its
+        # buffer for the next reading.
+        point = np.array(value, dtype=float).reshape(-1)
         if point.shape != (self._n_dims,):
             raise ParameterError(
                 f"value must have {self._n_dims} coordinate(s), got shape {point.shape}")

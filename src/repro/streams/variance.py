@@ -44,7 +44,6 @@ import numpy as np
 
 from repro import _sanitize, obs
 from repro._exceptions import ParameterError
-from repro.core.backend import get_backend
 from repro._validation import require_fraction, require_positive_int
 from repro.streams.window import SlidingWindow
 
@@ -139,20 +138,6 @@ class EHLane:
         """
         n = len(self.ts)
         if n < 2:
-            return
-        compiled = get_backend().eh_compress
-        if compiled is not None:
-            # Compiled merge pass (numba backend): same two passes over
-            # parallel arrays, bit-identical to the Python loops below.
-            out_ts, out_counts, out_means, out_m2s = compiled(
-                np.array(self.ts, dtype=np.int64),
-                np.array(self.counts, dtype=np.float64),
-                np.array(self.means, dtype=np.float64),
-                np.array(self.m2s, dtype=np.float64), max_count, budget)
-            self.ts = out_ts.tolist()
-            self.counts = [int(c) for c in out_counts.tolist()]
-            self.means = out_means.tolist()
-            self.m2s = out_m2s.tolist()
             return
         counts, means, m2s, newest = self.counts, self.means, self.m2s, \
             self.ts

@@ -1,10 +1,10 @@
-"""Frozen pre-backend Eq. 1 and Eq. 5 evaluations.
+"""Frozen pre-fusion Eq. 1 and Eq. 5 evaluations.
 
 These are copies of the estimator's evaluation loops from before the
-compute backends (chunked broadcasting with temporaries).  They are
+fused kernels (chunked broadcasting with temporaries).  They are
 deliberately **not** kept in sync with the estimator: they are the
-reference that ``test_backend_equivalence.py`` holds the numpy backend
-bit-identical to, and the numba backend to 1e-9 relative.
+reference that ``test_backend_equivalence.py`` holds the fused numpy
+kernels of ``repro.core._kernels_numpy`` bit-identical to.
 """
 
 from __future__ import annotations

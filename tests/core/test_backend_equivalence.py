@@ -1,12 +1,10 @@
-"""Backend kernels vs the frozen pre-backend implementations.
+"""The fused numpy kernels vs the frozen pre-fusion implementations.
 
-The numpy backend claims *bit identity* with the historical estimator
+The kernels claim *bit identity* with the historical estimator
 expressions (``repro.core._kernels_numpy`` docstring lists the exact
-IEEE-754-preserving rewrites); the numba backend claims 1e-9 relative
-agreement.  This suite pins both claims against the frozen references
-in :mod:`tests.core._reference_kernels`, exercises the sorted-index fast
-paths against brute force, and covers the backend selection machinery
-itself (env resolution, strict failures, context restoration).
+IEEE-754-preserving rewrites).  This suite pins that claim against the
+frozen references in :mod:`tests.core._reference_kernels` and exercises
+the sorted-index fast paths against brute force.
 """
 
 from __future__ import annotations
@@ -15,23 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro._exceptions import ParameterError
-from repro.core import backend as backend_mod
-from repro.core.backend import (
-    available_backends,
-    backend_name,
-    block_cells,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
+from repro.core import _kernels_numpy
+from repro.core._kernels_numpy import BLOCK_CELLS
+from repro.core.backend import backend_name
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.indexes import SortedSampleIndex
 from repro.core.kernels import EPANECHNIKOV, GAUSSIAN
 from tests.core._reference_kernels import reference_pdf, reference_range_batch
-
-HAVE_NUMBA = "numba" in available_backends()
 
 ALL_KERNELS = [EPANECHNIKOV, GAUSSIAN]
 
@@ -46,7 +34,7 @@ def make_case(seed: int, n: int, m: int, d: int, bw: float):
 
 
 # ---------------------------------------------------------------------------
-# numpy backend: bit identity with the frozen references
+# fused numpy kernels: bit identity with the frozen references
 # ---------------------------------------------------------------------------
 
 class TestNumpyBitIdentity:
@@ -85,10 +73,10 @@ class TestNumpyBitIdentity:
         ("pdf", EPANECHNIKOV, 1, 1_024),
     ], ids=lambda v: getattr(v, "name", v))
     def test_multi_block_shapes_identical(self, query, kernel, d, n_centers):
-        # 2048 queries span several REPRO_KERNEL_BLOCK query blocks, so
-        # the block seams are checked, not just one block's arithmetic.
+        # 2048 queries span several BLOCK_CELLS query blocks, so the
+        # block seams are checked, not just one block's arithmetic.
         n_queries = 2_048
-        assert n_queries >= 2 * (block_cells() // n_centers)
+        assert n_queries >= 2 * (BLOCK_CELLS // n_centers)
         rng = np.random.default_rng(60 + d)
         centers = rng.random((n_centers, d))
         queries = rng.random((n_queries, d))
@@ -176,17 +164,16 @@ class TestNumpyBitIdentity:
         queries = rng.random((n_models, m, d))
         widths = rng.uniform(0.0, 0.2, size=(n_models, m, d))
         inv_bw = 1.0 / rng.uniform(0.01, 0.5, size=(n_models, d))
-        backend = get_backend()
         got = np.empty((n_models, m))
-        backend.range_batch_stacked(kernel, queries - widths,
-                                    queries + widths, centers, inv_bw, got,
-                                    cells)
+        _kernels_numpy.range_batch_stacked(kernel, queries - widths,
+                                           queries + widths, centers, inv_bw,
+                                           got, cells)
         for model in range(n_models):
             want = np.empty(m)
-            backend.range_batch(kernel, queries[model] - widths[model],
-                                queries[model] + widths[model],
-                                centers[model], inv_bw[model], want,
-                                block_cells())
+            _kernels_numpy.range_batch(kernel, queries[model] - widths[model],
+                                       queries[model] + widths[model],
+                                       centers[model], inv_bw[model], want,
+                                       BLOCK_CELLS)
             assert np.array_equal(got[model], want)
 
 
@@ -235,110 +222,6 @@ class TestSortedIndexFastPath:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
-# ---------------------------------------------------------------------------
-# numba backend (skipped when the extra is not installed)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaEquivalence:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
-    def test_range_probability_close(self, kernel, d):
-        rng = np.random.default_rng(30 + d)
-        centers = rng.random((64, d))
-        queries = rng.random((32, d))
-        bandwidths = np.full(d, 0.06)
-        est = KernelDensityEstimator(centers, bandwidths=bandwidths,
-                                     kernel=kernel)
-        want = reference_range_batch(kernel, queries - 0.03, queries + 0.03,
-                                     centers, bandwidths)
-        with use_backend("numba"):
-            got = np.asarray(est.range_probability(queries - 0.03,
-                                                   queries + 0.03))
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
-    def test_pdf_close(self, kernel):
-        rng = np.random.default_rng(40)
-        centers = rng.random((64, 1))
-        queries = rng.random((32, 1))
-        bandwidths = np.full(1, 0.06)
-        est = KernelDensityEstimator(centers, bandwidths=bandwidths,
-                                     kernel=kernel)
-        want = reference_pdf(kernel, queries, centers, bandwidths)
-        with use_backend("numba"):
-            got = est.pdf(queries)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
-    def test_eh_sketch_identical(self):
-        # The compiled compressor is a literal transcription of the
-        # Python one, so the resulting bucket lists must match exactly.
-        from repro.streams.variance import EHVarianceSketch
-
-        values = np.random.default_rng(50).uniform(size=400)
-        with use_backend("numpy"):
-            plain = EHVarianceSketch(128)
-            plain.insert_many(values)
-        with use_backend("numba"):
-            compiled = EHVarianceSketch(128)
-            compiled.insert_many(values)
-        assert plain.variance() == compiled.variance()
-        assert plain._lane == compiled._lane
-
-
-# ---------------------------------------------------------------------------
-# backend selection machinery
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def restore_backend():
-    yield
-    set_backend("numpy")
-
-
-class TestBackendSelection:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ParameterError, match="backend"):
-            resolve_backend("cuda")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_strict_numba_raises_when_missing(self):
-        with pytest.raises(ParameterError, match="numba"):
-            set_backend("numba", strict=True)
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_env_numba_falls_back_silently(self, monkeypatch,
-                                           restore_backend):
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        set_backend(None)
-        assert backend_name() == "numpy"
-
-    def test_env_unknown_value_rejected(self, monkeypatch, restore_backend):
-        monkeypatch.setenv("REPRO_BACKEND", "fortran")
-        with pytest.raises(ParameterError, match="REPRO_BACKEND"):
-            set_backend(None)
-
-    def test_use_backend_restores_active(self, restore_backend):
-        set_backend("numpy")
-        before = get_backend()
-        with use_backend("numpy"):
-            assert backend_name() == "numpy"
-        assert get_backend() is before
-
-    def test_block_cells_default_and_env(self, monkeypatch):
-        assert block_cells() == 262_144
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "4096")
-        assert block_cells() == 4096
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-5", "1.5"])
-    def test_block_cells_rejects_bad_values(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", bad)
-        with pytest.raises(ParameterError, match="REPRO_KERNEL_BLOCK"):
-            block_cells()
-
-    def test_backend_module_consistency(self):
-        assert get_backend().name == backend_name()
-        assert backend_mod.resolve_backend().name in available_backends()
+def test_backend_name_is_numpy():
+    # Result provenance and the benchmark fingerprint record this name.
+    assert backend_name() == "numpy"

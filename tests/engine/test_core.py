@@ -175,6 +175,48 @@ class TestEngineEqualsPerStreamDetectors:
         assert engine.tick == sc["n_ticks"]
 
 
+class TestAcceptanceDrawSplit:
+    """``_observe`` bounds its acceptance-draw scratch by splitting a call
+    into spans of ``BLOCK_CELLS // (streams * |R|)`` ticks.  Splitting is
+    exact: a split engine equals an unsplit one call for call."""
+
+    SPAN = 3
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_split_calls_equal_unsplit(self, config, monkeypatch):
+        n_streams, seed = 4, 5
+        _, n_dims = CONFIGS[config]
+        data = _readings(seed, 90, n_streams, n_dims)
+        whole = _engine(config, n_streams, seed, False, None)
+        split = _engine(config, n_streams, seed, False, None)
+        offers = []
+        offer = DetectorEngine._offer
+
+        def counting_offer(engine: DetectorEngine,
+                           block: np.ndarray) -> np.ndarray:
+            offers.append(block.shape[0])
+            return offer(engine, block)
+
+        start = 0
+        for size in (1, 40, 2, 23, 24):
+            chunk = data[start:start + size]
+            expected = whole.ingest(chunk)
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.engine.core.BLOCK_CELLS",
+                              self.SPAN * n_streams * SAMPLE)
+                patch.setattr(DetectorEngine, "_offer", counting_offer)
+                flags = split.ingest(chunk)
+            assert np.array_equal(flags, expected), start
+            assert split.last_flags == whole.last_flags, start
+            start += size
+        # Every tick was offered once, in sub-blocks of at most SPAN.
+        assert sum(offers) == 90
+        assert max(offers) == self.SPAN
+        assert len(offers) >= 90 // self.SPAN
+        assert whole.tick == split.tick == 90
+        assert encode_snapshot(split) == encode_snapshot(whole)
+
+
 class TestAllOrNothingIngest:
     """A batch with a non-finite reading is refused before any state
     changes, so the streams never desynchronise."""

@@ -192,6 +192,24 @@ class TestOfferMany:
         assert changed_one == changed_many
         np.testing.assert_array_equal(one.values(), many.values())
 
+    def test_reused_buffer_offers_match_fresh_arrays(self):
+        """A caller may overwrite its buffer after each offer: the slots
+        hold copies, so offering through one buffer equals offering
+        fresh arrays and equals ``offer_many``."""
+        stream = np.array([0.1, 0.2, 0.0, 0.3, 0.4, 0.5]).reshape(-1, 1)
+        reused = ChainSample(4, 4, rng=np.random.default_rng(3))
+        fresh = ChainSample(4, 4, rng=np.random.default_rng(3))
+        batched = ChainSample(4, 4, rng=np.random.default_rng(3))
+        buf = np.empty(1)
+        for value in stream:
+            buf[:] = value
+            reused.offer(buf)
+            fresh.offer(value.copy())
+        batched.offer_many(stream)
+        np.testing.assert_array_equal(reused.values(), fresh.values())
+        np.testing.assert_array_equal(reused.values(), batched.values())
+        assert len(np.unique(reused.values())) > 1
+
     def test_empty_block_is_noop(self, rng):
         sample = ChainSample(20, 4, rng=rng)
         sample.offer([0.5])

@@ -138,8 +138,6 @@ class TestLiveTreeContracts:
         assert symbols == [
             "repro._rng._root_sequence",
             "repro._sanitize.ACTIVE",
-            "repro.core.backend._ACTIVE",
-            "repro.core.backend._CACHE",
             "repro.obs.ACTIVE",
             "repro.obs._metrics",
             "repro.obs._profiler",

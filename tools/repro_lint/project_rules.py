@@ -80,8 +80,8 @@ class MutableModuleGlobalRule(ProjectRule):
     be immutable values: literals, tuples/frozensets, compiled
     patterns, frozen-dataclass or stateless-class instances, or
     ``types.MappingProxyType`` views over literal dicts.  Genuinely
-    required process-local singletons (the obs registry, the backend
-    cache) are carried in the committed baseline with a justification
+    required process-local singletons (the obs registry, the sanitizer
+    toggle) are carried in the committed baseline with a justification
     each.
     """
 

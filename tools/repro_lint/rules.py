@@ -571,12 +571,12 @@ class PerElementHotLoopRule(FileRule):
     """RL008: no per-element Python loops over sample/centre arrays in
     hot-path modules.
 
-    The compute-backend layer (``repro.core.backend``) exists so that
-    the Eq. 4-6 inner loops run as fused array kernels.  A Python
+    The fused kernels (``repro.core._kernels_numpy``) exist so that
+    the Eq. 4-6 inner loops run as array operations.  A Python
     ``for`` (or comprehension) iterating element-wise over a sample,
     centre, or query array inside ``repro.core`` / ``repro.streams``
     reintroduces interpreter overhead per reading -- the exact cost the
-    backend removed -- while every correctness test stays green.  Loops
+    kernels removed -- while every correctness test stays green.  Loops
     over such arrays (directly, or via ``enumerate(x)`` /
     ``range(len(x))`` / ``range(x.shape[0])``) are therefore errors in
     those packages; a genuinely scalar walk must carry a suppression
@@ -585,7 +585,7 @@ class PerElementHotLoopRule(FileRule):
 
     id = "RL008"
 
-    #: Packages whose per-reading paths the backend kernels own.
+    #: Packages whose per-reading paths the fused kernels own.
     HOT_DIRS = ("src/repro/core/", "src/repro/streams/")
 
     #: Identifier terminals that denote sample/centre/query arrays.
@@ -643,8 +643,8 @@ class PerElementHotLoopRule(FileRule):
                     yield self.finding(
                         ctx, it,
                         f"per-element Python loop over array '{name}' in a "
-                        "hot-path module; use the vectorised backend "
-                        "kernels (repro.core.backend) instead")
+                        "hot-path module; use the fused array kernels "
+                        "(repro.core._kernels_numpy) instead")
 
 
 def __getattr__(name: str) -> "tuple[Rule, ...]":
