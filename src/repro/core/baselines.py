@@ -25,7 +25,13 @@ from scipy.spatial import cKDTree
 
 from repro._exceptions import ParameterError
 from repro._validation import as_points
-from repro.core.mdef import MDEFDecision, MDEFSpec, cell_grid_centers, mdef_statistic
+from repro.core.mdef import (
+    MDEFDecision,
+    MDEFSpec,
+    cell_grid_centers,
+    mdef_statistic,
+    sampling_cell_ranges,
+)
 from repro.core.outliers import DistanceOutlierSpec
 
 __all__ = [
@@ -110,25 +116,16 @@ def brute_force_mdef_outliers(
     n, d = vals.shape
     neighbor_counts = chebyshev_neighbor_counts(vals, vals, spec.counting_radius)
 
-    centers_1d = cell_grid_centers(spec)
-    n_cells = centers_1d.shape[0]
+    n_cells = cell_grid_centers(spec).shape[0]
     grid = np.zeros((n_cells,) * d, dtype=np.int64)
     idx = _cell_indices(vals, spec, n_cells)
     np.add.at(grid, tuple(idx[:, j] for j in range(d)), 1)
 
+    lo, hi = sampling_cell_ranges(vals, spec)
     mask = np.empty(n, dtype=bool)
     decisions: "list[MDEFDecision]" = []
-    for i in range(n):
-        slices = []
-        for j in range(d):
-            in_range = np.abs(centers_1d - vals[i, j]) <= spec.sampling_radius
-            nz = np.flatnonzero(in_range)
-            if nz.size == 0:
-                nearest = int(np.argmin(np.abs(centers_1d - vals[i, j])))
-                slices.append(slice(nearest, nearest + 1))
-            else:
-                slices.append(slice(int(nz[0]), int(nz[-1]) + 1))
-        cell_counts = grid[tuple(slices)].reshape(-1)
+    for i, (starts, stops) in enumerate(zip(lo.tolist(), hi.tolist())):
+        cell_counts = grid[tuple(map(slice, starts, stops))].reshape(-1)
         decision = mdef_statistic(neighbor_counts[i], cell_counts,
                                   spec.k_sigma, min_mdef=spec.min_mdef)
         mask[i] = decision.is_outlier

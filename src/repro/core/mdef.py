@@ -33,7 +33,6 @@ brute-force decisions apply the *same* rule to different count sources.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +40,7 @@ import numpy as np
 
 from repro._exceptions import ParameterError
 from repro._validation import as_point
+from repro.core._kernels_numpy import BLOCK_CELLS
 from repro.core.model import DensityModel
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "MDEFDecision",
     "mdef_statistic",
     "cell_grid_centers",
+    "sampling_cell_ranges",
     "sampling_cell_centers",
     "MDEFOutlierDetector",
 ]
@@ -191,25 +192,67 @@ def cell_grid_centers(spec: MDEFSpec) -> np.ndarray:
     return (np.arange(n_cells) + 0.5) * width
 
 
+def sampling_cell_ranges(points: "np.ndarray | Sequence[Sequence[float]]",
+                         spec: MDEFSpec) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-dimension index ranges of the sampling cells of each point.
+
+    Grid cell ``i`` of a dimension belongs to a point's sampling
+    neighbourhood when its centre lies within ``r`` of the point's
+    coordinate (Chebyshev ball, matching the paper's interval geometry);
+    a coordinate with no such cell (beyond the grid edge) takes the
+    nearest cell instead.  ``|centre - x|`` falls and then rises along
+    the sorted centres, so the selected cells are one contiguous run.
+
+    ``points`` has shape ``(m, d)``; returns ``lo`` and ``hi`` of that
+    shape: coordinate ``j`` of point ``i`` selects cells
+    ``lo[i, j]:hi[i, j]``.
+    """
+    pts = np.asarray(points, dtype=float)
+    centers_1d = cell_grid_centers(spec)
+    lo = np.empty(pts.shape, dtype=np.int64)
+    hi = np.empty(pts.shape, dtype=np.int64)
+    # Bound the (points, d, cells) scratch like the kernels' blocks.
+    step = max(1, BLOCK_CELLS // max(1, pts.shape[1] * centers_1d.size))
+    for start in range(0, pts.shape[0], step):
+        dist = np.abs(centers_1d - pts[start:start + step, :, None])
+        inside = dist <= spec.sampling_radius
+        n_inside = inside.sum(axis=2)
+        first = np.where(n_inside > 0, inside.argmax(axis=2),
+                         dist.argmin(axis=2))
+        lo[start:start + step] = first
+        hi[start:start + step] = first + np.maximum(n_inside, 1)
+    return lo, hi
+
+
+def _cells_in_ranges(lo: np.ndarray,
+                     hi: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Enumerate every point's cells from :func:`sampling_cell_ranges`.
+
+    Returns each point's cell count ``(m,)`` and the grid indices of all
+    the cells, point after point, ``(total, d)``.  A point's cells come
+    in ``itertools.product`` order over its ranges (last dimension
+    fastest), the order the cell populations have always had.
+    """
+    spans = hi - lo
+    sizes = spans.prod(axis=1)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cells = np.empty((owner.size, lo.shape[1]), dtype=np.int64)
+    for j in range(lo.shape[1] - 1, -1, -1):
+        span = spans[owner, j]
+        cells[:, j] = lo[owner, j] + rank % span
+        rank //= span
+    return sizes, cells
+
+
 def sampling_cell_centers(p: np.ndarray, spec: MDEFSpec) -> np.ndarray:
     """Centres of the grid cells inside the sampling neighbourhood of ``p``.
 
-    A cell belongs to the sampling neighbourhood when its centre lies
-    within ``r`` of ``p`` in every dimension (Chebyshev ball, matching
-    the paper's interval geometry).  Returns shape ``(m, d)``.
+    The cells :func:`sampling_cell_ranges` selects, in
+    ``itertools.product`` order.  Returns shape ``(m, d)``.
     """
-    centers_1d = cell_grid_centers(spec)
-    per_dim = []
-    for coord in p:
-        mask = np.abs(centers_1d - coord) <= spec.sampling_radius
-        selected = centers_1d[mask]
-        if selected.size == 0:
-            # Point beyond the grid edge: fall back to the nearest cell.
-            selected = centers_1d[[int(np.argmin(np.abs(centers_1d - coord)))]]
-        per_dim.append(selected)
-    if len(per_dim) == 1:
-        return per_dim[0].reshape(-1, 1)
-    return np.array(list(itertools.product(*per_dim)), dtype=float)
+    lo, hi = sampling_cell_ranges(np.reshape(p, (1, -1)), spec)
+    return cell_grid_centers(spec)[_cells_in_ranges(lo, hi)[1]]
 
 
 class MDEFOutlierDetector:
@@ -224,6 +267,16 @@ class MDEFOutlierDetector:
     known estimation variance from sigma_hat (see
     :func:`mdef_statistic`); without it the sampling noise of small
     kernel samples systematically masks deviations.
+
+    A cell's population depends only on the model and the cell, so the
+    detector estimates each sampling cell once: it keeps a table of the
+    populations estimated so far, keyed by flat grid index, and only
+    cells a check touches for the first time reach the model.  The
+    table holds the touched cells, never the whole grid.  Every
+    population comes from the model's batched range path, which
+    computes each query row on its own, so a tabled population equals a
+    fresh estimate bit for bit and decisions do not depend on the order
+    of checks.
     """
 
     def __init__(self, model: DensityModel, spec: MDEFSpec, *,
@@ -235,6 +288,18 @@ class MDEFOutlierDetector:
             distinct = getattr(model, "distinct_sample_size", None)
             if distinct:
                 self._evpu = model.window_size / max(1, int(distinct))
+        self._centers_1d = cell_grid_centers(spec)
+        n_cells, d = self._centers_1d.size, model.n_dims
+        key_max = np.iinfo(np.int64).max
+        #: Row-major strides of the flat grid index; None when the grid
+        #: has too many cells for int64 keys, and then nothing is tabled.
+        self._strides = None if n_cells ** d > key_max \
+            else n_cells ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        # Sorted flat indices of the tabled cells and their populations.
+        # The sentinel key lies past every index, so searchsorted
+        # positions always point into the table.
+        self._keys = np.array([key_max], dtype=np.int64)
+        self._counts = np.array([np.nan])
 
     @property
     def model(self) -> DensityModel:
@@ -246,46 +311,90 @@ class MDEFOutlierDetector:
         """The bound MDEF specification."""
         return self._spec
 
-    def check(self, p: "np.ndarray | Sequence[float] | float") -> MDEFDecision:
-        """Check one point against the model (Figure 3's estimation)."""
-        point = as_point("p", p, self._model.n_dims)
-        r_count = self._spec.counting_radius
-        neighbor = float(np.asarray(
-            self._model.neighborhood_count(point, r_count)).reshape(()))
-        centers = sampling_cell_centers(point, self._spec)
-        cell_counts = np.asarray(
-            self._model.neighborhood_count(centers, r_count)).reshape(-1)
+    def _populations(self, cells: np.ndarray, points: "np.ndarray | None",
+                     ) -> "tuple[np.ndarray, np.ndarray]":
+        """Populations of ``cells`` (grid indices, ``(k, d)``), tabled.
+
+        Cells missing from the table are estimated in one
+        ``neighborhood_count`` batch, behind the counting queries of
+        ``points`` when given, and added to it.  Returns the points' own
+        counts and the cells' populations.
+        """
+        keys = None
+        fresh = cells
+        if self._strides is not None:
+            keys = cells @ self._strides
+            missing = self._keys[np.searchsorted(self._keys, keys)] != keys
+            fresh = cells[missing]
+            if fresh.shape[0]:
+                new_keys, first = np.unique(keys[missing], return_index=True)
+                fresh = fresh[first]
+        queries = self._centers_1d[fresh]
+        if points is not None:
+            queries = np.concatenate([points, queries])
+        counts = np.empty(0)
+        if queries.shape[0]:
+            counts = np.asarray(self._model.neighborhood_count(
+                queries, self._spec.counting_radius), dtype=float).reshape(-1)
+        m = 0 if points is None else points.shape[0]
+        own, estimated = counts[:m], counts[m:]
+        if keys is None:
+            return own, estimated
+        if estimated.size:
+            at = np.searchsorted(self._keys, new_keys)
+            self._keys = np.insert(self._keys, at, new_keys)
+            self._counts = np.insert(self._counts, at, estimated)
+        return own, self._counts[np.searchsorted(self._keys, keys)]
+
+    def _statistic(self, neighbor: float,
+                   cell_counts: np.ndarray) -> MDEFDecision:
         return mdef_statistic(neighbor, cell_counts, self._spec.k_sigma,
                               min_mdef=self._spec.min_mdef,
                               estimation_variance_per_unit=self._evpu)
 
-    def check_many(self, points: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]") -> "list[MDEFDecision]":
+    def check(self, p: "np.ndarray | Sequence[float] | float") -> MDEFDecision:
+        """Check one point against the model (Figure 3's estimation)."""
+        point = as_point("p", p, self._model.n_dims)
+        neighbor = float(np.asarray(self._model.neighborhood_count(
+            point, self._spec.counting_radius)).reshape(()))
+        lo, hi = sampling_cell_ranges(point[None, :], self._spec)
+        _, cell_counts = self._populations(_cells_in_ranges(lo, hi)[1], None)
+        return self._statistic(neighbor, cell_counts)
+
+    def check_many(self, points: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]",
+                   neighbor_counts: "np.ndarray | Sequence[float] | None" = None,
+                   ) -> "list[MDEFDecision]":
         """Check a batch of points with one fused range-query batch.
 
-        Concatenates every point's counting query and all its sampling
-        cells into a single call to the model's vectorised range path,
-        then applies Equation 9 per point.  Decisions match per-point
-        :meth:`check` calls up to range-query round-off.
+        The batch holds every point's counting query and the sampling
+        cells not yet tabled; Equation 9 then runs per point.  Decisions
+        match per-point :meth:`check` calls up to the round-off between
+        the single-point and batched range queries of the point's own
+        count.
+
+        ``neighbor_counts`` supplies the points' counting-neighbourhood
+        populations instead, for a caller that computed them already
+        (the engine counts every stream's readings in one stacked
+        kernel call); the batch then holds only untabled cells.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self._model.n_dims) if self._model.n_dims == 1 \
                 else pts.reshape(1, -1)
-        m = pts.shape[0]
-        if m == 0:
+        if pts.shape[0] == 0:
             return []
-        r_count = self._spec.counting_radius
-        centers = [sampling_cell_centers(p, self._spec) for p in pts]
-        queries = np.concatenate([pts] + centers, axis=0)
-        counts = np.asarray(
-            self._model.neighborhood_count(queries, r_count)).reshape(-1)
-        decisions: "list[MDEFDecision]" = []
-        offset = m
-        for i in range(m):
-            n_cells = centers[i].shape[0]
-            decisions.append(mdef_statistic(
-                float(counts[i]), counts[offset:offset + n_cells],
-                self._spec.k_sigma, min_mdef=self._spec.min_mdef,
-                estimation_variance_per_unit=self._evpu))
-            offset += n_cells
-        return decisions
+        lo, hi = sampling_cell_ranges(pts, self._spec)
+        sizes, cells = _cells_in_ranges(lo, hi)
+        if neighbor_counts is None:
+            own, cell_counts = self._populations(cells, pts)
+        else:
+            own = np.asarray(neighbor_counts, dtype=float).reshape(-1)
+            if own.shape[0] != pts.shape[0]:
+                raise ParameterError(
+                    f"neighbor_counts must hold one count per point "
+                    f"({pts.shape[0]}), got {own.shape[0]}")
+            _, cell_counts = self._populations(cells, None)
+        ends = np.cumsum(sizes).tolist()
+        return [self._statistic(neighbor, cell_counts[start:end])
+                for neighbor, start, end in zip(own.tolist(), [0] + ends,
+                                                ends)]

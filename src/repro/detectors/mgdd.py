@@ -228,6 +228,10 @@ class MGDDLeafNode:
         self._epoch_start = 0
         self._last_update_tick: "int | None" = None
         self.flagged_ticks: "list[int]" = []
+        # The MDEF detector over the current global-model copy, kept
+        # until the copy changes so its cell-population table is filled
+        # once per model.
+        self._mdef: "MDEFOutlierDetector | None" = None
 
     @property
     def state(self) -> StreamModelState:
@@ -305,8 +309,9 @@ class MGDDLeafNode:
             return
         model = self._global.model()
         if model is not None:
-            detector = MDEFOutlierDetector(model, self._config.spec)
-            decision = detector.check(value)
+            if self._mdef is None or self._mdef.model is not model:
+                self._mdef = MDEFOutlierDetector(model, self._config.spec)
+            decision = self._mdef.check(value)
             if decision.is_outlier:
                 self._log.record(
                     Detection(

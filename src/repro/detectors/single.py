@@ -126,6 +126,7 @@ class OnlineOutlierDetector:
             bandwidth_basis=bandwidth_basis, rng=rng)
         self._seen = 0
         self._flagged = 0
+        self._mdef: "MDEFOutlierDetector | None" = None
 
     # ------------------------------------------------------------------
 
@@ -182,7 +183,7 @@ class OnlineOutlierDetector:
         if isinstance(self._spec, DistanceOutlierSpec):
             decision = is_distance_outlier(model, point, self._spec)
         else:
-            decision = MDEFOutlierDetector(model, self._spec).check(point)
+            decision = self._mdef_detector(model).check(point)
         if decision.is_outlier:
             self._flagged += 1
         return decision
@@ -248,11 +249,22 @@ class OnlineOutlierDetector:
                     flagged += 1
             self._flagged += flagged
         else:
-            detector = MDEFOutlierDetector(model, self._spec)
+            detector = self._mdef_detector(model)
             for j, decision in enumerate(detector.check_many(points)):
                 decisions[offset + j] = decision
                 if decision.is_outlier:
                     self._flagged += 1
+
+    def _mdef_detector(self, model: KernelDensityEstimator) -> MDEFOutlierDetector:
+        """The MDEF detector over ``model``, kept while the model is cached.
+
+        One detector per model object fills its cell-population table
+        once per model instead of once per reading.  It is not
+        snapshotted: a restored detector starts with an empty table.
+        """
+        if self._mdef is None or self._mdef.model is not model:
+            self._mdef = MDEFOutlierDetector(model, self._spec)
+        return self._mdef
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.engine.snapshot)
@@ -283,4 +295,5 @@ class OnlineOutlierDetector:
         detector._state = StreamModelState.restore_state(state["state"])
         detector._seen = int(state["seen"])
         detector._flagged = int(state["flagged"])
+        detector._mdef = None
         return detector

@@ -21,16 +21,20 @@ State is kept as structure-of-arrays over all streams: chain-sample slot
 heads (timestamp and value) and pending successor timestamps as
 ``(streams, |R|)`` arrays, with the rare queued successors in a sparse
 map; one EH bucket lane per (stream, dimension); and each stream's
-cached model as centres, bandwidths and ``|W|``.  Streams advance in
-lockstep, so they share the warm-up end, the model-check cadence and the
-EH compress cadence, and ``ingest`` makes one pass per model-check epoch
-for all of them: one acceptance comparison over ``(streams, m, |R|)``,
-the shared slot walk (:func:`repro.streams.sampling.walk_slot`) only
-for slots with an event, one lane insert
-(:func:`repro.streams.variance.insert_lanes`), the refresh rule per
-stream at the shared check tick, and -- for the distance test -- one
-stacked Eq. 5 kernel call.  Every generator draw and every floating-point
-operation is the per-stream detector's, so detections are bit-identical.
+cached model as centres, bandwidths and ``|W|`` (for the MDEF test,
+also an :class:`~repro.core.mdef.MDEFOutlierDetector` over it that lives
+as long as the model).  Streams advance in lockstep, so they share the
+warm-up end, the model-check cadence and the EH compress cadence, and
+``ingest`` makes one pass per model-check epoch for all of them: one
+acceptance comparison over ``(streams, m, |R|)``, the shared slot walk
+(:func:`repro.streams.sampling.walk_slot`) only for slots with an
+event, one lane insert (:func:`repro.streams.variance.insert_lanes`),
+the refresh rule per stream at the shared check tick, and one stacked
+Eq. 5 kernel call for every reading's neighbourhood count (the distance
+test's score, or the MDEF test's counting neighbourhood, whose sampling
+cells each stream's detector then takes from its table).  Every
+generator draw and every floating-point operation is the per-stream
+detector's, so detections are bit-identical.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ class DetectorEngine:
         self._built_window = np.zeros(n_streams, dtype=np.int64)
         self._built_mutations = np.zeros(n_streams, dtype=np.int64)
         self._model_seq = np.zeros(n_streams, dtype=np.int64)
-        self._models: "list[KernelDensityEstimator | None]" = \
+        self._models: "list[MDEFOutlierDetector | None]" = \
             [None] * n_streams
         self._last_flags: "list[dict[str, Any]]" = []
 
@@ -449,7 +453,7 @@ class DetectorEngine:
         self._model_seq[rebuilt] += 1
         if isinstance(self._spec, MDEFSpec):
             for stream in rebuilt.tolist():
-                self._models[stream] = self._mdef_model(stream)
+                self._models[stream] = self._mdef_detector(stream)
         elif _sanitize.ACTIVE:
             _sanitize.check_bandwidths(self._bandwidths[rebuilt],
                                        label="DetectorEngine")
@@ -462,33 +466,39 @@ class DetectorEngine:
                 obs.emit("estimator.rebuild",
                          sample_size=self._sample_size, dur_s=share)
 
-    def _mdef_model(self, stream: int) -> KernelDensityEstimator:
-        """Stream ``stream``'s cached model as an estimator object."""
-        return KernelDensityEstimator(
+    def _mdef_detector(self, stream: int) -> MDEFOutlierDetector:
+        """An MDEF detector over stream ``stream``'s cached model.
+
+        It lives as long as the model, so its cell-population table
+        fills once per model; snapshots leave the table out.
+        """
+        model = KernelDensityEstimator(
             self._centers[stream].copy(), stddev=self._built_std[stream],
             bandwidths=self._bandwidths[stream].copy(), kernel=self._kernel,
             window_size=int(self._built_window[stream]))
+        return MDEFOutlierDetector(model, self._spec)
 
     def _decide(self, arr: np.ndarray, lo: int, hi: int,
                 out: "tuple[np.ndarray, np.ndarray, np.ndarray]") -> None:
         """Score rows ``lo:hi`` of every stream against its cached model."""
         detections, scores, thresholds = out
         spec = self._spec
-        if isinstance(spec, DistanceOutlierSpec):
-            # Eq. 4: N(p, r) = P[p - r, p + r] * |W|, all streams at once.
-            points = arr[lo:hi].transpose(1, 0, 2)
-            counts = range_probabilities(
-                self._kernel, points - spec.radius, points + spec.radius,
-                self._centers, self._bandwidths) \
-                * self._built_window[:, None]
+        distance = isinstance(spec, DistanceOutlierSpec)
+        r = spec.radius if distance else spec.counting_radius
+        # Eq. 4: N(p, r) = P[p - r, p + r] * |W|, all streams at once --
+        # the distance test's count, or MDEF's counting neighbourhood.
+        points = arr[lo:hi].transpose(1, 0, 2)
+        counts = range_probabilities(
+            self._kernel, points - r, points + r, self._centers,
+            self._bandwidths) * self._built_window[:, None]
+        if distance:
             detections[lo:hi] = (counts < spec.count_threshold).T
             scores[lo:hi] = counts.T
             thresholds[lo:hi] = float(spec.count_threshold)
             return
-        for stream, model in enumerate(self._models):
-            assert model is not None
-            decisions = MDEFOutlierDetector(model, spec).check_many(
-                arr[lo:hi, stream])
+        for stream, detector in enumerate(self._models):
+            assert detector is not None
+            decisions = detector.check_many(points[stream], counts[stream])
             for row, decision in enumerate(decisions, start=lo):
                 if decision.is_outlier:
                     detections[row, stream] = True
@@ -586,7 +596,7 @@ class DetectorEngine:
         engine._last_check = int(state["last_check"])
         engine._models = [None] * n_streams
         if isinstance(engine._spec, MDEFSpec) and engine._last_check >= 0:
-            engine._models = [engine._mdef_model(s)
+            engine._models = [engine._mdef_detector(s)
                               for s in range(n_streams)]
         engine._last_flags = []
         return engine

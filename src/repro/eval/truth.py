@@ -28,7 +28,12 @@ import numpy as np
 
 from repro._exceptions import ParameterError
 from repro.core.histogram import EquiDepthHistogram
-from repro.core.mdef import MDEFSpec, cell_grid_centers, mdef_statistic
+from repro.core.mdef import (
+    MDEFSpec,
+    cell_grid_centers,
+    mdef_statistic,
+    sampling_cell_ranges,
+)
 from repro.core.outliers import DistanceOutlierSpec
 from repro.network.topology import Hierarchy
 
@@ -200,8 +205,7 @@ class GlobalMDEFTruth:
         self._hierarchy = hierarchy
         self._spec = spec
         self._root = hierarchy.root_id
-        self._centers_1d = cell_grid_centers(spec)
-        n_cells = self._centers_1d.shape[0]
+        self._n_cells = n_cells = cell_grid_centers(spec).shape[0]
         n_dims = bank.window_values(self._root).shape[1]
         self._n_dims = n_dims
         self._grid = np.zeros((n_cells,) * n_dims, dtype=np.int64)
@@ -211,7 +215,7 @@ class GlobalMDEFTruth:
 
     def _cell_idx(self, values: np.ndarray) -> "tuple[np.ndarray, ...]":
         idx = np.floor(values / self._spec.cell_width).astype(np.int64)
-        np.clip(idx, 0, self._centers_1d.shape[0] - 1, out=idx)
+        np.clip(idx, 0, self._n_cells - 1, out=idx)
         return tuple(idx[:, j] for j in range(self._n_dims))
 
     def record_insert(self, arrivals: np.ndarray) -> None:
@@ -247,19 +251,10 @@ class GlobalMDEFTruth:
         the cell grid.
         """
         neighbor_counts = self._neighbor_counts(arrivals)
+        lo, hi = sampling_cell_ranges(arrivals, self._spec)
         mask = np.zeros(arrivals.shape[0], dtype=bool)
-        for i in range(arrivals.shape[0]):
-            slices = []
-            for j in range(self._n_dims):
-                in_range = np.abs(self._centers_1d - arrivals[i, j]) \
-                    <= self._spec.sampling_radius
-                nz = np.flatnonzero(in_range)
-                if nz.size == 0:
-                    nearest = int(np.argmin(np.abs(self._centers_1d - arrivals[i, j])))
-                    slices.append(slice(nearest, nearest + 1))
-                else:
-                    slices.append(slice(int(nz[0]), int(nz[-1]) + 1))
-            cells = self._grid[tuple(slices)].reshape(-1)
+        for i, (starts, stops) in enumerate(zip(lo.tolist(), hi.tolist())):
+            cells = self._grid[tuple(map(slice, starts, stops))].reshape(-1)
             decision = mdef_statistic(neighbor_counts[i], cells,
                                       self._spec.k_sigma,
                                       min_mdef=self._spec.min_mdef)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Any
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._exceptions import ParameterError
 from repro.core.estimator import KernelDensityEstimator
@@ -13,6 +17,7 @@ from repro.core.mdef import (
     cell_grid_centers,
     mdef_statistic,
     sampling_cell_centers,
+    sampling_cell_ranges,
 )
 
 SPEC = MDEFSpec(sampling_radius=0.08, counting_radius=0.01)
@@ -176,3 +181,181 @@ class TestDetector:
             sampling_radius=0.08, counting_radius=0.01, min_mdef=0.8))
         decision = detector.check([0.46, 0.46])
         assert decision.mdef > 0.8
+
+
+# ----------------------------------------------------------------------
+# The cell-population table: frozen copies of the uncached detector.
+# ----------------------------------------------------------------------
+
+def _reference_cell_centers(p: np.ndarray, spec: MDEFSpec) -> np.ndarray:
+    centers_1d = cell_grid_centers(spec)
+    per_dim = []
+    for coord in p:
+        mask = np.abs(centers_1d - coord) <= spec.sampling_radius
+        selected = centers_1d[mask]
+        if selected.size == 0:
+            selected = centers_1d[[int(np.argmin(np.abs(centers_1d - coord)))]]
+        per_dim.append(selected)
+    if len(per_dim) == 1:
+        return per_dim[0].reshape(-1, 1)
+    return np.array(list(itertools.product(*per_dim)), dtype=float)
+
+
+def _reference_check(model: KernelDensityEstimator, spec: MDEFSpec,
+                     evpu: float, point: np.ndarray) -> Any:
+    r_count = spec.counting_radius
+    neighbor = float(np.asarray(
+        model.neighborhood_count(point, r_count)).reshape(()))
+    centers = _reference_cell_centers(point, spec)
+    cell_counts = np.asarray(
+        model.neighborhood_count(centers, r_count)).reshape(-1)
+    return mdef_statistic(neighbor, cell_counts, spec.k_sigma,
+                          min_mdef=spec.min_mdef,
+                          estimation_variance_per_unit=evpu)
+
+
+def _reference_check_many(model: KernelDensityEstimator, spec: MDEFSpec,
+                          evpu: float, pts: np.ndarray) -> list:
+    m = pts.shape[0]
+    r_count = spec.counting_radius
+    centers = [_reference_cell_centers(p, spec) for p in pts]
+    queries = np.concatenate([pts] + centers, axis=0)
+    counts = np.asarray(
+        model.neighborhood_count(queries, r_count)).reshape(-1)
+    decisions = []
+    offset = m
+    for i in range(m):
+        n_cells = centers[i].shape[0]
+        decisions.append(mdef_statistic(
+            float(counts[i]), counts[offset:offset + n_cells],
+            spec.k_sigma, min_mdef=spec.min_mdef,
+            estimation_variance_per_unit=evpu))
+        offset += n_cells
+    return decisions
+
+
+@st.composite
+def _table_scenarios(draw: Any) -> "dict[str, Any]":
+    d = draw(st.sampled_from([1, 2, 3]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(4, 40))
+    centre = rng.uniform(0.2, 0.8, d)
+    sample = np.clip(centre + rng.normal(0.0, 0.1, (n, d)), -0.1, 1.1)
+    # Chain samples repeat values, which the variance correction counts.
+    sample[:n // 4] = sample[n // 4:2 * (n // 4)]
+    model = KernelDensityEstimator(
+        sample, bandwidths=rng.uniform(0.01, 0.2, d),
+        window_size=draw(st.integers(n, 800)))
+    counting = draw(st.sampled_from([0.02, 0.03, 0.05, 0.1]))
+    ratio = draw(st.sampled_from([1.5, 2.0, 3.0, 4.0] if d == 3
+                                 else [1.5, 2.0, 4.0, 8.0]))
+    spec = MDEFSpec(sampling_radius=counting * ratio,
+                    counting_radius=counting,
+                    min_mdef=draw(st.sampled_from([0.0, 0.5])))
+    centers_1d = cell_grid_centers(spec)
+
+    def point() -> np.ndarray:
+        kind = draw(st.sampled_from(["inside", "outside", "boundary"]))
+        if kind == "inside":
+            return centre + rng.normal(0.0, 0.15, d)
+        if kind == "outside":        # the nearest-cell fallback
+            return rng.uniform(-0.5, 1.5, d)
+        # Exactly r from a cell centre in some coordinates.
+        p = centre + rng.normal(0.0, 0.15, d)
+        for j in np.flatnonzero(rng.random(d) < 0.7):
+            sign = rng.choice([-1.0, 1.0])
+            p[j] = centers_1d[rng.integers(centers_1d.size)] \
+                + sign * spec.sampling_radius
+        return p
+
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            ops.append(("check", point()))
+        else:
+            k = draw(st.integers(1, 5))
+            kind = draw(st.sampled_from(["many", "many+counts"]))
+            ops.append((kind, np.array([point() for _ in range(k)])))
+    return {"model": model, "spec": spec, "ops": ops,
+            "correction": draw(st.booleans())}
+
+
+class TestCellTable:
+    """The detector's cell-population table changes no decision."""
+
+    @given(sc=_table_scenarios())
+    @settings(max_examples=80, deadline=None)
+    def test_cold_and_warm_table_equal_uncached_detector(self, sc):
+        model, spec = sc["model"], sc["spec"]
+        detector = MDEFOutlierDetector(model, spec,
+                                       variance_correction=sc["correction"])
+        evpu = detector._evpu
+        # Every op twice: first against a cold or partly filled table,
+        # then against a warm one.
+        for kind, pts in sc["ops"] + sc["ops"]:
+            if kind == "check":
+                assert detector.check(pts) == _reference_check(
+                    model, spec, evpu, pts)
+            elif kind == "many":
+                assert detector.check_many(pts) == _reference_check_many(
+                    model, spec, evpu, pts)
+            else:
+                # Own counts from the caller, through the batched path.
+                own = model.neighborhood_count(pts, spec.counting_radius)
+                assert detector.check_many(pts, own) == \
+                    _reference_check_many(model, spec, evpu, pts)
+
+    def test_neighbor_counts_need_one_per_point(self, plateau_window):
+        model = KernelDensityEstimator.from_window(plateau_window, 50)
+        detector = MDEFOutlierDetector(model, SPEC)
+        with pytest.raises(ParameterError, match="one count per point"):
+            detector.check_many([[0.4], [0.5]], np.ones(3))
+
+    def test_sampling_cell_ranges_match_per_point_centres(self):
+        spec = MDEFSpec(sampling_radius=0.05, counting_radius=0.02)
+        pts = np.random.default_rng(4).uniform(-0.3, 1.3, (200, 2))
+        lo, hi = sampling_cell_ranges(pts, spec)
+        centers_1d = cell_grid_centers(spec)
+        for p, a, b in zip(pts, lo, hi):
+            expected = _reference_cell_centers(p, spec)
+            got = np.array(list(itertools.product(
+                centers_1d[a[0]:b[0]], centers_1d[a[1]:b[1]])))
+            assert np.array_equal(got, expected)
+            assert np.array_equal(sampling_cell_centers(p, spec), expected)
+
+    def test_3d_table_holds_only_touched_cells(self):
+        # 500 cells per dimension: the full grid would be 1.25e8 cells.
+        spec = MDEFSpec(sampling_radius=0.004, counting_radius=0.001)
+        rng = np.random.default_rng(9)
+        model = KernelDensityEstimator(
+            rng.uniform(0.4, 0.6, (30, 3)), bandwidths=np.full(3, 0.01),
+            window_size=300)
+        detector = MDEFOutlierDetector(model, spec)
+        pts = rng.uniform(0.45, 0.55, (20, 3))
+        detector.check_many(pts[:15])
+        detector.check(pts[15])
+        detector.check_many(pts[16:])
+        touched = {tuple(c) for p in pts
+                   for c in _reference_cell_centers(p, spec).tolist()}
+        # One sentinel entry past the real cells.
+        assert detector._keys.size - 1 == len(touched)
+        assert detector._counts.size == detector._keys.size
+
+    def test_grid_beyond_int64_keys_matches_without_table(self):
+        # 500 cells per dimension in 8 dimensions: 3.9e21 cells, more
+        # than int64 flat indices can address.
+        spec = MDEFSpec(sampling_radius=0.0015, counting_radius=0.001)
+        rng = np.random.default_rng(2)
+        model = KernelDensityEstimator(
+            rng.uniform(0.49, 0.51, (20, 8)), bandwidths=np.full(8, 0.005),
+            window_size=200)
+        detector = MDEFOutlierDetector(model, spec)
+        pts = rng.uniform(0.495, 0.505, (4, 8))
+        evpu = detector._evpu
+        for _ in range(2):
+            assert detector.check_many(pts) == _reference_check_many(
+                model, spec, evpu, pts)
+            assert detector.check(pts[0]) == _reference_check(
+                model, spec, evpu, pts[0])
+        assert detector._keys.size == 1

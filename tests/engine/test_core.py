@@ -29,6 +29,7 @@ from repro._exceptions import ParameterError
 from repro._rng import resolve_rng
 from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
+from repro.data.synthetic import make_plateau_streams
 from repro.detectors.single import OnlineOutlierDetector
 from repro.engine.core import DetectorEngine
 from repro.engine.snapshot import decode_snapshot, encode_snapshot
@@ -173,6 +174,35 @@ class TestEngineEqualsPerStreamDetectors:
                     want["threshold"], rel=1e-9, abs=1e-12)
             start += size
         assert engine.tick == sc["n_ticks"]
+
+
+class TestMDEFTableSnapshot:
+    """An MDEF engine's cell-population tables are not snapshotted: a
+    restore starts them cold and changes nothing observable."""
+
+    def test_restore_from_warm_tables_is_invisible(self):
+        n_streams, window = 3, 600
+        data = np.stack(make_plateau_streams(n_streams, 900, seed=1), axis=1)
+        engine = DetectorEngine(n_streams, MDEFSpec(0.08, 0.01),
+                                window_size=window, sample_size=100,
+                                model_refresh=16,
+                                rng=np.random.default_rng(1))
+        engine.ingest(data[:window + 50])
+        assert all(d is not None and d._keys.size > 1
+                   for d in engine._models)
+        restored = decode_snapshot(encode_snapshot(engine))
+        assert all(d is not None and d._keys.size == 1
+                   for d in restored._models)
+        start, flagged = window + 50, 0
+        for size in (1, 9, 2, 64, 31, 1, 92, 50):
+            chunk = data[start:start + size]
+            flags = engine.ingest(chunk)
+            assert np.array_equal(restored.ingest(chunk), flags)
+            assert restored.last_flags == engine.last_flags
+            assert encode_snapshot(restored) == encode_snapshot(engine)
+            flagged += int(flags.sum())
+            start += size
+        assert start == 900 and flagged > 0
 
 
 class TestAcceptanceDrawSplit:
