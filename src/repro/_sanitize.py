@@ -11,14 +11,14 @@ mathematics promise:
   degenerate window is a real failure mode, not a warning);
 * :class:`~repro.streams.variance.EHVarianceSketch` buckets satisfy the
   PODS'03 histogram invariants -- ordered timestamps inside the window,
-  positive counts, non-negative ``m2``;
-* :class:`~repro.streams.sampling.ChainSample` keeps at most one active
-  element per slot, strictly increasing chain timestamps inside the
-  window, a pending successor in ``(newest, newest + |W|]``, and a
-  monotonically non-decreasing ``mutation_count``;
-* :class:`~repro.engine.core.DetectorEngine` keeps the same chain and
-  bucket invariants over its structure-of-arrays state, checked at the
-  end of every ``ingest``;
+  positive counts, non-negative ``m2`` -- and so does every lane of a
+  :class:`~repro.streams.variance.MultiDimVarianceSketch`;
+* :class:`~repro.streams.sampling.ChainSample` keeps strictly
+  increasing chain timestamps inside the window in every slot of every
+  stream, a pending successor in ``(newest, newest + |W|]``, and a
+  monotonically non-decreasing ``mutation_count``.  The cross-stream
+  :class:`~repro.engine.core.DetectorEngine` keeps its stream state in
+  these two classes, so their checks cover it;
 * the 16-bit wire codec round-trips model state within one quantisation
   step.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -48,12 +48,11 @@ __all__ = [
     "check_probabilities",
     "check_mass",
     "check_bandwidths",
-    "check_chain",
     "check_chain_sample",
     "check_eh_lane",
     "check_eh_sketch",
+    "check_variance_sketch",
     "check_codec_roundtrip",
-    "check_engine",
 ]
 
 #: Absolute slack for probability bounds: kernel-CDF sums cancel in
@@ -139,50 +138,37 @@ def check_chain_sample(sample: Any, *, mutations_before: int | None = None,
     """Assert a :class:`~repro.streams.sampling.ChainSample`'s invariants.
 
     Inspects the sampler's internal chains (this module is the one
-    sanctioned consumer of those privates): per-slot timestamps must be
-    strictly increasing and inside the current window, the pending
-    successor must be due strictly after the newest captured item by at
-    most ``|W|``, and ``mutation_count`` -- the estimator-cache
-    invalidation key from the batched-ingestion work -- must never move
-    backwards.
+    sanctioned consumer of those privates).  In every slot of every
+    stream, timestamps strictly increase inside the window ``(now -
+    |W|, now]``, values are finite, and a non-empty chain's pending
+    successor is due in ``(newest, newest + |W|]``; ``mutation_count``
+    -- the estimator-cache invalidation key -- never moves backwards.
     """
     window = sample.window_size
     now = sample.timestamp
-    if len(sample) > sample.sample_size:
-        _fail(label, f"{len(sample)} active elements exceed "
-                     f"sample_size={sample.sample_size}")
     if mutations_before is not None \
             and sample.mutation_count < mutations_before:
         _fail(label, f"mutation_count moved backwards "
                      f"({mutations_before} -> {sample.mutation_count})")
-    for slot, chain in enumerate(sample._chains):
-        check_chain(chain.items, chain.successor_ts, now, window,
-                    label=f"{label} slot {slot}")
-
-
-def check_chain(items: "Sequence[tuple[int, Any]]", successor_ts: int,
-                now: int, window: int, *, label: str) -> None:
-    """Assert one chain-sampling slot's invariants at timestamp ``now``.
-
-    Timestamps strictly increase inside the window ``(now - |W|, now]``,
-    values are finite, and a non-empty chain's pending successor is due
-    in ``(newest, newest + |W|]``.
-    """
-    previous = None
-    for ts, value in items:
-        if ts <= now - window or ts > now:
-            _fail(label, f"holds timestamp {ts} outside window "
-                         f"({now - window}, {now}]")
-        if previous is not None and ts <= previous:
-            _fail(label, f"chain timestamps not strictly increasing "
-                         f"({previous} -> {ts})")
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
-            _fail(label, "holds a non-finite value")
-        previous = ts
-    if items:
-        newest = items[-1][0]
+    successors = sample._succ_ts.reshape(-1).tolist()
+    for flat, successor_ts in enumerate(successors):
+        where = f"{label} stream {flat // sample.sample_size} " \
+                f"slot {flat % sample.sample_size}"
+        items = sample._chain(flat)
+        previous = None
+        for ts, value in items:
+            if ts <= now - window or ts > now:
+                _fail(where, f"holds timestamp {ts} outside window "
+                             f"({now - window}, {now}]")
+            if previous is not None and ts <= previous:
+                _fail(where, f"chain timestamps not strictly increasing "
+                             f"({previous} -> {ts})")
+            if not np.isfinite(value).all():
+                _fail(where, "holds a non-finite value")
+            previous = ts
+        newest = items[-1][0] if items else successor_ts - 1
         if not newest < successor_ts <= newest + window:
-            _fail(label, f"successor_ts {successor_ts} not in "
+            _fail(where, f"successor_ts {successor_ts} not in "
                          f"({newest}, {newest + window}]")
 
 
@@ -197,6 +183,15 @@ def check_eh_sketch(sketch: Any, *, label: str = "EHVarianceSketch") -> None:
     """
     check_eh_lane(sketch._lane, sketch.timestamp, sketch.window_size,
                   label=label)
+
+
+def check_variance_sketch(sketch: Any, *,
+                          label: str = "MultiDimVarianceSketch") -> None:
+    """Assert :func:`check_eh_sketch`'s invariants on every lane of a
+    :class:`~repro.streams.variance.MultiDimVarianceSketch`."""
+    for dim, lane in enumerate(sketch._lanes):
+        check_eh_lane(lane, sketch._timestamp, sketch._window_size,
+                      label=f"{label} dim {dim}")
 
 
 def check_eh_lane(lane: Any, now: int, window: int, *, label: str) -> None:
@@ -224,30 +219,6 @@ def check_eh_lane(lane: Any, now: int, window: int, *, label: str) -> None:
             _fail(label, f"bucket timestamps not strictly increasing "
                          f"({previous_ts} -> {ts})")
         previous_ts = ts
-
-
-def check_engine(engine: Any, *, label: str = "DetectorEngine") -> None:
-    """Assert a :class:`~repro.engine.core.DetectorEngine`'s stream state.
-
-    Once a tick has been ingested every chain-sample slot of every
-    stream holds a head, and each chain satisfies :func:`check_chain`:
-    timestamps inside the window and the pending successor due within
-    ``|W|`` of the chain's newest item.  Every (stream, dimension) EH
-    lane satisfies :func:`check_eh_lane`.
-    """
-    now = engine._tick - 1
-    for flat in range(engine._head_ts.size):
-        where = f"{label} stream {flat // engine._sample_size} " \
-                f"slot {flat % engine._sample_size}"
-        items = engine._chain(flat)
-        if now >= 0 and not items:
-            _fail(where, "holds no element")
-        check_chain(items, int(engine._succ_ts.flat[flat]), now,
-                    engine._window, label=where)
-    for lane_index, lane in enumerate(engine._lanes):
-        stream, dim = divmod(lane_index, engine._n_dims)
-        check_eh_lane(lane, now, engine._window,
-                      label=f"{label} stream {stream} dim {dim}")
 
 
 def check_codec_roundtrip(payload: bytes, sample: np.ndarray,

@@ -4,7 +4,7 @@ The estimator approximates the unknown distribution ``f(x)`` of the values
 in a sliding window from (i) a uniform random sample ``R`` of the window
 (maintained online by :class:`repro.streams.sampling.ChainSample`) and
 (ii) the per-dimension standard deviation (maintained online by
-:class:`repro.streams.variance.WindowedVarianceSketch`), which drives
+:class:`repro.streams.variance.MultiDimVarianceSketch`), which drives
 Scott's bandwidth rule.
 
 The central query is the *range probability* of Equation 5,

@@ -216,22 +216,27 @@ class StreamModelState:
         return self._sketch
 
     def observe(self, value: np.ndarray) -> "tuple[int, ...]":
-        """Feed one arrival; return the sample slots it replaced."""
+        """Feed one arrival; return the sample slots it replaced.
+
+        All or nothing: the sample validates the whole value first.
+        """
         changed = self._sample.offer_detailed(value)
         self._sketch.insert(value)
         self._arrivals += 1
         return changed
 
-    def observe_many(self, values: np.ndarray) -> "list[tuple[int, ...]]":
-        """Feed a block of arrivals; return the replaced slots per arrival.
+    def observe_many(self, values: np.ndarray) -> np.ndarray:
+        """Feed a block of arrivals; return the replaced-slot mask.
 
-        Bit-identical to the equivalent sequence of :meth:`observe` calls
-        (see :meth:`repro.streams.sampling.ChainSample.offer_many`), at a
-        fraction of the per-arrival cost.
+        Row ``t`` of the ``(m, |R|)`` boolean result marks the slots
+        arrival ``t`` replaced.  Bit-identical to the equivalent
+        sequence of :meth:`observe` calls (see
+        :meth:`repro.streams.sampling.ChainSample.offer_many`), at a
+        fraction of the per-arrival cost, and all or nothing like it.
         """
-        changed = self._sample.offer_many(values)
+        changed = self._sample.offer_many(values)[0]
         self._sketch.insert_many(values)
-        self._arrivals += len(changed)
+        self._arrivals += changed.shape[0]
         return changed
 
     @property

@@ -32,7 +32,11 @@ from repro._validation import (
 )
 from repro.core.kernels import EPANECHNIKOV, Kernel
 from repro.core.outliers import DistanceOutlierSpec
-from repro.detectors._state import ChildStalenessTracker, StreamModelState
+from repro.detectors._state import (
+    ChildStalenessTracker,
+    StreamModelState,
+    model_chunks,
+)
 from repro.network.messages import Message, OutlierReport, ValueForward
 from repro.network.node import Detection, DetectionLog, Outgoing
 from repro.network.topology import Hierarchy
@@ -194,44 +198,33 @@ class D3LeafNode:
             vals = vals.reshape(-1, 1)
         n = vals.shape[0]
         per_tick: "list[list[Outgoing]]" = [[] for _ in range(n)]
-        warmup = self._config.effective_warmup
         window = self._config.window_size
-        i = 0
-        while i < n:
-            tick = start_tick + i
-            if tick < warmup:
-                # No detection before warm-up: ingest straight through.
-                k = min(warmup - tick, n - i)
-                changed = self._state.observe_many(vals[i:i + k])
-                self._queue_forwards(changed, vals, per_tick, i)
-                self._state.count_window_size = min(start_tick + i + k, window)
-                i += k
-                continue
-            until = self._state.arrivals_until_check()
-            k = min(n - i, until)
-            check_hit = k == until
-            changed = self._state.observe_many(vals[i:i + k])
+        for i, j, due in model_chunks(n, start_tick,
+                                      self._config.effective_warmup,
+                                      self._state.arrivals_until_check):
+            changed = self._state.observe_many(vals[i:j])
             self._queue_forwards(changed, vals, per_tick, i)
-            self._state.count_window_size = min(start_tick + i + k, window)
+            self._state.count_window_size = min(start_tick + j, window)
+            if due is None:
+                continue
             cached = self._state.cached_model
             cached_seq = self._state.model_seq
-            if not check_hit:
+            if not due:
                 if cached is not None:
-                    self._flag_batch(cached, vals, start_tick, i, k,
+                    self._flag_batch(cached, vals, start_tick, i, j - i,
                                      cached_seq)
-            else:
-                model = self._state.model()
-                if model is cached and model is not None:
-                    self._flag_batch(model, vals, start_tick, i, k,
-                                     cached_seq)
-                else:
-                    if k > 1 and cached is not None:
-                        self._flag_batch(cached, vals, start_tick, i, k - 1,
-                                         cached_seq)
-                    if model is not None:
-                        self._flag_batch(model, vals, start_tick, i + k - 1,
-                                         1, self._state.model_seq)
-            i += k
+                continue
+            model = self._state.model()
+            if model is cached and model is not None:
+                self._flag_batch(model, vals, start_tick, i, j - i,
+                                 cached_seq)
+                continue
+            if j - i > 1 and cached is not None:
+                self._flag_batch(cached, vals, start_tick, i, j - i - 1,
+                                 cached_seq)
+            if model is not None:
+                self._flag_batch(model, vals, start_tick, j - 1, 1,
+                                 self._state.model_seq)
         return per_tick
 
     def on_tick_start(self, tick: int) -> "list[Outgoing]":
@@ -253,15 +246,15 @@ class D3LeafNode:
                 flagged_level=self._level, tick=tick))]
         return []
 
-    def _queue_forwards(self, changed: "list[tuple[int, ...]]",
+    def _queue_forwards(self, changed: np.ndarray,
                         vals: np.ndarray, per_tick: "list[list[Outgoing]]",
                         offset: int) -> None:
         """Stage sample forwards for each arrival that replaced a slot."""
         if self._parent is None:
             return
         fraction = self._config.sample_fraction
-        for j, slots in enumerate(changed):
-            if slots and self._forward_rng.random() < fraction:
+        for j, replaced in enumerate(changed.any(axis=1).tolist()):
+            if replaced and self._forward_rng.random() < fraction:
                 per_tick[offset + j].append((self._parent, ValueForward(
                     value=vals[offset + j].copy())))
 

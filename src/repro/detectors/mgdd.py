@@ -274,8 +274,8 @@ class MGDDLeafNode:
         changed = self._state.observe_many(vals)
         if self._parent is not None:
             fraction = self._config.sample_fraction
-            for j, slots in enumerate(changed):
-                if slots and self._forward_rng.random() < fraction:
+            for j, replaced in enumerate(changed.any(axis=1).tolist()):
+                if replaced and self._forward_rng.random() < fraction:
                     per_tick[j].append((self._parent, ValueForward(
                         value=vals[j].copy())))
         self._epoch_values = vals

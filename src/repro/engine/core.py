@@ -17,24 +17,26 @@ same generator, would flag the reading (warm-up readings are
 injected generator (or explicit per-stream seeds), so an engine is fully
 determined by its construction arguments.
 
-State is kept as structure-of-arrays over all streams: chain-sample slot
-heads (timestamp and value) and pending successor timestamps as
-``(streams, |R|)`` arrays, with the rare queued successors in a sparse
-map; one EH bucket lane per (stream, dimension); and each stream's
-cached model as centres, bandwidths and ``|W|`` (for the MDEF test,
-also an :class:`~repro.core.mdef.MDEFOutlierDetector` over it that lives
-as long as the model).  Streams advance in lockstep, so they share the
-warm-up end, the model-check cadence and the EH compress cadence, and
-``ingest`` makes one pass per model-check epoch for all of them: one
-acceptance comparison over ``(streams, m, |R|)``, the shared slot walk
-(:func:`repro.streams.sampling.walk_slot`) only for slots with an
-event, one lane insert (:func:`repro.streams.variance.insert_lanes`),
-the refresh rule per stream at the shared check tick, and one stacked
-Eq. 5 kernel call for every reading's neighbourhood count (the distance
-test's score, or the MDEF test's counting neighbourhood, whose sampling
-cells each stream's detector then takes from its table).  Every
-generator draw and every floating-point operation is the per-stream
-detector's, so detections are bit-identical.
+State is kept as structure-of-arrays over all streams.  One
+:class:`~repro.streams.sampling.ChainSample` holds every stream's
+chain-sample slots (head timestamps and values and pending successor
+timestamps as ``(streams, |R|)`` arrays, the rare queued successors in a
+sparse map), and one
+:class:`~repro.streams.variance.MultiDimVarianceSketch` holds one EH
+bucket lane per (stream, dimension); the engine itself keeps each
+stream's cached model as centres, bandwidths and ``|W|`` (for the MDEF
+test, also an :class:`~repro.core.mdef.MDEFOutlierDetector` over it that
+lives as long as the model).  Streams advance in lockstep, so they share
+the warm-up end, the model-check cadence and the EH compress cadence,
+and ``ingest`` makes one pass per model-check epoch for all of them: one
+``offer_many`` (one acceptance comparison over ``(streams, m, |R|)``,
+the slot walk only for slots with an event), one ``insert_many`` over
+all lanes, the refresh rule per stream at the shared check tick, and
+one stacked Eq. 5 kernel call for every reading's neighbourhood count
+(the distance test's score, or the MDEF test's counting neighbourhood,
+whose sampling cells each stream's detector then takes from its table).
+Every generator draw and every floating-point operation is the
+per-stream detector's, so detections are bit-identical.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ import numpy as np
 
 from repro import _sanitize, obs
 from repro._exceptions import ParameterError
-from repro._rng import resolve_rng, rng_from_state, rng_state
+from repro._rng import resolve_rng
 from repro._validation import require_fraction, require_positive_int
-from repro.core._kernels_numpy import BLOCK_CELLS
 from repro.core.estimator import KernelDensityEstimator, range_probabilities
 from repro.core.kernels import EPANECHNIKOV
 from repro.core.mdef import MDEFOutlierDetector, MDEFSpec
@@ -62,28 +63,16 @@ from repro.detectors._state import (
     model_is_stale,
 )
 from repro.detectors.single import bandwidth_cap, spec_from_state, spec_state
-from repro.streams.sampling import (
-    ChainItems,
-    expire_chain,
-    report_chain_changes,
-    slot_generators,
-    walk_slot,
-)
-from repro.streams.variance import EHLane, insert_lanes, variance_budget
+from repro.streams.sampling import ChainSample
+from repro.streams.variance import MultiDimVarianceSketch
 
 __all__ = ["DetectorEngine"]
 
-#: Per-stream arrays that snapshot as they are, with their dtypes:
-#: pending successor timestamps and mutation counts of the chains, and
-#: the model cache.
-_ARRAYS = (("succ_ts", np.int64), ("mutations", np.int64),
-           ("centers", float), ("bandwidths", float), ("built_std", float),
+#: The model cache's per-stream arrays, which snapshot as they are,
+#: with their dtypes.
+_ARRAYS = (("centers", float), ("bandwidths", float), ("built_std", float),
            ("built_window", np.int64), ("built_mutations", np.int64),
            ("model_seq", np.int64))
-
-#: :class:`~repro.streams.variance.EHLane` fields; the snapshot
-#: concatenates each over all lanes.
-_LANE_FIELDS = ("ts", "counts", "means", "m2s")
 
 
 # repro-lint: shard-state
@@ -160,18 +149,10 @@ class DetectorEngine:
                         window_size if warmup is None else warmup,
                         model_refresh, epsilon, bandwidth_basis)
         shape = (n_streams, sample_size)
-        self._rngs = list(rngs)
-        self._slot_rngs = [slot_generators(g, sample_size)
-                           for g in self._rngs]
-        self._tick = 0
-        self._head_ts = np.full(shape, -1, dtype=np.int64)
-        self._head_val = np.zeros(shape + (n_dims,))
-        self._succ_ts = np.full(shape, -1, dtype=np.int64)
-        #: flat slot -> queued successors behind its head (rarely any).
-        self._queued: "dict[int, ChainItems]" = {}
-        self._mutations = np.zeros(n_streams, dtype=np.int64)
-        self._lanes = [EHLane() for _ in range(n_streams * n_dims)]
-        self._since_compress = 0
+        self._sample = ChainSample(window_size, sample_size, n_dims,
+                                   rng=rngs)
+        self._sketch = MultiDimVarianceSketch(window_size,
+                                              n_streams * n_dims, epsilon)
         self._last_check = -1         # -1: no model built yet
         self._centers = np.zeros(shape + (n_dims,))
         self._bandwidths = np.ones((n_streams, n_dims))
@@ -214,7 +195,7 @@ class DetectorEngine:
     @property
     def tick(self) -> int:
         """The next tick to be ingested (= ticks processed so far)."""
-        return self._tick
+        return self._sample.timestamp + 1
 
     @property
     def last_flags(self) -> "list[dict[str, Any]]":
@@ -253,7 +234,7 @@ class DetectorEngine:
             offset, stream, _ = np.argwhere(~finite)[0]
             raise ParameterError(
                 f"readings must all be finite; batch row {offset} "
-                f"(tick {self._tick + offset}), stream {stream} holds "
+                f"(tick {self.tick + offset}), stream {stream} holds "
                 f"{arr[offset, stream].tolist()}")
         return arr
 
@@ -273,9 +254,11 @@ class DetectorEngine:
         thresholds = np.zeros((m, self._n_streams))
         out = (detections, scores, thresholds)
         self._last_flags = []
-        for i, j, due in model_chunks(m, self._tick, self._warmup,
+        for i, j, due in model_chunks(m, self.tick, self._warmup,
                                       self._arrivals_until_due):
-            self._observe(arr[i:j])
+            block = arr[i:j]
+            self._sample.offer_many(block)
+            self._sketch.insert_many(block.reshape(j - i, -1))
             if due is None:
                 continue
             if not due:
@@ -288,7 +271,7 @@ class DetectorEngine:
             if self._last_check >= 0:
                 self._decide(arr, j - 1, j, out)
         rows, streams = np.nonzero(detections)
-        base = self._tick - m
+        base = self.tick - m
         self._last_flags = [
             {"stream": stream, "tick": base + row, "score": score,
              "threshold": threshold, "model_seq": seq}
@@ -297,114 +280,7 @@ class DetectorEngine:
                 scores[rows, streams].tolist(),
                 thresholds[rows, streams].tolist(),
                 self._model_seq[streams].tolist())]
-        if _sanitize.ACTIVE:
-            _sanitize.check_engine(self)
         return detections
-
-    # ------------------------------------------------------------------
-    # Stream maintenance: chain samples and EH lanes
-    # ------------------------------------------------------------------
-
-    def _chain(self, flat: int) -> ChainItems:
-        """Slot ``flat``'s chain as a fresh list (head first)."""
-        stream, slot = divmod(flat, self._sample_size)
-        ts = int(self._head_ts[stream, slot])
-        items: ChainItems = [] if ts < 0 \
-            else [(ts, self._head_val[stream, slot])]
-        queued = self._queued.get(flat)
-        if queued:
-            items.extend(queued)
-        return items
-
-    def _store_chain(self, flat: int, items: ChainItems) -> None:
-        """Write a chain from :meth:`_chain` back into the arrays."""
-        stream, slot = divmod(flat, self._sample_size)
-        if items:
-            self._head_ts[stream, slot] = items[0][0]
-            self._head_val[stream, slot] = items[0][1]
-        else:
-            self._head_ts[stream, slot] = -1
-        if len(items) > 1:
-            self._queued[flat] = items[1:]
-        else:
-            self._queued.pop(flat, None)
-
-    def _observe(self, block: np.ndarray) -> None:
-        """Feed ``k`` ticks of all streams to the chains and EH lanes."""
-        k = block.shape[0]
-        t0 = time.perf_counter() if obs.ACTIVE else 0.0
-        mutations = self._mutations.copy()
-        evictions = np.zeros(self._n_streams, dtype=np.int64)
-        # Acceptance draws are materialised for (streams, ticks, |R|);
-        # bound that scratch like the kernels' (splitting a block is
-        # exact: offer_many over consecutive blocks equals one call).
-        span = max(1, BLOCK_CELLS // (self._n_streams * self._sample_size))
-        for start in range(0, k, span):
-            evictions += self._offer(block[start:start + span])
-        if obs.ACTIVE:
-            t1 = time.perf_counter()
-            obs.profiler().record("chain.offer_many", t1 - t0)
-            for changes in zip((self._mutations - mutations).tolist(),
-                               evictions.tolist()):
-                report_chain_changes(*changes, timestamp=self._tick - 1)
-        columns = block.reshape(k, -1).T.tolist()
-        self._since_compress, _ = insert_lanes(
-            self._lanes, columns, self._tick - k, self._since_compress,
-            self._window, self._epsilon / 2.0, variance_budget(self._epsilon))
-        if obs.ACTIVE:
-            obs.profiler().record("sketch.update_many",
-                                  time.perf_counter() - t1)
-
-    def _offer(self, block: np.ndarray) -> np.ndarray:
-        """Chain-sample ``block`` (``k`` ticks) into every stream's slots.
-
-        Returns each stream's evictions (expired active elements).
-        """
-        k = block.shape[0]
-        n_slots = self._sample_size
-        window = self._window
-        ts0 = self._tick
-        ts_end = ts0 + k - 1
-        inclusion = 1.0 / np.minimum(np.arange(ts0, ts0 + k) + 1, window)
-        mutated = [0] * self._n_streams
-        evicted = [0] * self._n_streams
-        # Each stream's generator fills its (k, |R|) plane exactly as
-        # its own rng.random((k, |R|)) would.
-        draws = np.empty((self._n_streams, k, n_slots))
-        for stream, rng in enumerate(self._rngs):
-            rng.random(out=draws[stream])
-        hits = draws < inclusion[None, :, None]
-        succ = self._succ_ts
-        events = np.flatnonzero(hits.any(axis=1)
-                                | ((succ >= ts0) & (succ <= ts_end)))
-        if events.size:
-            # Hit rows per slot, slot-major then arrival order.
-            hit_streams, hit_slots, hit_rows = \
-                np.nonzero(hits.transpose(0, 2, 1))
-            keys = hit_streams * n_slots + hit_slots
-            lo = np.searchsorted(keys, events).tolist()
-            hi = np.searchsorted(keys, events, side="right").tolist()
-            for flat, a, b in zip(events.tolist(), lo, hi):
-                stream, slot = divmod(flat, n_slots)
-                items = self._chain(flat)
-                succ[stream, slot], mutations, evictions = walk_slot(
-                    items, int(succ[stream, slot]),
-                    self._slot_rngs[stream][slot], hit_rows[a:b],
-                    block[:, stream], ts0, window)
-                mutated[stream] += mutations
-                evicted[stream] += evictions
-                self._store_chain(flat, items)
-        horizon = ts_end - window
-        head = self._head_ts
-        for flat in np.flatnonzero((head >= 0) & (head <= horizon)).tolist():
-            items = self._chain(flat)
-            expired = expire_chain(items, horizon)
-            mutated[flat // n_slots] += expired
-            evicted[flat // n_slots] += expired
-            self._store_chain(flat, items)
-        self._mutations += mutated
-        self._tick = ts_end + 1
-        return np.array(evicted, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Models and decisions
@@ -412,7 +288,7 @@ class DetectorEngine:
 
     def _arrivals_until_due(self) -> int:
         """Arrivals until the streams' shared model check (>= 1)."""
-        return arrivals_until_due(self._last_check >= 0, self._tick,
+        return arrivals_until_due(self._last_check >= 0, self.tick,
                                   self._last_check, self._min_arrivals,
                                   self._refresh)
 
@@ -426,17 +302,18 @@ class DetectorEngine:
         tick on (the first arrival is accepted with probability 1), so a
         stream's sample is its ``|R|`` slot heads.
         """
-        if self._tick < self._min_arrivals:
+        tick = self.tick
+        if tick < self._min_arrivals:
             return
         t0 = time.perf_counter() if obs.ACTIVE else 0.0
         had_models = self._last_check >= 0
-        self._last_check = self._tick
-        std = np.array([lane.std() for lane in self._lanes]).reshape(
-            self._n_streams, self._n_dims)
-        window = max(1, min(self._tick, self._window))
+        self._last_check = tick
+        std = self._sketch.std().reshape(self._n_streams, self._n_dims)
+        window = max(1, min(tick, self._window))
+        mutations = self._sample.mutation_counts
         stale = np.ones(self._n_streams, dtype=bool)
         if had_models:
-            stale = model_is_stale(self._mutations, self._built_mutations,
+            stale = model_is_stale(mutations, self._built_mutations,
                                    window, self._built_window, std,
                                    self._built_std, self._tol)
         rebuilt = np.flatnonzero(stale)
@@ -446,10 +323,11 @@ class DetectorEngine:
             self._bandwidths[stream] = model_bandwidths(
                 std[stream], self._sample_size, window, self._basis,
                 self._cap)
-        self._centers[rebuilt] = self._head_val[rebuilt]
+        self._centers[rebuilt] = self._sample.values().reshape(
+            self._n_streams, self._sample_size, self._n_dims)[rebuilt]
         self._built_std[rebuilt] = std[rebuilt]
         self._built_window[rebuilt] = window
-        self._built_mutations[rebuilt] = self._mutations[rebuilt]
+        self._built_mutations[rebuilt] = mutations[rebuilt]
         self._model_seq[rebuilt] += 1
         if isinstance(self._spec, MDEFSpec):
             for stream in rebuilt.tolist():
@@ -513,19 +391,13 @@ class DetectorEngine:
     def snapshot_state(self) -> "dict[str, Any]":
         """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
 
-        Chains travel as flat ``(slot, ts, value)`` arrays (heads and
-        queued successors, slot-major) and EH lanes as concatenated
-        bucket arrays with per-lane lengths; generator states travel as
-        the bit generators' own state dicts.
+        The chain samples and EH lanes travel in their stores' own flat
+        layouts (:meth:`ChainSample.snapshot_state
+        <repro.streams.sampling.ChainSample.snapshot_state>`,
+        :meth:`MultiDimVarianceSketch.snapshot_state
+        <repro.streams.variance.MultiDimVarianceSketch.snapshot_state>`)
+        beside the model cache.
         """
-        slots: "list[int]" = []
-        ts: "list[int]" = []
-        values: "list[np.ndarray]" = []
-        for flat in range(self._n_streams * self._sample_size):
-            for item_ts, value in self._chain(flat):
-                slots.append(flat)
-                ts.append(item_ts)
-                values.append(value)
         state: "dict[str, Any]" = {
             "n_streams": self._n_streams,
             "spec": spec_state(self._spec),
@@ -536,21 +408,10 @@ class DetectorEngine:
             "model_refresh": self._refresh,
             "epsilon": self._epsilon,
             "bandwidth_basis": self._basis,
-            "tick": self._tick,
-            "rngs": [rng_state(g) for g in self._rngs],
-            "slot_rngs": [[rng_state(g) for g in gens]
-                          for gens in self._slot_rngs],
-            "chain_slot": np.array(slots, dtype=np.int64),
-            "chain_ts": np.array(ts, dtype=np.int64),
-            "chain_value": np.array(values).reshape(-1, self._n_dims),
-            "lane_len": np.array([len(lane) for lane in self._lanes],
-                                 dtype=np.int64),
-            "since_compress": self._since_compress,
+            "sample": self._sample.snapshot_state(),
+            "sketch": self._sketch.snapshot_state(),
             "last_check": self._last_check,
         }
-        for name in _LANE_FIELDS:
-            state[f"lane_{name}"] = np.array(
-                [x for lane in self._lanes for x in getattr(lane, name)])
         for name, _ in _ARRAYS:
             state[name] = getattr(self, f"_{name}").copy()
         return state
@@ -560,39 +421,18 @@ class DetectorEngine:
         """Rebuild an engine from a :meth:`snapshot_state` dict."""
         engine = cls.__new__(cls)
         n_streams = int(state["n_streams"])
-        n_slots = int(state["sample_size"])
-        d = int(state["n_dims"])
         engine._configure(
             n_streams, spec_from_state(state["spec"]),
-            int(state["window_size"]), n_slots, d, int(state["warmup"]),
+            int(state["window_size"]), int(state["sample_size"]),
+            int(state["n_dims"]), int(state["warmup"]),
             int(state["model_refresh"]), float(state["epsilon"]),
             str(state["bandwidth_basis"]))
-        engine._tick = int(state["tick"])
-        engine._rngs = [rng_from_state(s) for s in state["rngs"]]
-        engine._slot_rngs = [[rng_from_state(s) for s in gens]
-                             for gens in state["slot_rngs"]]
+        engine._sample = ChainSample.restore_state(state["sample"])
+        engine._sketch = MultiDimVarianceSketch.restore_state(state["sketch"])
         for name, dtype in _ARRAYS:
             # astype() copies into the canonical dtype object, so a
             # restored engine snapshots to the same bytes as the original.
             setattr(engine, f"_{name}", np.asarray(state[name]).astype(dtype))
-        engine._head_ts = np.full((n_streams, n_slots), -1, dtype=np.int64)
-        engine._head_val = np.zeros((n_streams, n_slots, d))
-        engine._queued = {}
-        chains: "dict[int, ChainItems]" = {}
-        for flat, ts, value in zip(
-                np.asarray(state["chain_slot"]).tolist(),
-                np.asarray(state["chain_ts"]).tolist(),
-                np.asarray(state["chain_value"], dtype=float)):
-            chains.setdefault(flat, []).append((ts, value.copy()))
-        for flat, items in chains.items():
-            engine._store_chain(flat, items)
-        columns = [np.asarray(state[f"lane_{name}"]).tolist()
-                   for name in _LANE_FIELDS]
-        bounds = np.cumsum([0, *np.asarray(state["lane_len"]).tolist()])
-        engine._lanes = [EHLane(*(column[a:b] for column in columns))
-                         for a, b in zip(bounds[:-1].tolist(),
-                                         bounds[1:].tolist())]
-        engine._since_compress = int(state["since_compress"])
         engine._last_check = int(state["last_check"])
         engine._models = [None] * n_streams
         if isinstance(engine._spec, MDEFSpec) and engine._last_check >= 0:

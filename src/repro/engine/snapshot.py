@@ -74,7 +74,12 @@ SNAPSHOT_MAGIC = b"RSNP"
 #: class's ``snapshot_state`` layout; decode rejects other versions.
 #: Version 2: ``DetectorEngine`` stores flat chain and EH-lane arrays
 #: instead of one nested detector state per stream.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: Version 3: ``ChainSample`` and ``MultiDimVarianceSketch`` hold any
+#: number of lockstep streams and store those flat arrays themselves
+#: (chains as ``(slot, ts, value)`` arrays with per-stream generator
+#: lists, lanes as concatenated bucket arrays with one timestamp and
+#: compress phase); ``DetectorEngine`` nests one of each.
+SNAPSHOT_SCHEMA_VERSION = 3
 
 #: ``magic | version (u16) | payload length (u64) | sha256 digest``.
 _HEADER = struct.Struct(">4sHQ32s")

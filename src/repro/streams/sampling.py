@@ -20,27 +20,31 @@ A plain :class:`ReservoirSample` (uniform over the *entire* stream, never
 expiring) is included as a baseline; the property tests demonstrate why
 it is the wrong tool once the distribution drifts.
 
-Batched ingestion
------------------
-:meth:`ChainSample.offer_many` processes a whole block of arrivals with
-one vectorised acceptance draw (``rng.random((m, |R|))``) and a short
-walk over the rare slot events.  Its results are *bit-identical* to the
-equivalent sequence of :meth:`ChainSample.offer_detailed` calls: numpy
-generators fill a ``(m, |R|)`` block with exactly the same doubles, in
-the same order, as ``m`` sequential ``random(|R|)`` calls, and successor
-timestamps are drawn from per-slot generator substreams, so their
-consumption order is independent of how arrivals are grouped.
+Layout and batched ingestion
+----------------------------
+One :class:`ChainSample` holds any number of lockstep streams (one per
+generator passed as ``rng``) as structure-of-arrays state: every slot's
+head (active element) timestamp and value and its pending successor
+timestamp as ``(streams, |R|)`` arrays, with the rare queued successors
+in a sparse map.  A node passes one generator and gets one stream; the
+cross-stream :class:`~repro.engine.core.DetectorEngine` passes one per
+sensor stream.
 
-The per-slot event walk is the module-level :func:`walk_slot`, with
-:func:`expire_chain` for window expiry; the cross-stream
-:class:`~repro.engine.core.DetectorEngine` runs the same two functions
-over its structure-of-arrays chain state.
+:meth:`ChainSample.offer_many` processes a block of arrivals with one
+vectorised acceptance draw per stream (``rng.random((m, |R|))``) and a
+short walk (:func:`walk_slot`) over the rare slot events.  Its results
+are *bit-identical* to the equivalent sequence of
+:meth:`ChainSample.offer_detailed` calls: numpy generators fill a
+``(m, |R|)`` block with exactly the same doubles, in the same order, as
+``m`` sequential ``random(|R|)`` calls, and successor timestamps are
+drawn from per-slot generator substreams, so their consumption order is
+independent of how arrivals are grouped.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
 import numpy as np
@@ -49,28 +53,14 @@ from repro import _sanitize, obs
 from repro._exceptions import ParameterError
 from repro._rng import resolve_rng, rng_from_state, rng_state
 from repro._validation import require_positive_int
+from repro.core._kernels_numpy import BLOCK_CELLS
 
-__all__ = [
-    "ChainSample",
-    "ReservoirSample",
-    "expire_chain",
-    "report_chain_changes",
-    "slot_generators",
-    "walk_slot",
-]
+__all__ = ["ChainSample", "ReservoirSample"]
 
 #: One slot's chain: (timestamp, value) pairs, oldest first; ``[0]`` is
-#: the active sample element, the rest are queued successors.
-ChainItems = List[Tuple[int, np.ndarray]]
-
-
-@dataclass
-class _Chain:
-    """One chain-sampling slot: the active element plus queued successors."""
-
-    items: ChainItems = field(default_factory=list)
-    #: Timestamp at which the next successor is due to be captured.
-    successor_ts: int = -1
+#: the active sample element, the rest are queued successors.  Values
+#: are ``d``-float lists.
+ChainItems = List[Tuple[int, List[float]]]
 
 
 def slot_generators(rng: np.random.Generator,
@@ -116,41 +106,30 @@ def expire_chain(items: ChainItems, horizon: int) -> int:
     return n
 
 
-def report_chain_changes(mutations: int, evictions: int,
-                         timestamp: int) -> None:
-    """Report one ingest call's chain-sample changes to ``repro.obs``."""
-    if mutations:
-        obs.metrics().counter("sample.mutations").inc(mutations)
-    if evictions:
-        obs.metrics().counter("sample.evictions").inc(evictions)
-        obs.emit("sample.evict", count=evictions, timestamp=timestamp)
-
-
 def walk_slot(items: ChainItems, successor_ts: int,
-              rng: np.random.Generator, rows: np.ndarray, vals: np.ndarray,
-              ts0: int, window: int,
-              accepted: "list[int] | None" = None) -> "tuple[int, int, int]":
+              rng: np.random.Generator, rows: "list[int]", block: np.ndarray,
+              stream: int, ts0: int, window: int) -> "tuple[int, int, int]":
     """Replay one slot's events over a block of arrivals.
 
-    The block holds ``vals.shape[0]`` arrivals at timestamps ``ts0, ts0
-    + 1, ...``; ``rows`` are the (ascending) block rows whose acceptance
-    draw hit this slot.  Captures the pending successor when it falls
-    due, replaces the chain at each acceptance and charges the expiries
-    in between exactly as one-at-a-time offers would, drawing successors
-    from ``rng`` in the same order.  ``items`` is updated in place and
-    each acceptance row is appended to ``accepted`` when given.
+    ``block[:, stream]`` holds the slot's stream's arrivals at
+    timestamps ``ts0, ts0 + 1, ...``; ``rows`` are the (ascending) block
+    rows whose acceptance draw hit this slot.  Captures the pending
+    successor when it falls due, replaces the chain at each acceptance
+    and charges the expiries in between exactly as one-at-a-time offers
+    would, drawing successors from ``rng`` in the same order.  ``items``
+    is updated in place.
 
     Returns ``(successor_ts, mutations, evictions)``: the new pending
     successor and the active-element changes and expiries charged.
     Expiries after the last event are left to the caller's
     :func:`expire_chain` at the block's final timestamp.
     """
-    ts_end = ts0 + vals.shape[0] - 1
+    ts_end = ts0 + block.shape[0] - 1
     mutations = evictions = 0
-    pos, n_rows = 0, rows.shape[0]
+    pos, n_rows = 0, len(rows)
     cursor = ts0 - 1      # latest timestamp already handled
     while True:
-        acc_ts = ts0 + int(rows[pos]) if pos < n_rows else None
+        acc_ts = ts0 + rows[pos] if pos < n_rows else None
         # A pending successor is captured at its exact timestamp, unless
         # an acceptance at the same arrival pre-empts it.
         if (cursor < successor_ts <= ts_end
@@ -163,7 +142,8 @@ def walk_slot(items: ChainItems, successor_ts: int,
             evictions += expired
             cursor = successor_ts
             if items:
-                items.append((successor_ts, vals[successor_ts - ts0].copy()))
+                items.append((successor_ts,
+                              block[successor_ts - ts0, stream].tolist()))
                 successor_ts = draw_successor(rng, successor_ts, window)
         elif acc_ts is not None:
             # Items that expired at arrivals *before* the acceptance are
@@ -173,10 +153,8 @@ def walk_slot(items: ChainItems, successor_ts: int,
             expired = expire_chain(items, acc_ts - 1 - window)
             mutations += expired + 1
             evictions += expired
-            items[:] = [(acc_ts, vals[acc_ts - ts0].copy())]
+            items[:] = [(acc_ts, block[acc_ts - ts0, stream].tolist())]
             successor_ts = draw_successor(rng, acc_ts, window)
-            if accepted is not None:
-                accepted.append(acc_ts - ts0)
             pos += 1
             cursor = acc_ts
         else:
@@ -185,37 +163,56 @@ def walk_slot(items: ChainItems, successor_ts: int,
 
 # repro-lint: shard-state
 class ChainSample:
-    """A uniform sample of a sliding window, maintained by chain sampling.
+    """Uniform samples of sliding windows, maintained by chain sampling.
 
     Parameters
     ----------
     window_size:
         The window length ``|W|`` in arrivals.
     sample_size:
-        Number of slots ``|R|``.  Slots are independent, so the sample is
-        "with replacement": duplicates are possible and expected.
+        Number of slots ``|R|`` per stream.  Slots are independent, so
+        the sample is "with replacement": duplicates are possible and
+        expected.
     n_dims:
         Dimensionality of the sampled values.
     rng:
-        Source of randomness.  When omitted, a deterministic fallback
-        stream from :func:`repro._rng.fresh_rng` is used, so
-        default-constructed samplers replay bit for bit.
+        Source of randomness: one generator for a one-stream sample, or
+        a sequence of per-stream generators for that many lockstep
+        streams.  When omitted, a deterministic fallback stream from
+        :func:`repro._rng.fresh_rng` is used, so default-constructed
+        samplers replay bit for bit.
     """
 
     def __init__(self, window_size: int, sample_size: int, n_dims: int = 1,
-                 rng: np.random.Generator | None = None) -> None:
+                 rng: "np.random.Generator | Sequence[np.random.Generator] | None" = None,
+                 ) -> None:
         require_positive_int("window_size", window_size)
         require_positive_int("sample_size", sample_size)
         require_positive_int("n_dims", n_dims)
+        if rng is None or isinstance(rng, np.random.Generator):
+            rngs = [resolve_rng(rng)]
+        else:
+            rngs = list(rng)
+            if not rngs:
+                raise ParameterError("rng must hold one generator per stream")
         self._window_size = window_size
         self._sample_size = sample_size
         self._n_dims = n_dims
-        self._rng = resolve_rng(rng)
-        self._successor_rngs = slot_generators(self._rng, sample_size)
-        self._chains = [_Chain() for _ in range(sample_size)]
+        self._rngs = rngs
+        #: Flat (stream-major) per-slot successor substreams.
+        self._successor_rngs = [g for stream_rng in rngs
+                                for g in slot_generators(stream_rng,
+                                                         sample_size)]
+        shape = (len(rngs), sample_size)
+        self._head_ts = np.full(shape, -1, dtype=np.int64)   # -1: empty
+        self._head_val = np.zeros(shape + (n_dims,))
+        self._succ_ts = np.full(shape, -1, dtype=np.int64)
+        #: flat slot -> queued successors behind its head (rarely any).
+        self._queued: "dict[int, ChainItems]" = {}
         self._timestamp = -1   # timestamp of the latest offered value
-        self._mutations = 0    # active-element changes (see mutation_count)
-        self._evictions = 0    # expiry-driven active-element removals
+        #: Per-stream active-element changes and expiry removals.
+        self._mutations = [0] * len(rngs)
+        self._evictions = [0] * len(rngs)
 
     # ------------------------------------------------------------------
 
@@ -226,7 +223,7 @@ class ChainSample:
 
     @property
     def sample_size(self) -> int:
-        """The number of slots ``|R|``."""
+        """The number of slots ``|R|`` per stream."""
         return self._sample_size
 
     @property
@@ -241,7 +238,7 @@ class ChainSample:
 
     @property
     def mutation_count(self) -> int:
-        """Monotone counter of *active-element* changes.
+        """Monotone counter of *active-element* changes (all streams).
 
         Incremented whenever any slot's active element changes: an
         arrival replaces it, an expiry promotes a queued successor, or an
@@ -253,7 +250,12 @@ class ChainSample:
         followed by a replacement into one increment, so only equality
         with a recorded value is meaningful, not differences.
         """
-        return self._mutations
+        return sum(self._mutations)
+
+    @property
+    def mutation_counts(self) -> np.ndarray:
+        """Per-stream :attr:`mutation_count`, shape ``(n_streams,)``."""
+        return np.array(self._mutations, dtype=np.int64)
 
     @property
     def eviction_count(self) -> int:
@@ -262,11 +264,11 @@ class ChainSample:
         The subset of :attr:`mutation_count` caused by elements aging
         out of the window (as opposed to arrival replacements).
         """
-        return self._evictions
+        return sum(self._evictions)
 
     def __len__(self) -> int:
         """Number of slots currently holding an active element."""
-        return sum(1 for chain in self._chains if chain.items)
+        return int(np.count_nonzero(self._head_ts >= 0))
 
     def newest_active_timestamp(self) -> int:
         """Timestamp of the most recent active sample element (-1 if none).
@@ -276,20 +278,54 @@ class ChainSample:
         value.  A pure read over the active slots, identical across the
         scalar and batched maintenance paths.
         """
-        newest = -1
-        for chain in self._chains:
-            if chain.items and chain.items[0][0] > newest:
-                newest = chain.items[0][0]
-        return newest
+        return int(self._head_ts.max())
 
     # ------------------------------------------------------------------
 
-    def _note_obs(self, mutations_before: int,
-                  evictions_before: int) -> None:
-        """Report this call's mutation/eviction deltas to ``repro.obs``."""
-        report_chain_changes(self._mutations - mutations_before,
-                             self._evictions - evictions_before,
-                             self._timestamp)
+    def _chain(self, flat: int) -> ChainItems:
+        """Slot ``flat``'s chain (stream-major index) as a fresh list."""
+        stream, slot = divmod(flat, self._sample_size)
+        ts = int(self._head_ts[stream, slot])
+        items: ChainItems = [] if ts < 0 \
+            else [(ts, self._head_val[stream, slot].tolist())]
+        items.extend(self._queued.get(flat, ()))
+        return items
+
+    def _store_chain(self, flat: int, items: ChainItems) -> None:
+        """Write a chain from :meth:`_chain` back into the arrays."""
+        stream, slot = divmod(flat, self._sample_size)
+        if items:
+            self._head_ts[stream, slot] = items[0][0]
+            self._head_val[stream, slot] = items[0][1]
+        else:
+            self._head_ts[stream, slot] = -1
+        if len(items) > 1:
+            self._queued[flat] = items[1:]
+        else:
+            self._queued.pop(flat, None)
+
+    def _start(self, timestamp: "int | None", m: int) -> int:
+        """The first timestamp of ``m`` arrivals, checked to increase."""
+        ts0 = self._timestamp + 1 if timestamp is None else int(timestamp)
+        if ts0 <= self._timestamp:
+            raise ParameterError(
+                f"timestamps must be strictly increasing "
+                f"(got {ts0} after {self._timestamp})")
+        return ts0
+
+    def _note_obs(self, mutations_before: "list[int]",
+                  evictions_before: "list[int]") -> None:
+        """Report each stream's mutation/eviction deltas to ``repro.obs``."""
+        for now_m, was_m, now_e, was_e in zip(
+                self._mutations, mutations_before, self._evictions,
+                evictions_before):
+            mutations, evictions = now_m - was_m, now_e - was_e
+            if mutations:
+                obs.metrics().counter("sample.mutations").inc(mutations)
+            if evictions:
+                obs.metrics().counter("sample.evictions").inc(evictions)
+                obs.emit("sample.evict", count=evictions,
+                         timestamp=self._timestamp)
 
     def offer(self, value: "np.ndarray | Sequence[float] | float",
               timestamp: int | None = None) -> bool:
@@ -308,177 +344,239 @@ class ChainSample:
         """Like :meth:`offer`, but return the indices of the slots whose
         active element the arrival replaced.
 
-        MGDD's top-level leader uses this to broadcast *incremental*
+        The one-at-a-time reference path of a one-stream sample.  MGDD's
+        top-level leader uses it to broadcast *incremental*
         global-model updates: only the changed slots travel down the
         hierarchy (Section 8.1).
         """
-        # A copy: the slots keep the point, and a caller may reuse its
-        # buffer for the next reading.
-        point = np.array(value, dtype=float).reshape(-1)
+        if len(self._rngs) != 1:
+            raise ParameterError(
+                "offer_detailed takes one stream's arrival; feed "
+                f"{len(self._rngs)} streams through offer_many")
+        point = np.asarray(value, dtype=float).reshape(-1)
         if point.shape != (self._n_dims,):
             raise ParameterError(
                 f"value must have {self._n_dims} coordinate(s), got shape {point.shape}")
-        if timestamp is None:
-            timestamp = self._timestamp + 1
-        if timestamp <= self._timestamp:
-            raise ParameterError(
-                f"timestamps must be strictly increasing "
-                f"(got {timestamp} after {self._timestamp})")
+        # A list copy: the slots keep the value, and a caller may reuse
+        # its buffer for the next reading.
+        coords = point.tolist()
+        if not all(map(math.isfinite, coords)):
+            raise ParameterError(f"value must be finite, got {coords}")
+        timestamp = self._start(timestamp, 1)
         self._timestamp = timestamp
-        mutations_before = self._mutations
-        evictions_before = self._evictions
-
-        inclusion_prob = 1.0 / min(timestamp + 1, self._window_size)
-        horizon = timestamp - self._window_size
-        # One random draw per slot; vectorised for the common large-|R| case.
-        draws = self._rng.random(self._sample_size)
+        watched = obs.ACTIVE or _sanitize.ACTIVE
+        if watched:
+            mutations_before = list(self._mutations)
+            evictions_before = list(self._evictions)
+        window = self._window_size
+        inclusion_prob = 1.0 / min(timestamp + 1, window)
+        horizon = timestamp - window
+        succ = self._succ_ts[0]
         changed: "list[int]" = []
-        for slot, (chain, draw) in enumerate(zip(self._chains, draws)):
+        # One random draw per slot; the slot scan runs on plain lists.
+        for slot, (draw, head_ts, succ_ts) in enumerate(zip(
+                self._rngs[0].random(self._sample_size).tolist(),
+                self._head_ts[0].tolist(), succ.tolist())):
             if draw < inclusion_prob:
                 # The arrival replaces this slot's entire chain.
-                chain.items[:] = [(timestamp, point)]
-                chain.successor_ts = draw_successor(
-                    self._successor_rngs[slot], timestamp, self._window_size)
+                self._store_chain(slot, [(timestamp, coords)])
+                succ[slot] = draw_successor(self._successor_rngs[slot],
+                                            timestamp, window)
+                self._mutations[0] += 1
                 changed.append(slot)
-                self._mutations += 1
-            elif chain.items and timestamp == chain.successor_ts:
-                # Capture the successor chosen earlier; queue it.
-                chain.items.append((timestamp, point))
-                chain.successor_ts = draw_successor(
-                    self._successor_rngs[slot], timestamp, self._window_size)
-            # Expire the active element once it falls out of the window.
-            if chain.items and chain.items[0][0] <= horizon:
-                expired = expire_chain(chain.items, horizon)
-                self._mutations += expired
-                self._evictions += expired
-        if _sanitize.ACTIVE:
-            _sanitize.check_chain_sample(self)
-        if obs.ACTIVE:
-            self._note_obs(mutations_before, evictions_before)
+            elif head_ts >= 0 and (succ_ts == timestamp or head_ts <= horizon):
+                items = self._chain(slot)
+                if succ_ts == timestamp:
+                    # Capture the successor chosen earlier; queue it.
+                    items.append((timestamp, coords))
+                    succ[slot] = draw_successor(self._successor_rngs[slot],
+                                                timestamp, window)
+                # Expire the active element once it falls out of the window.
+                expired = expire_chain(items, horizon)
+                self._mutations[0] += expired
+                self._evictions[0] += expired
+                self._store_chain(slot, items)
+        if watched:
+            if _sanitize.ACTIVE:
+                _sanitize.check_chain_sample(
+                    self, mutations_before=sum(mutations_before))
+            if obs.ACTIVE:
+                self._note_obs(mutations_before, evictions_before)
         return tuple(changed)
 
-    def offer_many(self, values: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]",
-                   start_timestamp: int | None = None) -> "list[tuple[int, ...]]":
-        """Process a block of arrivals at consecutive timestamps.
+    def _as_block(self, values: Any) -> np.ndarray:
+        """``values`` as a finite ``(m, n_streams, n_dims)`` block.
 
-        ``values`` has shape ``(m, n_dims)`` (or ``(m,)`` for 1-d data);
-        the arrivals take timestamps ``start_timestamp .. start_timestamp
-        + m - 1`` (continuing from the last offer when omitted).  Returns,
-        for each arrival in order, the tuple of slot indices whose active
-        element it replaced -- exactly what ``m`` successive
-        :meth:`offer_detailed` calls would have returned, bit for bit,
-        given the same generator state (see the module docstring).
-
-        The acceptance test for all ``m x |R|`` (arrival, slot) pairs is
-        one vectorised draw and comparison; Python-level work is limited
-        to the O(m |R| / |W|) expected slot events.
+        A one-stream sample also takes ``(m, n_dims)``, and ``(m,)`` for
+        1-d data.
         """
         vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            if self._n_dims != 1:
-                raise ParameterError(
-                    f"values must have shape (m, {self._n_dims}), "
-                    f"got {vals.shape}")
-            vals = vals.reshape(-1, 1)
-        if vals.ndim != 2 or vals.shape[1] != self._n_dims:
-            raise ParameterError(
-                f"values must have shape (m, {self._n_dims}), got {vals.shape}")
+        n, d = len(self._rngs), self._n_dims
+        if n == 1 and vals.ndim == 1 and d == 1:
+            vals = vals[:, None]
+        if n == 1 and vals.ndim == 2:
+            vals = vals[:, None]
+        if vals.ndim != 3 or vals.shape[1:] != (n, d):
+            want = f"(m, {d})" if n == 1 else f"(m, {n}, {d})"
+            raise ParameterError(f"values must have shape {want}, got "
+                                 f"{np.shape(values)}")
+        if not np.isfinite(vals).all():
+            raise ParameterError("values must all be finite")
+        return vals
+
+    def offer_many(self, values: "np.ndarray | Sequence[Any]",
+                   start_timestamp: int | None = None) -> np.ndarray:
+        """Process a block of arrivals at consecutive timestamps.
+
+        ``values`` has shape ``(m, n_streams, n_dims)`` (see
+        :meth:`_as_block` for the shorter forms); the arrivals take
+        timestamps ``start_timestamp .. start_timestamp + m - 1``
+        (continuing from the last offer when omitted).  The whole block
+        is validated before any state changes.
+
+        Returns the boolean acceptance mask, shape ``(n_streams, m,
+        |R|)``: row ``t`` of stream ``s`` marks the slots whose active
+        element arrival ``t`` replaced -- exactly the slots ``m``
+        successive :meth:`offer_detailed` calls would have returned, bit
+        for bit, given the same generator states (see the module
+        docstring).
+
+        The acceptance test for all ``m x |R|`` (arrival, slot) pairs of
+        every stream is one vectorised draw and comparison; Python-level
+        work is limited to the O(m |R| / |W|) expected slot events.
+        """
+        vals = self._as_block(values)
         m = vals.shape[0]
+        n_streams, n_slots = self._head_ts.shape
+        hits = np.empty((n_streams, m, n_slots), dtype=bool)
         if m == 0:
-            return []
-        t0 = time.perf_counter() if obs.ACTIVE else 0.0
-        mutations_before = self._mutations
-        evictions_before = self._evictions
-        ts0 = self._timestamp + 1 if start_timestamp is None \
-            else int(start_timestamp)
-        if ts0 <= self._timestamp:
-            raise ParameterError(
-                f"timestamps must be strictly increasing "
-                f"(got {ts0} after {self._timestamp})")
-        ts_end = ts0 + m - 1
+            return hits
+        ts0 = self._start(start_timestamp, m)
+        watched = obs.ACTIVE or _sanitize.ACTIVE
+        if watched:
+            t0 = time.perf_counter()
+            mutations_before = list(self._mutations)
+            evictions_before = list(self._evictions)
+        # Acceptance draws are materialised for (streams, ticks, |R|);
+        # bound that scratch like the kernels' (splitting a block is
+        # exact: consecutive spans equal one call).
+        span = max(1, BLOCK_CELLS // (n_streams * n_slots))
+        for start in range(0, m, span):
+            self._offer_span(vals[start:start + span], ts0 + start,
+                             hits[:, start:start + span])
+        self._timestamp = ts0 + m - 1
+        if watched:
+            if _sanitize.ACTIVE:
+                _sanitize.check_chain_sample(
+                    self, mutations_before=sum(mutations_before))
+            if obs.ACTIVE:
+                obs.profiler().record("chain.offer_many",
+                                      time.perf_counter() - t0)
+                self._note_obs(mutations_before, evictions_before)
+        return hits
+
+    def _offer_span(self, block: np.ndarray, ts0: int,
+                    hits: np.ndarray) -> None:
+        """Chain-sample ``block`` (``k`` ticks from ``ts0``) into every
+        stream's slots, writing the acceptance mask into ``hits``."""
+        _, k, n_slots = hits.shape
         window = self._window_size
-        inclusion = 1.0 / np.minimum(np.arange(ts0, ts0 + m) + 1, window)
-        # Same bitstream as m sequential rng.random(sample_size) calls.
-        draws = self._rng.random((m, self._sample_size))
-        hits = draws < inclusion[:, None]
-        # Replacements recorded as flat (arrival row, slot) event lists;
-        # per-arrival tuples are assembled at the end so the O(m) output
-        # costs one shared-empty-tuple list, not m Python list objects.
-        event_rows: "list[int]" = []
-        event_slots: "list[int]" = []
-        # Event rows per slot, in slot-major then arrival order.
-        hit_slots, hit_rows = np.nonzero(hits.T)
-        boundaries = np.searchsorted(hit_slots, np.arange(self._sample_size + 1))
-        self._timestamp = ts_end
-        # Only slots with an acceptance or a successor falling due inside
-        # this block have events to walk; the rest just expire below.
-        successor_ts = np.fromiter(
-            (chain.successor_ts for chain in self._chains),
-            dtype=np.int64, count=self._sample_size)
-        active_slots = np.nonzero(
-            (boundaries[1:] > boundaries[:-1])
-            | ((successor_ts >= ts0) & (successor_ts <= ts_end)))[0]
-        for slot in active_slots.tolist():
-            chain = self._chains[slot]
-            n_before = len(event_rows)
-            chain.successor_ts, mutations, evictions = walk_slot(
-                chain.items, chain.successor_ts, self._successor_rngs[slot],
-                hit_rows[boundaries[slot]:boundaries[slot + 1]], vals, ts0,
-                window, event_rows)
-            event_slots.extend([slot] * (len(event_rows) - n_before))
-            self._mutations += mutations
-            self._evictions += evictions
+        ts_end = ts0 + k - 1
         horizon = ts_end - window
-        for chain in self._chains:
-            if chain.items and chain.items[0][0] <= horizon:
-                expired = expire_chain(chain.items, horizon)
-                self._mutations += expired
-                self._evictions += expired
-        if _sanitize.ACTIVE:
-            _sanitize.check_chain_sample(self, mutations_before=mutations_before)
-        # The walk emits events slot-major; sorting the flat pairs by
-        # (arrival, slot) restores the ascending-slot-per-arrival tuples
-        # the scalar path produces.
-        out: "list[tuple[int, ...]]" = [()] * m
-        if event_rows:
-            pairs = sorted(zip(event_rows, event_slots))
-            n_events = len(pairs)
-            i = 0
-            while i < n_events:
-                row = pairs[i][0]
-                j = i + 1
-                while j < n_events and pairs[j][0] == row:
-                    j += 1
-                out[row] = tuple(pair[1] for pair in pairs[i:j])
-                i = j
-        if obs.ACTIVE:
-            obs.profiler().record("chain.offer_many",
-                                  time.perf_counter() - t0)
-            self._note_obs(mutations_before, evictions_before)
-        return out
+        # Once the window has filled, every arrival is accepted with
+        # the same probability (the same double as the array form).
+        inclusion: "float | np.ndarray" = 1.0 / window
+        if ts0 + 1 < window:
+            inclusion = 1.0 / np.minimum(np.arange(ts0, ts0 + k) + 1,
+                                         window)[:, None]
+        # Each stream's generator fills its (k, |R|) plane exactly as
+        # its own rng.random((k, |R|)) would.
+        draws = np.empty(hits.shape)
+        for plane, rng in zip(draws, self._rngs):
+            rng.random(out=plane)
+        np.less(draws, inclusion, out=hits)
+        # Hit rows per slot, slot-major then arrival order.
+        keys, rows = np.nonzero(hits.transpose(0, 2, 1).reshape(-1, k))
+        head = self._head_ts.reshape(-1)
+        succ = self._succ_ts.reshape(-1)
+        # Event slots: an acceptance, a successor falling due, or a head
+        # leaving the window inside this span.  Empty slots (-1) may be
+        # swept in too; walking them changes nothing.
+        due = (succ <= ts_end) | (head <= horizon)
+        due[keys] = True
+        events = np.flatnonzero(due)
+        if not events.size:
+            return
+        # Every hit slot is an event, so event e's hit rows end where
+        # event e + 1's begin.
+        bounds = np.searchsorted(keys, events).tolist()
+        bounds.append(keys.size)
+        hit_rows = rows.tolist()
+        head_ts = head[events].tolist()
+        succ_ts = succ[events].tolist()
+        mutated, evicted = self._mutations, self._evictions
+        moved: "list[int]" = []           # events whose head changed
+        moved_values: "list[list[float]]" = []
+        queued = self._queued
+        for e, flat in enumerate(events.tolist()):
+            # The walk never reads the head's value: it is replaced,
+            # expired or kept, so None stands for "still in the array".
+            items: "list[tuple[int, Any]]" = [] if head_ts[e] < 0 \
+                else [(head_ts[e], None)]
+            if flat in queued:
+                items.extend(queued.pop(flat))
+            stream = flat // n_slots
+            lo, hi = bounds[e], bounds[e + 1]
+            if lo < hi or ts0 <= succ_ts[e] <= ts_end:
+                succ_ts[e], mutations, evictions = walk_slot(
+                    items, succ_ts[e], self._successor_rngs[flat],
+                    hit_rows[lo:hi], block, stream, ts0, window)
+                mutated[stream] += mutations
+                evicted[stream] += evictions
+            if items and items[0][0] <= horizon:
+                expired = expire_chain(items, horizon)
+                mutated[stream] += expired
+                evicted[stream] += expired
+            if not items:
+                head_ts[e] = -1
+                continue
+            head_ts[e], value = items[0]
+            if value is not None:
+                moved.append(flat)
+                moved_values.append(value)
+            if len(items) > 1:
+                queued[flat] = items[1:]
+        head[events] = head_ts
+        succ[events] = succ_ts
+        if moved:
+            self._head_val.reshape(-1, self._n_dims)[moved] = moved_values
 
     def values(self) -> np.ndarray:
-        """Active sample elements, shape ``(k, n_dims)`` with ``k <= |R|``.
+        """Active sample elements, shape ``(k, n_dims)``.
 
-        ``k`` equals ``|R|`` from the first arrival onward; it can only be
-        smaller before any value has been offered.
+        Stream-major, then slot order.  ``k`` equals ``n_streams * |R|``
+        from the first arrival onward; it can only be smaller before any
+        value has been offered.
         """
-        active = [chain.items[0][1] for chain in self._chains if chain.items]
-        if not active:
-            return np.empty((0, self._n_dims), dtype=float)
-        return np.array(active, dtype=float)
+        return self._head_val[self._head_ts >= 0]
 
     def has_active(self) -> bool:
-        """Whether any slot currently holds an active element (O(1) exit)."""
-        return any(chain.items for chain in self._chains)
+        """Whether any slot currently holds an active element."""
+        return bool((self._head_ts >= 0).any())
 
     # ------------------------------------------------------------------
     # Resource accounting (Section 10.3)
     # ------------------------------------------------------------------
 
     def chain_lengths(self) -> np.ndarray:
-        """Current length of each slot's chain (active element included)."""
-        return np.array([len(chain.items) for chain in self._chains], dtype=np.int64)
+        """Current length of each slot's chain (active element included).
+
+        Shape ``(n_streams * |R|,)``, stream-major.
+        """
+        lengths = (self._head_ts >= 0).astype(np.int64).reshape(-1)
+        for flat, items in self._queued.items():
+            lengths[flat] += len(items)
+        return lengths
 
     def memory_words(self, *, words_per_value: int | None = None) -> int:
         """Logical memory footprint in machine words.
@@ -492,7 +590,7 @@ class ChainSample:
         if words_per_value is None:
             words_per_value = self._n_dims
         stored = int(self.chain_lengths().sum())
-        return stored * (words_per_value + 1) + self._sample_size
+        return stored * (words_per_value + 1) + self._head_ts.size
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.engine.snapshot)
@@ -501,26 +599,30 @@ class ChainSample:
     def snapshot_state(self) -> "dict[str, Any]":
         """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
 
-        Captures every chain (including queued successors and pending
-        successor timestamps) plus the exact bitstream positions of the
-        acceptance generator and the per-slot successor substreams, so a
-        :meth:`restore_state` round trip replays future arrivals bit for
-        bit.
+        Chains travel as flat ``(slot, ts, value)`` arrays -- heads and
+        queued successors, slot-major, oldest first -- beside the
+        pending successor timestamps and the exact bitstream positions
+        of the acceptance generators and the per-slot successor
+        substreams, so a :meth:`restore_state` round trip replays
+        future arrivals bit for bit.
         """
+        d = self._n_dims
+        chains = [(flat, ts, value) for flat in range(self._head_ts.size)
+                  for ts, value in self._chain(flat)]
         return {
             "window_size": self._window_size,
             "sample_size": self._sample_size,
-            "n_dims": self._n_dims,
-            "rng": rng_state(self._rng),
+            "n_dims": d,
+            "rngs": [rng_state(g) for g in self._rngs],
             "successor_rngs": [rng_state(g) for g in self._successor_rngs],
-            "chains": [
-                {"items": [(int(ts), value.copy())
-                           for ts, value in chain.items],
-                 "successor_ts": int(chain.successor_ts)}
-                for chain in self._chains],
+            "chain_slot": np.array([c[0] for c in chains], dtype=np.int64),
+            "chain_ts": np.array([c[1] for c in chains], dtype=np.int64),
+            "chain_value": np.array([c[2] for c in chains],
+                                    dtype=float).reshape(-1, d),
+            "succ_ts": self._succ_ts.copy(),
             "timestamp": self._timestamp,
-            "mutations": self._mutations,
-            "evictions": self._evictions,
+            "mutations": np.array(self._mutations, dtype=np.int64),
+            "evictions": np.array(self._evictions, dtype=np.int64),
         }
 
     @classmethod
@@ -533,19 +635,35 @@ class ChainSample:
         """
         sample = cls.__new__(cls)
         sample._window_size = int(state["window_size"])
-        sample._sample_size = int(state["sample_size"])
-        sample._n_dims = int(state["n_dims"])
-        sample._rng = rng_from_state(state["rng"])
+        sample._sample_size = n_slots = int(state["sample_size"])
+        sample._n_dims = d = int(state["n_dims"])
+        sample._rngs = [rng_from_state(s) for s in state["rngs"]]
         sample._successor_rngs = [
             rng_from_state(s) for s in state["successor_rngs"]]
-        sample._chains = [
-            _Chain(items=[(int(ts), np.asarray(value, dtype=float))
-                          for ts, value in chain["items"]],
-                   successor_ts=int(chain["successor_ts"]))
-            for chain in state["chains"]]
+        shape = (len(sample._rngs), n_slots)
+        # astype() copies into the canonical dtype object, so a restored
+        # sample snapshots to the same bytes as the original.
+        sample._succ_ts = np.asarray(state["succ_ts"]).astype(np.int64)
+        sample._mutations = np.asarray(state["mutations"]).tolist()
+        sample._evictions = np.asarray(state["evictions"]).tolist()
         sample._timestamp = int(state["timestamp"])
-        sample._mutations = int(state["mutations"])
-        sample._evictions = int(state["evictions"])
+        slots = np.asarray(state["chain_slot"], dtype=np.int64)
+        ts = np.asarray(state["chain_ts"], dtype=np.int64)
+        chain_values = np.asarray(state["chain_value"],
+                                  dtype=float).reshape(-1, d)
+        # A slot's first item is its head; the rest queue behind it.
+        is_head = np.ones(slots.shape, dtype=bool)
+        is_head[1:] = slots[1:] != slots[:-1]
+        sample._head_ts = np.full(shape, -1, dtype=np.int64)
+        sample._head_val = np.zeros(shape + (d,))
+        sample._head_ts.reshape(-1)[slots[is_head]] = ts[is_head]
+        sample._head_val.reshape(-1, d)[slots[is_head]] = \
+            chain_values[is_head]
+        sample._queued = {}
+        for flat, t, value in zip(slots[~is_head].tolist(),
+                                  ts[~is_head].tolist(),
+                                  chain_values[~is_head].tolist()):
+            sample._queued.setdefault(flat, []).append((t, value))
         return sample
 
 

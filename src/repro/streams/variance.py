@@ -52,7 +52,6 @@ __all__ = [
     "ExactWindowedVariance",
     "EHVarianceSketch",
     "MultiDimVarianceSketch",
-    "insert_lanes",
     "theoretical_bound_words",
     "variance_budget",
 ]
@@ -85,6 +84,10 @@ def variance_budget(epsilon: float) -> float:
     return _BUDGET_FACTOR * epsilon * epsilon
 
 
+#: :class:`EHLane` fields and their snapshot dtypes.
+_LANE_FIELDS = (("ts", np.int64), ("counts", np.int64), ("means", float),
+                ("m2s", float))
+
 #: Compress once per this many inserts; between compressions new values
 #: sit in singleton buckets, which costs a little transient memory but
 #: keeps the amortised insert cost O(B / interval).
@@ -98,8 +101,9 @@ class EHLane:
     Bucket ``i`` (oldest first) holds ``counts[i]`` values whose newest
     timestamp is ``ts[i]``, with mean ``means[i]`` and sum of squared
     deviations ``m2s[i]``.  :class:`EHVarianceSketch` keeps one lane;
-    the cross-stream :class:`~repro.engine.core.DetectorEngine` keeps
-    one per (stream, dimension), and both run the methods below.
+    :class:`MultiDimVarianceSketch` keeps one per lane (dimension, or
+    (stream, dimension) in the cross-stream engine), and both run the
+    methods below.
     """
 
     ts: "list[int]" = field(default_factory=list)
@@ -225,7 +229,8 @@ class EHLane:
 
 def insert_lanes(lanes: "Sequence[EHLane]", columns: "list[list[float]]",
                  ts0: int, since_compress: int, window: int,
-                 count_fraction: float, budget: float) -> "tuple[int, int]":
+                 count_fraction: float, budget: float,
+                 peaks: "list[int]") -> int:
     """Insert one column of values per lane at ``ts0, ts0 + 1, ...``.
 
     All lanes share timestamps and compress cadence: values go in as
@@ -233,12 +238,11 @@ def insert_lanes(lanes: "Sequence[EHLane]", columns: "list[list[float]]",
     expiry is charged once at each chunk's final timestamp (no merge
     decision is taken before the next compression point), and every
     lane compresses when the cadence comes due.  The result is exactly
-    the bucket state of one-at-a-time inserts.  Returns the new
-    inserts-since-compress phase and the largest bucket count any lane
-    held after a compress in this call (0 when none ran).
+    the bucket state of one-at-a-time inserts.  ``peaks[i]`` is raised
+    to lane ``i``'s bucket count after each compress; returns the new
+    inserts-since-compress phase.
     """
     m = len(columns[0]) if columns else 0
-    peak = 0
     i = 0
     while i < m:
         k = min(m - i, _COMPRESS_INTERVAL - since_compress)
@@ -253,11 +257,11 @@ def insert_lanes(lanes: "Sequence[EHLane]", columns: "list[list[float]]",
         if since_compress >= _COMPRESS_INTERVAL:
             population = min(last_ts + 1, window)
             max_count = max(1.0, count_fraction * population)
-            for lane in lanes:
+            for index, lane in enumerate(lanes):
                 lane.compress(max_count, budget)
-                peak = max(peak, len(lane.ts))
+                peaks[index] = max(peaks[index], len(lane.ts))
             since_compress = 0
-    return since_compress, peak
+    return since_compress
 
 
 # repro-lint: shard-state
@@ -380,11 +384,13 @@ class EHVarianceSketch:
             raise ParameterError("values must all be finite")
         # One bulk tolist() instead of m float(vals[i]) boxings; the
         # resulting Python floats are the same doubles bit for bit.
-        self._since_compress, peak = insert_lanes(
+        peaks = [self._max_bucket_count]
+        self._since_compress = insert_lanes(
             [self._lane], [vals.tolist()], ts0, self._since_compress,
-            self._window_size, self._count_fraction, self._variance_budget)
+            self._window_size, self._count_fraction, self._variance_budget,
+            peaks)
         self._timestamp = ts0 + m - 1
-        self._max_bucket_count = max(self._max_bucket_count, peak)
+        self._max_bucket_count = peaks[0]
         if _sanitize.ACTIVE:
             _sanitize.check_eh_sketch(self)
 
@@ -451,22 +457,33 @@ class EHVarianceSketch:
 
 # repro-lint: shard-state
 class MultiDimVarianceSketch:
-    """Per-dimension variance sketches for d-dimensional streams.
+    """Variance sketches for ``n_dims`` lockstep scalar lanes.
 
-    One scalar sketch per dimension, giving the ``d * (1/eps^2) log|W|``
-    term of Theorem 1's memory bound.
+    One EH bucket lane per dimension, giving the ``d * (1/eps^2)
+    log|W|`` term of Theorem 1's memory bound.  The lanes share one
+    timestamp and one compress phase, so a block goes into all of them
+    through a single :func:`insert_lanes` call.  The lanes need not be
+    the dimensions of one stream: the cross-stream
+    :class:`~repro.engine.core.DetectorEngine` keeps one sketch of
+    ``n_streams * d`` lanes.
     """
 
     def __init__(self, window_size: int, n_dims: int,
                  epsilon: float = 0.2) -> None:
+        require_positive_int("window_size", window_size)
         require_positive_int("n_dims", n_dims)
-        self._sketches = [EHVarianceSketch(window_size, epsilon)
-                          for _ in range(n_dims)]
+        require_fraction("epsilon", epsilon)
+        self._window_size = window_size
+        self._epsilon = epsilon
         self._n_dims = n_dims
+        self._lanes = [EHLane() for _ in range(n_dims)]
+        self._timestamp = -1
+        self._since_compress = 0
+        self._max_bucket_counts = [0] * n_dims
 
     @property
     def n_dims(self) -> int:
-        """Number of dimensions tracked."""
+        """Number of dimensions (lanes) tracked."""
         return self._n_dims
 
     def insert(self, value: "np.ndarray | Sequence[float] | float",
@@ -476,66 +493,114 @@ class MultiDimVarianceSketch:
         if point.shape != (self._n_dims,):
             raise ParameterError(
                 f"value must have {self._n_dims} coordinate(s), got shape {point.shape}")
-        for sketch, coord in zip(self._sketches, point):
-            sketch.insert(float(coord), timestamp)
+        coords = point.tolist()
+        if not all(map(math.isfinite, coords)):
+            raise ParameterError(f"value must be finite, got {coords}")
+        self._insert([[c] for c in coords], 1, timestamp)
 
     def insert_many(self, values: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]",
                     start_timestamp: int | None = None) -> None:
         """Insert a block of d-dimensional values at consecutive timestamps.
 
         ``values`` has shape ``(m, d)`` (or ``(m,)`` for 1-d data); the
-        per-dimension sketches each receive their coordinate column via
-        :meth:`EHVarianceSketch.insert_many`, so the final state matches
-        the equivalent sequence of :meth:`insert` calls exactly.
+        final state matches the equivalent sequence of :meth:`insert`
+        calls exactly.
         """
         points = np.asarray(values, dtype=float)
-        if points.ndim == 1:
-            if self._n_dims != 1:
-                raise ParameterError(
-                    f"values must have shape (m, {self._n_dims}), "
-                    f"got {points.shape}")
+        if points.ndim == 1 and self._n_dims == 1:
             points = points.reshape(-1, 1)
         if points.ndim != 2 or points.shape[1] != self._n_dims:
             raise ParameterError(
                 f"values must have shape (m, {self._n_dims}), "
                 f"got {points.shape}")
+        if not np.isfinite(points).all():
+            raise ParameterError("values must all be finite")
         t0 = time.perf_counter() if obs.ACTIVE else 0.0
-        for dim, sketch in enumerate(self._sketches):
-            sketch.insert_many(points[:, dim], start_timestamp)
+        # One bulk tolist() per lane; the Python floats are the same
+        # doubles bit for bit.
+        self._insert(points.T.tolist(), points.shape[0], start_timestamp)
         if obs.ACTIVE:
             obs.profiler().record("sketch.update_many",
                                   time.perf_counter() - t0)
 
+    def _insert(self, columns: "list[list[float]]", m: int,
+                start_timestamp: "int | None") -> None:
+        """Insert ``m`` validated values per lane, after checking the
+        timestamps, so a refused call changes nothing."""
+        if m == 0:
+            return
+        ts0 = self._timestamp + 1 if start_timestamp is None \
+            else int(start_timestamp)
+        if ts0 <= self._timestamp:
+            raise ParameterError(
+                f"timestamps must be strictly increasing "
+                f"(got {ts0} after {self._timestamp})")
+        self._since_compress = insert_lanes(
+            self._lanes, columns, ts0, self._since_compress,
+            self._window_size, self._epsilon / 2.0,
+            variance_budget(self._epsilon), self._max_bucket_counts)
+        self._timestamp = ts0 + m - 1
+        if _sanitize.ACTIVE:
+            _sanitize.check_variance_sketch(self)
+
     def std(self) -> np.ndarray:
         """Estimated per-dimension standard deviations."""
-        return np.array([s.std() for s in self._sketches])
+        return np.array([lane.std() for lane in self._lanes])
 
     def mean(self) -> np.ndarray:
         """Estimated per-dimension means."""
-        return np.array([s.mean() for s in self._sketches])
+        aggregates = [lane.aggregate() for lane in self._lanes]
+        if None in aggregates:
+            raise ParameterError("no values inserted yet")
+        return np.array([agg[1] for agg in aggregates if agg])
 
     def memory_words(self) -> int:
         """Current logical footprint in machine words."""
-        return sum(s.memory_words() for s in self._sketches)
+        return sum(len(lane) for lane in self._lanes) * WORDS_PER_BUCKET
 
     def max_memory_words(self) -> int:
-        """Peak logical footprint in machine words."""
-        return sum(s.max_memory_words() for s in self._sketches)
+        """Peak logical footprint in machine words (per-lane peaks summed)."""
+        return sum(self._max_bucket_counts) * WORDS_PER_BUCKET
 
     def snapshot_state(self) -> "dict[str, Any]":
-        """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec."""
-        return {
+        """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
+
+        Lanes travel as concatenated bucket arrays with per-lane
+        lengths; the compress phase is included so the restored sketch
+        merges at exactly the same insert boundaries.
+        """
+        state: "dict[str, Any]" = {
+            "window_size": self._window_size,
+            "epsilon": self._epsilon,
             "n_dims": self._n_dims,
-            "sketches": [s.snapshot_state() for s in self._sketches],
+            "timestamp": self._timestamp,
+            "since_compress": self._since_compress,
+            "max_bucket_counts": np.array(self._max_bucket_counts,
+                                          dtype=np.int64),
+            "lane_len": np.array([len(lane) for lane in self._lanes],
+                                 dtype=np.int64),
         }
+        for name, dtype in _LANE_FIELDS:
+            state[f"lane_{name}"] = np.array(
+                [x for lane in self._lanes for x in getattr(lane, name)],
+                dtype=dtype)
+        return state
 
     @classmethod
     def restore_state(cls, state: "dict[str, Any]") -> "MultiDimVarianceSketch":
-        """Rebuild a multi-dimension sketch from its per-dimension states."""
-        sketch = cls.__new__(cls)
-        sketch._n_dims = int(state["n_dims"])
-        sketch._sketches = [EHVarianceSketch.restore_state(s)
-                            for s in state["sketches"]]
+        """Rebuild a sketch from a :meth:`snapshot_state` dict."""
+        sketch = cls(int(state["window_size"]), int(state["n_dims"]),
+                     float(state["epsilon"]))
+        columns = [np.asarray(state[f"lane_{name}"]).tolist()
+                   for name, _ in _LANE_FIELDS]
+        bounds = np.cumsum([0, *np.asarray(state["lane_len"]).tolist()])
+        sketch._lanes = [EHLane(*(column[a:b] for column in columns))
+                         for a, b in zip(bounds[:-1].tolist(),
+                                         bounds[1:].tolist())]
+        sketch._timestamp = int(state["timestamp"])
+        sketch._since_compress = int(state["since_compress"])
+        sketch._max_bucket_counts = \
+            np.asarray(state["max_bucket_counts"]).tolist()
         return sketch
 
 

@@ -85,7 +85,8 @@ class TestObserveMany:
         changed_b = []
         for start in (0, 3, 250):
             stop = {0: 3, 3: 250, 250: 400}[start]
-            changed_b.extend(batched.observe_many(data[start:stop]))
+            changed_b.extend(tuple(np.flatnonzero(row)) for row in
+                             batched.observe_many(data[start:stop]))
         assert changed_a == changed_b
         assert scalar.arrivals == batched.arrivals
         np.testing.assert_array_equal(scalar.sample.values(),

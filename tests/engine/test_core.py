@@ -35,6 +35,7 @@ from repro.engine.core import DetectorEngine
 from repro.engine.snapshot import decode_snapshot, encode_snapshot
 from repro.engine.supervisor import SupervisedEngine
 from repro.network.faults import EngineCrash, FaultPlan
+from repro.streams.sampling import ChainSample
 
 #: name -> (spec, n_dims)
 CONFIGS = {
@@ -206,9 +207,10 @@ class TestMDEFTableSnapshot:
 
 
 class TestAcceptanceDrawSplit:
-    """``_observe`` bounds its acceptance-draw scratch by splitting a call
-    into spans of ``BLOCK_CELLS // (streams * |R|)`` ticks.  Splitting is
-    exact: a split engine equals an unsplit one call for call."""
+    """``ChainSample.offer_many`` bounds its acceptance-draw scratch by
+    splitting a call into spans of ``BLOCK_CELLS // (streams * |R|)``
+    ticks.  Splitting is exact: a split engine equals an unsplit one
+    call for call."""
 
     SPAN = 3
 
@@ -220,21 +222,21 @@ class TestAcceptanceDrawSplit:
         whole = _engine(config, n_streams, seed, False, None)
         split = _engine(config, n_streams, seed, False, None)
         offers = []
-        offer = DetectorEngine._offer
+        offer = ChainSample._offer_span
 
-        def counting_offer(engine: DetectorEngine,
-                           block: np.ndarray) -> np.ndarray:
+        def counting_offer(sample: ChainSample, block: np.ndarray,
+                           ts0: int, hits: np.ndarray) -> None:
             offers.append(block.shape[0])
-            return offer(engine, block)
+            offer(sample, block, ts0, hits)
 
         start = 0
         for size in (1, 40, 2, 23, 24):
             chunk = data[start:start + size]
             expected = whole.ingest(chunk)
             with monkeypatch.context() as patch:
-                patch.setattr("repro.engine.core.BLOCK_CELLS",
+                patch.setattr("repro.streams.sampling.BLOCK_CELLS",
                               self.SPAN * n_streams * SAMPLE)
-                patch.setattr(DetectorEngine, "_offer", counting_offer)
+                patch.setattr(ChainSample, "_offer_span", counting_offer)
                 flags = split.ingest(chunk)
             assert np.array_equal(flags, expected), start
             assert split.last_flags == whole.last_flags, start

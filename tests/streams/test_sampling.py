@@ -10,6 +10,12 @@ from repro._exceptions import ParameterError
 from repro.streams.sampling import ChainSample, ReservoirSample
 
 
+def _slots(hits):
+    """A one-stream ``offer_many`` mask as per-arrival slot tuples."""
+    (stream_hits,) = hits
+    return [tuple(np.flatnonzero(row).tolist()) for row in stream_hits]
+
+
 class TestChainSampleBasics:
     def test_fills_after_first_arrival(self, rng):
         sample = ChainSample(100, 16, rng=rng)
@@ -159,7 +165,8 @@ class TestOfferMany:
         batched_changed = []
         start = 0
         for size in splits:
-            batched_changed.extend(batched.offer_many(stream[start:start + size]))
+            batched_changed.extend(
+                _slots(batched.offer_many(stream[start:start + size])))
             start += size
         assert start == len(stream)
         return scalar, batched, scalar_changed, batched_changed
@@ -185,10 +192,10 @@ class TestOfferMany:
         stream = rng.normal(0.5, 0.1, 256).reshape(-1, 1)
         one = ChainSample(30, 6, rng=np.random.default_rng(5))
         many = ChainSample(30, 6, rng=np.random.default_rng(5))
-        changed_one = one.offer_many(stream)
+        changed_one = _slots(one.offer_many(stream))
         changed_many = []
         for start in range(0, 256, 17):
-            changed_many.extend(many.offer_many(stream[start:start + 17]))
+            changed_many.extend(_slots(many.offer_many(stream[start:start + 17])))
         assert changed_one == changed_many
         np.testing.assert_array_equal(one.values(), many.values())
 
@@ -214,7 +221,7 @@ class TestOfferMany:
         sample = ChainSample(20, 4, rng=rng)
         sample.offer([0.5])
         before = sample.values().copy()
-        assert sample.offer_many(np.empty((0, 1))) == []
+        assert _slots(sample.offer_many(np.empty((0, 1)))) == []
         np.testing.assert_array_equal(sample.values(), before)
 
     def test_construction_leaves_rng_untouched(self):

@@ -107,16 +107,17 @@ class TestChainSampleChecks:
 
     def test_corrupted_successor_raises(self, rng):
         sample = self.make_sample(rng)
-        chain = next(c for c in sample._chains if c.items)
-        chain.successor_ts = chain.items[-1][0]   # due in the past
+        slot = int(np.flatnonzero(sample._head_ts[0] >= 0)[0])
+        newest = sample._chain(slot)[-1][0]
+        sample._succ_ts[0, slot] = newest         # due in the past
         with pytest.raises(SanitizeError, match="successor"):
             _sanitize.check_chain_sample(sample)
 
     def test_expired_item_raises(self, rng):
         sample = self.make_sample(rng)
-        chain = next(c for c in sample._chains if c.items)
-        ts, value = chain.items[0]
-        chain.items[0] = (ts - 10_000, value)     # far outside the window
+        slot = int(np.flatnonzero(sample._head_ts[0] >= 0)[0])
+        # Expired a full window ago but still held (-1 would mean empty).
+        sample._head_ts[0, slot] = sample.timestamp - 2 * sample.window_size
         with pytest.raises(SanitizeError, match="window"):
             _sanitize.check_chain_sample(sample)
 
@@ -165,8 +166,9 @@ class TestEHSketchChecks:
 
 
 class TestEngineChecks:
-    """The engine's structure-of-arrays stream state, checked after
-    every ``ingest`` while the sanitizer is live."""
+    """The engine's structure-of-arrays stream state lives in one
+    ``ChainSample`` and one ``MultiDimVarianceSketch``, which check
+    themselves inside every ``ingest`` while the sanitizer is live."""
 
     def make_engine(self, rng, spec=None, n_dims=1):
         spec = spec or DistanceOutlierSpec(radius=0.5, count_threshold=3)
@@ -187,27 +189,28 @@ class TestEngineChecks:
 
     def test_corrupted_lane_raises(self, rng):
         engine = self.make_engine(rng)
-        engine._lanes[1].counts[0] = 0
-        with pytest.raises(SanitizeError, match="stream 1 dim 0"):
-            _sanitize.check_engine(engine)
+        # One lane per (stream, dimension): 1-d stream 1 is lane 1.
+        engine._sketch._lanes[1].counts[0] = 0
+        with pytest.raises(SanitizeError, match=r"dim 1\].*count"):
+            _sanitize.check_variance_sketch(engine._sketch)
 
     def test_corrupted_lane_trips_ingest(self, rng):
         engine = self.make_engine(rng)
-        engine._lanes[2].m2s[-1] = -1.0
+        engine._sketch._lanes[2].m2s[-1] = -1.0
         with _sanitize.enabled(), pytest.raises(SanitizeError, match="m2"):
             engine.ingest(rng.normal(size=(1, 4)))
 
     def test_expired_head_raises(self, rng):
         engine = self.make_engine(rng)
-        engine._head_ts[2, 3] = engine.tick - 40     # window is 30
+        engine._sample._head_ts[2, 3] = engine.tick - 40     # window is 30
         with pytest.raises(SanitizeError, match="stream 2 slot 3.*outside window"):
-            _sanitize.check_engine(engine)
+            _sanitize.check_chain_sample(engine._sample)
 
     def test_late_successor_raises(self, rng):
         engine = self.make_engine(rng)
-        engine._succ_ts[0, 0] = engine.tick + 10_000
+        engine._sample._succ_ts[0, 0] = engine.tick + 10_000
         with pytest.raises(SanitizeError, match="successor"):
-            _sanitize.check_engine(engine)
+            _sanitize.check_chain_sample(engine._sample)
 
 
 class TestCodecChecks:
