@@ -74,15 +74,32 @@ def rng_state(rng: np.random.Generator) -> "dict[str, object]":
 
     Note the *spawn* lineage (the underlying ``SeedSequence``) is not
     part of bit-generator state: a restored generator replays draws
-    exactly but would spawn different children.  All shard-state classes
-    spawn only at construction time, so replay is unaffected.
+    exactly but cannot spawn (``spawn`` raises ``TypeError``).  All
+    shard-state classes spawn only at construction time, so replay is
+    unaffected.
     """
     return dict(rng.bit_generator.state)
 
 
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Seed source for a bit generator whose state is set right after.
+
+    Seeding from a real ``SeedSequence`` (OS entropy, then hashing)
+    costs most of a restore; this one hands out zeros.
+    """
+
+    def generate_state(self, n_words: int,
+                       dtype: "type" = np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
+_UNSEEDED = _Unseeded()
+
+
 def rng_from_state(state: "dict[str, object]") -> np.random.Generator:
     """Rebuild a generator from a :func:`rng_state` snapshot."""
-    bit_generator = getattr(np.random, str(state["bit_generator"]))()
+    bit_generator = getattr(np.random, str(state["bit_generator"]))(
+        _UNSEEDED)
     bit_generator.state = dict(state)
     return np.random.Generator(bit_generator)
 

@@ -9,6 +9,14 @@ sample of the union of their children's windows -- and re-check only the
 escalated candidates (Theorem 3: a parent-level outlier must be an
 outlier at some child), escalating again on confirmation.
 
+Leaves that a simulator feeds epoch by epoch for the whole run share a
+:class:`D3LeafGroup`: one cross-stream
+:class:`~repro.engine.core.DetectorEngine` over their columns, so an
+epoch costs one chain-sample pass, one sketch pass, one model check per
+due tick and one stacked Eq. 5 call for all of them.  A leaf outside
+the group (one with a crash window) keeps its own state and runs the
+per-reading path.
+
 Scaling note: a node's neighbourhood counts are scaled by the number of
 values its conceptual window holds (``|W|`` under the default "fixed"
 semantics, ``l x |W|`` under "union"; see :class:`D3Config`), while its
@@ -24,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from repro import obs
-from repro._exceptions import ParameterError
+from repro._exceptions import ParameterError, SimulationError
 from repro._rng import resolve_rng
 from repro._validation import (
     require_fraction,
@@ -32,17 +40,14 @@ from repro._validation import (
 )
 from repro.core.kernels import EPANECHNIKOV, Kernel
 from repro.core.outliers import DistanceOutlierSpec
-from repro.detectors._state import (
-    ChildStalenessTracker,
-    StreamModelState,
-    model_chunks,
-)
+from repro.detectors._state import ChildStalenessTracker, StreamModelState
+from repro.engine.core import DetectorEngine
 from repro.network.messages import Message, OutlierReport, ValueForward
 from repro.network.node import Detection, DetectionLog, Outgoing
 from repro.network.topology import Hierarchy
 
-__all__ = ["D3Config", "D3LeafNode", "D3ParentNode", "build_d3_network",
-           "expected_parent_arrival_window"]
+__all__ = ["D3Config", "D3LeafGroup", "D3LeafNode", "D3ParentNode",
+           "build_d3_network", "expected_parent_arrival_window"]
 
 
 @dataclass(frozen=True)
@@ -116,123 +121,235 @@ def expected_parent_arrival_window(n_children: int, config: D3Config) -> int:
     return max(2, config.sample_size, expected)
 
 
+class D3LeafGroup:
+    """The D3 leaves of one network that ingest as one engine.
+
+    :func:`build_d3_network` gives all its leaves one group.  A leaf
+    joins it (:meth:`D3LeafNode.join_batch`) when a simulator will feed
+    it through the batch protocol for the whole run; membership is then
+    fixed.  The group's state is one
+    :class:`~repro.engine.core.DetectorEngine` over the members'
+    columns, built on first use from each member's own generator, so
+    every spawn key and draw is the one the leaf's own
+    :class:`~repro.detectors._state.StreamModelState` would make.
+
+    Each member stages its epoch block (:meth:`D3LeafNode.on_readings`);
+    once all have, one :meth:`~repro.engine.core.DetectorEngine.ingest`
+    runs Figure 4's lines 12-19 for every member: chain sample, sketch,
+    change-driven model and the Eq. 5 count.  The group keeps each
+    member's sample forward (one forward-gate draw per arrival that
+    replaced a slot, in arrival order, from the leaf's own gate
+    substream) and its flag (count and the model version consulted)
+    until :meth:`D3LeafNode.on_tick_start` emits them at their tick.
+    """
+
+    def __init__(self, config: D3Config, n_dims: int) -> None:
+        self._config = config
+        self._n_dims = n_dims
+        self._members: "list[D3LeafNode]" = []
+        self._engine: "DetectorEngine | None" = None
+        #: member row -> its staged epoch block, until all have staged.
+        self._staged: "dict[int, np.ndarray]" = {}
+        self._start = 0
+        #: (member row, tick) -> (forwarded value or None,
+        #: (value, count, model_seq) of a flagged reading or None).
+        self._due: "dict[tuple[int, int], tuple]" = {}
+
+    def join(self, leaf: "D3LeafNode") -> int:
+        """Add ``leaf`` to the group; return its row in the engine."""
+        if leaf in self._members:
+            return self._members.index(leaf)
+        if self._engine is not None:
+            raise SimulationError(
+                f"leaf {leaf.node_id} cannot join a group that has "
+                "started ingesting")
+        self._members.append(leaf)
+        return len(self._members) - 1
+
+    @property
+    def engine(self) -> DetectorEngine:
+        """The members' engine (built from their generators on first use)."""
+        if self._engine is None:
+            config = self._config
+            self._engine = DetectorEngine(
+                len(self._members), config.spec,
+                window_size=config.window_size,
+                sample_size=config.sample_size, n_dims=self._n_dims,
+                warmup=config.effective_warmup,
+                model_refresh=config.model_refresh, epsilon=config.epsilon,
+                kernel=config.kernel,
+                rng=[leaf._rng for leaf in self._members])
+        return self._engine
+
+    def stage(self, row: int, values: np.ndarray, start_tick: int) -> None:
+        """Stage member ``row``'s block; ingest once every member has."""
+        block = np.asarray(values, dtype=float).reshape(-1, self._n_dims)
+        if not self._staged:
+            self._start = start_tick
+        elif start_tick != self._start \
+                or block.shape != next(iter(self._staged.values())).shape:
+            raise SimulationError(
+                "group members must stage the same ticks in one epoch")
+        self._staged[row] = block
+        if len(self._staged) == len(self._members):
+            staged, self._staged = self._staged, {}
+            self._ingest(np.stack([staged[r] for r in range(len(staged))],
+                                  axis=1))
+
+    def _ingest(self, block: np.ndarray) -> None:
+        """One engine pass over the ``(n_ticks, members, d)`` block."""
+        engine = self.engine
+        start = self._start
+        engine.ingest(block)
+        due = self._due
+        fraction = self._config.sample_fraction
+        replaced = engine.last_accepted.any(axis=2)
+        for row, leaf in enumerate(self._members):
+            if leaf._parent is None:
+                continue
+            arrivals = np.flatnonzero(replaced[row])
+            if not arrivals.size:
+                continue
+            gates = leaf._forward_rng.random(arrivals.size) < fraction
+            for t in arrivals[gates].tolist():
+                due[(row, start + t)] = (block[t, row].copy(), None)
+        for flag in engine.last_flags:
+            row, tick = flag["stream"], flag["tick"]
+            forward = due.get((row, tick), (None, None))[0]
+            due[(row, tick)] = (forward, (block[tick - start, row].copy(),
+                                          flag["score"], flag["model_seq"]))
+
+    def take(self, row: int, tick: int) -> "tuple | None":
+        """Member ``row``'s staged (forward, flag) for ``tick``, if any."""
+        return self._due.pop((row, tick), None)
+
+
 class D3LeafNode:
-    """LeafProcess of Figure 4 (lines 11-20)."""
+    """LeafProcess of Figure 4 (lines 11-20).
+
+    A leaf that joined its :class:`D3LeafGroup` ingests through the
+    group's engine (:meth:`on_readings` / :meth:`on_tick_start`); any
+    other leaf keeps its own :class:`StreamModelState` and handles one
+    reading at a time (:meth:`on_reading`).  Both paths make the same
+    draws and decisions.
+    """
 
     def __init__(self, node_id: int, parent: "int | None", level: int,
                  config: D3Config, n_dims: int, log: DetectionLog,
-                 rng: np.random.Generator) -> None:
+                 rng: np.random.Generator,
+                 group: "D3LeafGroup | None" = None) -> None:
         self.node_id = node_id
         self._parent = parent
         self._level = level
         self._config = config
+        self._n_dims = n_dims
         self._log = log
         self._rng = rng
-        # Forward gates draw from a dedicated substream so the batched
-        # and per-tick ingestion paths consume it in the same order
-        # (spawned, so the node's own generator is not advanced).
+        # Forward gates draw from a dedicated substream so the group and
+        # the per-reading path consume it in the same order (spawned, so
+        # the node's own generator is not advanced).
         try:
             self._forward_rng = rng.spawn(1)[0]
         except (AttributeError, TypeError):
             self._forward_rng = np.random.default_rng(
                 int(rng.integers(2**63)))
-        self._state = StreamModelState(
-            config.window_size, config.sample_size, n_dims,
-            epsilon=config.epsilon, model_refresh=config.model_refresh,
-            kernel=config.kernel, rng=rng)
-        #: Detections computed by a batched epoch, awaiting their tick:
-        #: tick -> (value, neighbourhood count, model_seq consulted).
-        self._pending: "dict[int, tuple[np.ndarray, float, int]]" = {}
+        self._group = group if group is not None \
+            else D3LeafGroup(config, n_dims)
+        #: Row in the group's engine once joined.
+        self._row: "int | None" = None
+        #: The per-reading path's own state, built on its first reading
+        #: (so the generator is spawned from once, by one of the paths).
+        self._state: "StreamModelState | None" = None
         #: Ticks of readings this leaf flagged (inspection/testing aid).
         self.flagged_ticks: "list[int]" = []
 
     @property
-    def state(self) -> StreamModelState:
-        """The node's estimator state (for memory accounting)."""
+    def state(self) -> "StreamModelState | None":
+        """The node's estimator state (for memory accounting).
+
+        A group member's is copied out of the group's engine
+        (:meth:`~repro.engine.core.DetectorEngine.stream_state`); a
+        leaf that has not read on either path has none yet.
+        """
+        if self._row is not None:
+            return self._group.engine.stream_state(self._row)
         return self._state
+
+    def _new_state(self, rng: np.random.Generator) -> StreamModelState:
+        config = self._config
+        return StreamModelState(
+            config.window_size, config.sample_size, self._n_dims,
+            epsilon=config.epsilon, model_refresh=config.model_refresh,
+            kernel=config.kernel, rng=rng)
+
+    def join_batch(self) -> None:
+        """Ingest through the leaf's group for the rest of the run."""
+        if self._state is not None:
+            raise SimulationError(
+                f"leaf {self.node_id} already keeps its own state")
+        self._row = self._group.join(self)
 
     def on_reading(self, value: np.ndarray, tick: int) -> "list[Outgoing]":
         """Process one sensor reading (Figure 4, lines 12-19)."""
+        if self._row is not None:
+            raise SimulationError(
+                f"leaf {self.node_id} ingests through its group")
+        if self._state is None:
+            self._state = self._new_state(self._rng)
+        state = self._state
         out: "list[Outgoing]" = []
-        changed = self._state.observe(value)
+        changed = state.observe(value)
         # The window fills over the first |W| ticks.
-        self._state.count_window_size = min(tick + 1, self._config.window_size)
+        state.count_window_size = min(tick + 1, self._config.window_size)
         if changed and self._parent is not None \
                 and self._forward_rng.random() < self._config.sample_fraction:
             out.append((self._parent, ValueForward(value=np.array(value, dtype=float))))
         if tick >= self._config.effective_warmup:
-            model = self._state.model()
+            model = state.model()
             if model is not None:
-                count = float(np.asarray(
-                    model.neighborhood_count(value, self._config.spec.radius)).reshape(()))
+                # The batch kernel on a one-row box, as the group scores
+                # its members: the same count bit for bit.
+                point = np.asarray(value, dtype=float).reshape(1, -1)
+                radius = self._config.spec.radius
+                count = float(model._range_probability_batch(
+                    point - radius, point + radius)[0] * model.window_size)
                 if count < self._config.spec.count_threshold:
-                    self._log.record(
-                        Detection(
-                            tick=tick, node_id=self.node_id,
-                            level=self._level, origin=self.node_id,
-                            value=np.array(value, dtype=float)),
-                        prob=count,
-                        threshold=float(self._config.spec.count_threshold),
-                        model_seq=self._state.model_seq)
-                    self.flagged_ticks.append(tick)
-                    if self._parent is not None:
-                        out.append((self._parent, OutlierReport(
-                            value=np.array(value, dtype=float),
-                            origin=self.node_id, flagged_level=self._level,
-                            tick=tick)))
+                    out.extend(self._flag(tick, np.array(value, dtype=float),
+                                          count, state.model_seq))
         return out
 
     def on_readings(self, values: np.ndarray,
                     start_tick: int) -> "list[list[Outgoing]]":
-        """Ingest an epoch of readings at once; return outgoing per tick.
+        """Stage an epoch of readings into the leaf's group.
 
-        Produces the same chain sample, forwards and detections as
-        calling :meth:`on_reading` for each tick in order (ingestion and
-        detection are vectorised; see
-        :meth:`repro.detectors._state.StreamModelState.observe_many`).
-        Detections are staged in ``_pending`` and emitted -- logged, in
-        tick order -- by :meth:`on_tick_start`.
+        Row ``i`` of ``values`` is the reading at ``start_tick + i``.
+        The group ingests once all its members have staged; the
+        resulting forwards and flags come out of :meth:`on_tick_start`
+        at their ticks, so the per-tick lists returned here are empty.
         """
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals.reshape(-1, 1)
-        n = vals.shape[0]
-        per_tick: "list[list[Outgoing]]" = [[] for _ in range(n)]
-        window = self._config.window_size
-        for i, j, due in model_chunks(n, start_tick,
-                                      self._config.effective_warmup,
-                                      self._state.arrivals_until_check):
-            changed = self._state.observe_many(vals[i:j])
-            self._queue_forwards(changed, vals, per_tick, i)
-            self._state.count_window_size = min(start_tick + j, window)
-            if due is None:
-                continue
-            cached = self._state.cached_model
-            cached_seq = self._state.model_seq
-            if not due:
-                if cached is not None:
-                    self._flag_batch(cached, vals, start_tick, i, j - i,
-                                     cached_seq)
-                continue
-            model = self._state.model()
-            if model is cached and model is not None:
-                self._flag_batch(model, vals, start_tick, i, j - i,
-                                 cached_seq)
-                continue
-            if j - i > 1 and cached is not None:
-                self._flag_batch(cached, vals, start_tick, i, j - i - 1,
-                                 cached_seq)
-            if model is not None:
-                self._flag_batch(model, vals, start_tick, j - 1, 1,
-                                 self._state.model_seq)
-        return per_tick
+        if self._row is None:
+            raise SimulationError(
+                f"leaf {self.node_id} has not joined its group")
+        self._group.stage(self._row, values, start_tick)
+        return [[] for _ in range(len(values))]
 
     def on_tick_start(self, tick: int) -> "list[Outgoing]":
-        """Emit (and log) any detection staged for ``tick`` by a batch."""
-        staged = self._pending.pop(tick, None)
+        """Emit the forward and the flag (logged) the group staged for
+        ``tick``, in that order, as :meth:`on_reading` would."""
+        staged = self._group.take(self._row, tick)
         if staged is None:
             return []
-        value, count, model_seq = staged
+        forward, flag = staged
+        out: "list[Outgoing]" = []
+        if forward is not None:
+            out.append((self._parent, ValueForward(value=forward)))
+        if flag is not None:
+            out.extend(self._flag(tick, *flag))
+        return out
+
+    def _flag(self, tick: int, value: np.ndarray, count: float,
+              model_seq: int) -> "list[Outgoing]":
+        """Log a flagged reading and escalate it (Figure 4, line 18)."""
         self._log.record(
             Detection(tick=tick, node_id=self.node_id, level=self._level,
                       origin=self.node_id, value=value),
@@ -240,36 +357,11 @@ class D3LeafNode:
             threshold=float(self._config.spec.count_threshold),
             model_seq=model_seq)
         self.flagged_ticks.append(tick)
-        if self._parent is not None:
-            return [(self._parent, OutlierReport(
-                value=np.array(value, dtype=float), origin=self.node_id,
-                flagged_level=self._level, tick=tick))]
-        return []
-
-    def _queue_forwards(self, changed: np.ndarray,
-                        vals: np.ndarray, per_tick: "list[list[Outgoing]]",
-                        offset: int) -> None:
-        """Stage sample forwards for each arrival that replaced a slot."""
         if self._parent is None:
-            return
-        fraction = self._config.sample_fraction
-        for j, replaced in enumerate(changed.any(axis=1).tolist()):
-            if replaced and self._forward_rng.random() < fraction:
-                per_tick[offset + j].append((self._parent, ValueForward(
-                    value=vals[offset + j].copy())))
-
-    def _flag_batch(self, model, vals: np.ndarray, start_tick: int,
-                    offset: int, count: int, model_seq: int) -> None:
-        """Run the distance test on a chunk sharing one model."""
-        points = vals[offset:offset + count]
-        radius = self._config.spec.radius
-        counts = model._range_probability_batch(
-            points - radius, points + radius) * model.window_size
-        threshold = self._config.spec.count_threshold
-        for j in range(count):
-            if counts[j] < threshold:
-                self._pending[start_tick + offset + j] = (
-                    points[j].copy(), float(counts[j]), model_seq)
+            return []
+        return [(self._parent, OutlierReport(
+            value=np.array(value, dtype=float), origin=self.node_id,
+            flagged_level=self._level, tick=tick))]
 
     def on_message(self, message: Message, sender: int,
                    tick: int) -> "list[Outgoing]":
@@ -381,9 +473,11 @@ def build_d3_network(hierarchy: Hierarchy, config: D3Config, n_dims: int, *,
     """Instantiate D3 behaviours for every node of ``hierarchy``.
 
     Per-node RNGs are derived from ``rng`` so runs are reproducible.
+    The leaves share one :class:`D3LeafGroup`.
     """
     root = resolve_rng(rng)
     log = DetectionLog(n_levels=len(hierarchy.levels))
+    group = D3LeafGroup(config, n_dims)
     nodes: "dict[int, D3LeafNode | D3ParentNode]" = {}
     for level_idx, tier in enumerate(hierarchy.levels):
         for node_id in tier:
@@ -391,7 +485,8 @@ def build_d3_network(hierarchy: Hierarchy, config: D3Config, n_dims: int, *,
             parent = hierarchy.parent_of(node_id)
             if level_idx == 0:
                 nodes[node_id] = D3LeafNode(
-                    node_id, parent, level_idx + 1, config, n_dims, log, child_rng)
+                    node_id, parent, level_idx + 1, config, n_dims, log,
+                    child_rng, group)
             else:
                 children = hierarchy.children_of(node_id)
                 nodes[node_id] = D3ParentNode(

@@ -14,8 +14,8 @@ consecutive ticks across every stream.  ``ingest`` returns a boolean
 :class:`~repro.detectors.single.OnlineOutlierDetector`, built from the
 same generator, would flag the reading (warm-up readings are
 ``False``).  Per-stream randomness comes from spawned substreams of one
-injected generator (or explicit per-stream seeds), so an engine is fully
-determined by its construction arguments.
+injected generator (or from per-stream generators or seeds), so an
+engine is fully determined by its construction arguments.
 
 State is kept as structure-of-arrays over all streams.  One
 :class:`~repro.streams.sampling.ChainSample` holds every stream's
@@ -37,6 +37,15 @@ one stacked Eq. 5 kernel call for every reading's neighbourhood count
 whose sampling cells each stream's detector then takes from its table).
 Every generator draw and every floating-point operation is the
 per-stream detector's, so detections are bit-identical.
+
+Beside the detection matrix, each call leaves the per-arrival
+acceptance mask (:attr:`DetectorEngine.last_accepted`) and, for each
+flag, the score and the model version it was decided with
+(:attr:`DetectorEngine.last_flags`); :meth:`DetectorEngine.stream_state`
+copies one stream out as the one-stream
+:class:`~repro.detectors._state.StreamModelState` its own detector would
+hold.  A D3 network's leaves run on one engine this way
+(:class:`~repro.detectors.d3.D3LeafGroup`).
 """
 
 from __future__ import annotations
@@ -51,11 +60,12 @@ from repro._exceptions import ParameterError
 from repro._rng import resolve_rng
 from repro._validation import require_fraction, require_positive_int
 from repro.core.estimator import KernelDensityEstimator, range_probabilities
-from repro.core.kernels import EPANECHNIKOV
+from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
 from repro.core.mdef import MDEFOutlierDetector, MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
 from repro.detectors._state import (
     DEFAULT_BANDWIDTH_TOL,
+    StreamModelState,
     arrivals_until_due,
     default_min_arrivals,
     model_bandwidths,
@@ -88,13 +98,15 @@ class DetectorEngine:
         (:class:`~repro.core.outliers.DistanceOutlierSpec` for the D3
         test, :class:`~repro.core.mdef.MDEFSpec` for MGDD).
     window_size / sample_size / n_dims / warmup / model_refresh /
-    epsilon / bandwidth_basis:
+    epsilon / kernel / bandwidth_basis:
         As for :class:`~repro.detectors.single.OnlineOutlierDetector`;
         every stream behaves like one such detector.
     rng:
-        Source of randomness; per-stream substreams are spawned from it
-        at construction, so the engine consumes nothing from the
-        caller's generator afterwards.
+        Source of randomness: one generator, from which per-stream
+        substreams are spawned at construction (so the engine consumes
+        nothing from the caller's generator afterwards), or one
+        generator per stream, which stream ``i`` then uses as its own
+        detector would.
     stream_seeds:
         Explicit per-stream seeds (one per stream) overriding ``rng``.
         This is the *partition invariance* hook the fleet pilot relies
@@ -109,8 +121,9 @@ class DetectorEngine:
                  spec: "DistanceOutlierSpec | MDEFSpec", *,
                  window_size: int, sample_size: int, n_dims: int = 1,
                  warmup: int | None = None, model_refresh: int = 32,
-                 epsilon: float = 0.2, bandwidth_basis: str = "window",
-                 rng: np.random.Generator | None = None,
+                 epsilon: float = 0.2, kernel: Kernel = EPANECHNIKOV,
+                 bandwidth_basis: str = "window",
+                 rng: "np.random.Generator | Sequence[np.random.Generator] | None" = None,
                  stream_seeds: "Sequence[int] | None" = None) -> None:
         for name, value in (("n_streams", n_streams),
                             ("window_size", window_size),
@@ -138,6 +151,12 @@ class DetectorEngine:
                     f"({n_streams}), got {len(stream_seeds)}")
             rngs: "Sequence[np.random.Generator]" = [
                 resolve_rng(None, int(seed)) for seed in stream_seeds]
+        elif rng is not None and not isinstance(rng, np.random.Generator):
+            rngs = list(rng)
+            if len(rngs) != n_streams:
+                raise ParameterError(
+                    f"rng must hold one generator per stream "
+                    f"({n_streams}), got {len(rngs)}")
         else:
             root = resolve_rng(rng)
             try:
@@ -147,7 +166,7 @@ class DetectorEngine:
                 rngs = [resolve_rng(None, int(seed)) for seed in seeds]
         self._configure(n_streams, spec, window_size, sample_size, n_dims,
                         window_size if warmup is None else warmup,
-                        model_refresh, epsilon, bandwidth_basis)
+                        model_refresh, epsilon, kernel, bandwidth_basis)
         shape = (n_streams, sample_size)
         self._sample = ChainSample(window_size, sample_size, n_dims,
                                    rng=rngs)
@@ -163,11 +182,12 @@ class DetectorEngine:
         self._models: "list[MDEFOutlierDetector | None]" = \
             [None] * n_streams
         self._last_flags: "list[dict[str, Any]]" = []
+        self._accepted: "list[np.ndarray]" = []
 
     def _configure(self, n_streams: int,
                    spec: "DistanceOutlierSpec | MDEFSpec", window_size: int,
                    sample_size: int, n_dims: int, warmup: int,
-                   model_refresh: int, epsilon: float,
+                   model_refresh: int, epsilon: float, kernel: Kernel,
                    bandwidth_basis: str) -> None:
         """Set the configuration fields shared by all streams."""
         self._n_streams = n_streams
@@ -183,7 +203,7 @@ class DetectorEngine:
         # StreamModelState's defaults, which OnlineOutlierDetector keeps.
         self._min_arrivals = default_min_arrivals(sample_size)
         self._tol = DEFAULT_BANDWIDTH_TOL
-        self._kernel = EPANECHNIKOV
+        self._kernel = kernel
 
     # ------------------------------------------------------------------
 
@@ -203,14 +223,32 @@ class DetectorEngine:
 
         One dict per flagged reading -- ``stream`` (engine-local index),
         ``tick``, ``score``, ``threshold`` and ``model_seq`` (the
-        stream's model version at the end of the call) -- ordered by
-        ``(tick, stream)``.  Maintained unconditionally (pure
+        version of the stream's model the reading was scored with, as
+        the stream's own detector reports it at that reading) --
+        ordered by ``(tick, stream)``.  Maintained unconditionally (pure
         bookkeeping over decisions already computed, no RNG or
         control-flow impact), so telemetry emitters can consume it
         without perturbing the detection path: traced and untraced runs
         stay bit-identical.
         """
         return list(self._last_flags)
+
+    @property
+    def last_accepted(self) -> np.ndarray:
+        """The acceptance mask of the most recent :meth:`ingest` call.
+
+        Shape ``(n_streams, m, |R|)``: row ``t`` of stream ``s`` marks
+        the sample slots whose active element the call's arrival ``t``
+        replaced, as :meth:`ChainSample.offer_many
+        <repro.streams.sampling.ChainSample.offer_many>` reports it (an
+        arrival that replaced any slot is what a D3 leaf may forward).
+        """
+        if len(self._accepted) == 1:
+            return self._accepted[0]
+        if not self._accepted:
+            return np.zeros((self._n_streams, 0, self._sample_size),
+                            dtype=bool)
+        return np.concatenate(self._accepted, axis=1)
 
     # ------------------------------------------------------------------
 
@@ -252,12 +290,14 @@ class DetectorEngine:
         detections = np.zeros((m, self._n_streams), dtype=bool)
         scores = np.zeros((m, self._n_streams))
         thresholds = np.zeros((m, self._n_streams))
-        out = (detections, scores, thresholds)
+        seqs = np.zeros((m, self._n_streams), dtype=np.int64)
+        out = (detections, scores, thresholds, seqs)
         self._last_flags = []
+        self._accepted = []
         for i, j, due in model_chunks(m, self.tick, self._warmup,
                                       self._arrivals_until_due):
             block = arr[i:j]
-            self._sample.offer_many(block)
+            self._accepted.append(self._sample.offer_many(block))
             self._sketch.insert_many(block.reshape(j - i, -1))
             if due is None:
                 continue
@@ -279,7 +319,7 @@ class DetectorEngine:
                 rows.tolist(), streams.tolist(),
                 scores[rows, streams].tolist(),
                 thresholds[rows, streams].tolist(),
-                self._model_seq[streams].tolist())]
+                seqs[rows, streams].tolist())]
         return detections
 
     # ------------------------------------------------------------------
@@ -344,22 +384,27 @@ class DetectorEngine:
                 obs.emit("estimator.rebuild",
                          sample_size=self._sample_size, dur_s=share)
 
+    def _model(self, stream: int) -> KernelDensityEstimator:
+        """Stream ``stream``'s cached model as an estimator object."""
+        return KernelDensityEstimator(
+            self._centers[stream].copy(), stddev=self._built_std[stream],
+            bandwidths=self._bandwidths[stream].copy(), kernel=self._kernel,
+            window_size=int(self._built_window[stream]))
+
     def _mdef_detector(self, stream: int) -> MDEFOutlierDetector:
         """An MDEF detector over stream ``stream``'s cached model.
 
         It lives as long as the model, so its cell-population table
         fills once per model; snapshots leave the table out.
         """
-        model = KernelDensityEstimator(
-            self._centers[stream].copy(), stddev=self._built_std[stream],
-            bandwidths=self._bandwidths[stream].copy(), kernel=self._kernel,
-            window_size=int(self._built_window[stream]))
-        return MDEFOutlierDetector(model, self._spec)
+        return MDEFOutlierDetector(self._model(stream), self._spec)
 
     def _decide(self, arr: np.ndarray, lo: int, hi: int,
-                out: "tuple[np.ndarray, np.ndarray, np.ndarray]") -> None:
+                out: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
+                ) -> None:
         """Score rows ``lo:hi`` of every stream against its cached model."""
-        detections, scores, thresholds = out
+        detections, scores, thresholds, seqs = out
+        seqs[lo:hi] = self._model_seq
         spec = self._spec
         distance = isinstance(spec, DistanceOutlierSpec)
         r = spec.radius if distance else spec.counting_radius
@@ -385,6 +430,52 @@ class DetectorEngine:
                         spec.k_sigma * decision.sigma_mdef
 
     # ------------------------------------------------------------------
+    # One stream's state
+    # ------------------------------------------------------------------
+
+    def stream_state(self, stream: int) -> StreamModelState:
+        """Stream ``stream`` as a detached one-stream state.
+
+        The :class:`~repro.detectors._state.StreamModelState` that the
+        stream's own detector (an
+        :class:`~repro.detectors.single.OnlineOutlierDetector` or a D3
+        leaf built from the same generator) would hold after the same
+        readings -- chain sample, sketch lanes, cached model and
+        refresh bookkeeping -- so it encodes to the same snapshot
+        bytes.  Its count window is the one the next model check would
+        use, ``min(arrivals, |W|)`` (``|W|`` before any arrival).  It
+        is a copy: feeding it leaves the engine unchanged.
+        """
+        if not 0 <= stream < self._n_streams:
+            raise ParameterError(
+                f"stream must lie in [0, {self._n_streams}), got {stream}")
+        d = self._n_dims
+        built = self._last_check >= 0
+        tick = self.tick
+        return StreamModelState.restore_state({
+            "bandwidth_basis": self._basis,
+            "sample": self._sample.snapshot_state(stream),
+            "sketch": self._sketch.snapshot_state(
+                slice(stream * d, (stream + 1) * d)),
+            "kernel": self._kernel.name,
+            "bandwidth_cap": self._cap,
+            "model_refresh": self._refresh,
+            "bandwidth_tol": self._tol,
+            "min_arrivals": self._min_arrivals,
+            "arrivals": tick,
+            "last_check": self._last_check,
+            "cached": self._model(stream).snapshot_state() if built
+            else None,
+            "built_std": self._built_std[stream] if built else None,
+            "built_window_size": int(self._built_window[stream])
+            if built else -1,
+            "built_mutations": int(self._built_mutations[stream])
+            if built else -1,
+            "model_seq": int(self._model_seq[stream]),
+            "count_window_size": min(tick, self._window) or self._window,
+        })
+
+    # ------------------------------------------------------------------
     # Snapshot protocol (repro.engine.snapshot)
     # ------------------------------------------------------------------
 
@@ -407,6 +498,7 @@ class DetectorEngine:
             "warmup": self._warmup,
             "model_refresh": self._refresh,
             "epsilon": self._epsilon,
+            "kernel": self._kernel.name,
             "bandwidth_basis": self._basis,
             "sample": self._sample.snapshot_state(),
             "sketch": self._sketch.snapshot_state(),
@@ -426,6 +518,7 @@ class DetectorEngine:
             int(state["window_size"]), int(state["sample_size"]),
             int(state["n_dims"]), int(state["warmup"]),
             int(state["model_refresh"]), float(state["epsilon"]),
+            kernel_by_name(str(state["kernel"])),
             str(state["bandwidth_basis"]))
         engine._sample = ChainSample.restore_state(state["sample"])
         engine._sketch = MultiDimVarianceSketch.restore_state(state["sketch"])
@@ -439,4 +532,5 @@ class DetectorEngine:
             engine._models = [engine._mdef_detector(s)
                               for s in range(n_streams)]
         engine._last_flags = []
+        engine._accepted = []
         return engine

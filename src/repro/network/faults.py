@@ -198,11 +198,7 @@ class FaultPlan:
         return False
 
     def crash_overlaps(self, node: int, start: int, end: int) -> bool:
-        """Whether ``node`` is down at any tick of ``[start, end)``.
-
-        The batched simulation path uses this to route leaves with a
-        crash inside the epoch through the per-tick fallback.
-        """
+        """Whether ``node`` is down at any tick of ``[start, end)``."""
         return any(w.overlaps(start, end)
                    for w in self._windows.get(node, ()))
 

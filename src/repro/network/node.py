@@ -26,22 +26,38 @@ class SimNode(Protocol):
     """What the simulator requires of every node implementation.
 
     Leaves may additionally implement the optional *batch* protocol used
-    by :meth:`~repro.network.simulator.NetworkSimulator.run_batched`:
+    by :meth:`~repro.network.simulator.NetworkSimulator.step_epoch` (and
+    hence by ``run_batched``):
 
     ``on_readings(values, start_tick) -> list[list[Outgoing]]``
-        Ingest a whole epoch of readings (shape ``(n, d)``, tick
-        ``start_tick + i`` for row ``i``) at once through the vectorised
-        fast path, returning the outgoing messages *per tick*.  Must
-        produce the same messages as ``n`` successive ``on_reading``
-        calls (same RNG consumption included).
+        Take a whole epoch of readings (shape ``(n, d)``, tick
+        ``start_tick + i`` for row ``i``) at once, returning the
+        messages already due *per tick*.  Leaves are handed their blocks
+        in leaf order before the epoch's first tick, so leaves that
+        share state may stage their blocks and ingest them together
+        once the last one has (a D3 network's leaves do: see
+        :class:`~repro.detectors.d3.D3LeafGroup`).
 
     ``on_tick_start(tick) -> list[Outgoing]``
         Called once per tick, in leaf order, before that tick's messages
-        drain.  Emits work the batch staged for this tick -- detections
-        whose logging must stay in tick order, or checks that depend on
-        state that inbound messages update mid-epoch.
+        drain.  Emits work the batch staged for this tick -- forwards
+        and detections whose logging must stay in tick order, or checks
+        that depend on state that inbound messages update mid-epoch.
 
-    Nodes lacking these methods fall back to per-tick ``on_reading``.
+    ``join_batch() -> None`` (optional)
+        Called once, when the simulator is built, on each leaf it will
+        feed through the two methods above for the whole run; leaves
+        that share state use it to fix their membership.  A leaf that
+        joins has no per-reading path left, so ``step`` (and ``run``)
+        feed it one-tick blocks too; other leaves read through
+        ``on_reading`` under ``step``.
+
+    Per tick, a leaf's ``on_readings`` row followed by its
+    ``on_tick_start`` output must be the messages ``on_reading`` would
+    return for that reading (same RNG consumption included).  Leaves
+    lacking the protocol -- and every leaf with a crash window in the
+    run's fault plan, for the whole run -- read through ``on_reading``
+    tick by tick.
     """
 
     node_id: int

@@ -168,6 +168,25 @@ class NetworkSimulator:
         self._messages_lost = 0
         self._messages_duplicated = 0
         self._drops_by_reason: "dict[str, int]" = {}
+        # Leaves fed through the batch protocol, fixed for the run: a
+        # leaf with any crash window reads tick by tick throughout, so
+        # its blackout matches the per-reading schedule exactly.  Those
+        # that join a group (a D3 network's leaves) have no per-reading
+        # path left, so even a one-tick step feeds them a block.
+        crashed = set(faults.crashed_node_ids) if faults is not None \
+            else set()
+        self._batched: "set[int]" = set()
+        self._grouped: "set[int]" = set()
+        for leaf in hierarchy.leaf_ids:
+            node = self._nodes[leaf]
+            if leaf in crashed or not (hasattr(node, "on_readings")
+                                       and hasattr(node, "on_tick_start")):
+                continue
+            self._batched.add(leaf)
+            join = getattr(node, "join_batch", None)
+            if join is not None:
+                join()
+                self._grouped.add(leaf)
 
     # ------------------------------------------------------------------
 
@@ -233,31 +252,15 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one tick: every live leaf reads once; messages drain."""
+        """Advance one tick: every live leaf reads once; messages drain.
+
+        Group members (a D3 network's leaves) get a one-tick block, as
+        in :meth:`step_epoch`; every other leaf reads through
+        ``on_reading``.
+        """
         if self._tick >= self._streams.length:
             raise SimulationError("streams exhausted; cannot step further")
-        if obs.ACTIVE:
-            with obs.span("tick", tick=self._tick):
-                self._step_body()
-        else:
-            self._step_body()
-        self._tick += 1
-
-    def _step_body(self) -> None:
-        self._begin_tick()
-        queue: "deque[_Envelope]" = deque()
-        self._enqueue_due_retransmits(queue)
-
-        for i, leaf in enumerate(self._hierarchy.leaf_ids):
-            if self._node_down(leaf, self._tick):
-                continue   # a crashed sensor takes no reading
-            reading = self._streams.reading(i, self._tick)
-            if obs.ACTIVE:
-                obs.emit("lineage.ingest", node=leaf, tick=self._tick)
-            for dest, message in self._nodes[leaf].on_reading(reading, self._tick):
-                self._enqueue(queue, leaf, dest, message)
-
-        self._drain(queue)
+        self._advance(1, self._grouped)
 
     # -- queue plumbing ------------------------------------------------
 
@@ -455,16 +458,18 @@ class NetworkSimulator:
     def step_epoch(self, n_ticks: int) -> None:
         """Advance ``n_ticks`` ticks, feeding each leaf its block at once.
 
-        Leaves that implement the batch protocol (``on_readings`` /
+        Leaves on the batch protocol (``on_readings`` /
         ``on_tick_start``, see :class:`~repro.network.node.SimNode`)
-        ingest their whole block through the vectorised fast path up
-        front; their staged per-tick messages then drain tick by tick in
-        the usual order.  Leaves without it fall back to per-tick
-        ``on_reading``.  Either way the message sequence -- and hence
-        every parent's state, the counters and the detection log --
-        matches ``n_ticks`` calls to :meth:`step`.  A leaf with a crash
-        window inside the epoch is routed through the per-tick fallback
-        so its blackout matches the stepped path exactly.
+        get their whole block up front, in leaf order -- a D3 network's
+        leaves stage it into their group, which ingests all of them in
+        one engine pass once the last has -- and their staged per-tick
+        messages then drain tick by tick in leaf order.  The others --
+        leaves without the protocol, and every leaf with a crash window
+        in the :class:`~repro.network.faults.FaultPlan`, for the whole
+        run -- read tick by tick through ``on_reading`` and skip the
+        ticks they are down.  The message sequence, and hence every
+        parent's state, the counters and the detection log, does not
+        depend on how a run is cut into epochs.
         """
         if n_ticks < 1:
             raise SimulationError(f"n_ticks must be >= 1, got {n_ticks}")
@@ -472,17 +477,17 @@ class NetworkSimulator:
             raise SimulationError(
                 f"cannot step {n_ticks} ticks; only "
                 f"{self._streams.length - self._tick} readings left")
+        self._advance(n_ticks, self._batched)
+
+    def _advance(self, n_ticks: int, fed: "set[int]") -> None:
+        """Advance ``n_ticks`` ticks, feeding the ``fed`` leaves blocks."""
         start = self._tick
         leaf_ids = self._hierarchy.leaf_ids
         batched: "dict[int, list[list]]" = {}
         for i, leaf in enumerate(leaf_ids):
-            node = self._nodes[leaf]
-            if not (hasattr(node, "on_readings")
-                    and hasattr(node, "on_tick_start")):
+            if leaf not in fed:
                 continue
-            if self._faults is not None and self._faults.crash_overlaps(
-                    leaf, start, start + n_ticks):
-                continue   # blackout inside the epoch: per-tick fallback
+            node = self._nodes[leaf]
             if obs.ACTIVE:
                 # finally: ingestion that raises still charges its phase.
                 t0 = time.perf_counter()

@@ -218,9 +218,11 @@ class _NodeProbeState:
 
     arrivals: int = 0
     evictions: int = 0
-    #: The last model whose probe vector was taken (identity compared,
-    #: so an unchanged cache is never re-probed).
-    model: "KernelDensityEstimator | None" = None
+    #: Version (``model_seq``) of the last model whose probe vector was
+    #: taken, so an unchanged cache is never re-probed -- also when the
+    #: node's state is a copy (a D3 group member's) holding a new
+    #: object for the same model.
+    model_seq: int = -1
     vector: "np.ndarray | None" = None
     drift_l1: "float | None" = None
     drift_linf: "float | None" = None
@@ -336,11 +338,15 @@ class HealthMonitor:
         """One health sweep over every monitored node at ``tick``."""
         latency_max = self._drain_latencies()
         reports: "dict[int, ModelHealth]" = {}
+        # Each node's state is read once per sweep: a D3 group member's
+        # is a copy rebuilt from its group's engine on every read.
+        states = {node_id: getattr(node, "state", None)
+                  for node_id, node in self._nodes.items()}
         for node_id in sorted(self._nodes):
-            state = getattr(self._nodes[node_id], "state", None)
+            state = states[node_id]
             if state is None:
                 continue
-            report = self._check_node(node_id, state, tick,
+            report = self._check_node(node_id, state, states, tick,
                                       flag_latency=latency_max.get(node_id))
             reports[node_id] = report
             if report.violations and self._on_violation is not None:
@@ -366,7 +372,8 @@ class HealthMonitor:
                 worst[node] = latency
         return worst
 
-    def _check_node(self, node_id: int, state: object, tick: int, *,
+    def _check_node(self, node_id: int, state: object,
+                    states: "dict[int, object]", tick: int, *,
                     flag_latency: "int | None" = None) -> ModelHealth:
         thresholds = self._thresholds
         probe = self._state.setdefault(node_id, _NodeProbeState())
@@ -395,7 +402,8 @@ class HealthMonitor:
         model = state.cached_model                  # type: ignore[attr-defined]
         codec_error: "float | None" = None
         if model is not None:
-            if model is not probe.model:
+            model_seq = int(state.model_seq)        # type: ignore[attr-defined]
+            if model_seq != probe.model_seq:
                 vector = self.probe_vector(model)
                 if probe.vector is not None:
                     delta = np.abs(vector - probe.vector)
@@ -405,7 +413,7 @@ class HealthMonitor:
                             or probe.drift_linf > probe.peak_drift:
                         probe.peak_drift = probe.drift_linf
                     probe.drift_fresh = True
-                probe.model = model
+                probe.model_seq = model_seq
                 probe.vector = vector
             else:
                 probe.drift_fresh = False
@@ -415,7 +423,7 @@ class HealthMonitor:
             probe.drift_fresh = False
 
         child_divergence, stale_children = self._parent_signals(
-            node_id, model, tick)
+            node_id, model, states, tick)
 
         violations: "list[str]" = []
         if collapsed:
@@ -481,6 +489,7 @@ class HealthMonitor:
 
     def _parent_signals(self, node_id: int,
                         model: "KernelDensityEstimator | None",
+                        states: "dict[int, object]",
                         tick: int) -> "tuple[float | None, list[int]]":
         """Child-model divergence and stale children for a parent node."""
         stale_children: "list[int]" = []
@@ -496,7 +505,7 @@ class HealthMonitor:
         children = self._hierarchy.children_of(node_id)
         child_models = []
         for child in children:
-            child_state = getattr(self._nodes.get(child), "state", None)
+            child_state = states.get(child)
             child_model = getattr(child_state, "cached_model", None)
             if child_model is not None:
                 child_models.append(child_model)

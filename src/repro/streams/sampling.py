@@ -596,7 +596,7 @@ class ChainSample:
     # Snapshot protocol (repro.engine.snapshot)
     # ------------------------------------------------------------------
 
-    def snapshot_state(self) -> "dict[str, Any]":
+    def snapshot_state(self, stream: "int | None" = None) -> "dict[str, Any]":
         """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
 
         Chains travel as flat ``(slot, ts, value)`` arrays -- heads and
@@ -604,25 +604,31 @@ class ChainSample:
         pending successor timestamps and the exact bitstream positions
         of the acceptance generators and the per-slot successor
         substreams, so a :meth:`restore_state` round trip replays
-        future arrivals bit for bit.
+        future arrivals bit for bit.  With ``stream``, the snapshot
+        holds that stream alone: the one a one-stream sample in the
+        same state would give.
         """
-        d = self._n_dims
-        chains = [(flat, ts, value) for flat in range(self._head_ts.size)
+        d, n_slots = self._n_dims, self._sample_size
+        rows = slice(0, len(self._rngs)) if stream is None \
+            else slice(stream, stream + 1)
+        lo, hi = rows.start * n_slots, rows.stop * n_slots
+        chains = [(flat - lo, ts, value) for flat in range(lo, hi)
                   for ts, value in self._chain(flat)]
         return {
             "window_size": self._window_size,
-            "sample_size": self._sample_size,
+            "sample_size": n_slots,
             "n_dims": d,
-            "rngs": [rng_state(g) for g in self._rngs],
-            "successor_rngs": [rng_state(g) for g in self._successor_rngs],
+            "rngs": [rng_state(g) for g in self._rngs[rows]],
+            "successor_rngs": [rng_state(g)
+                               for g in self._successor_rngs[lo:hi]],
             "chain_slot": np.array([c[0] for c in chains], dtype=np.int64),
             "chain_ts": np.array([c[1] for c in chains], dtype=np.int64),
             "chain_value": np.array([c[2] for c in chains],
                                     dtype=float).reshape(-1, d),
-            "succ_ts": self._succ_ts.copy(),
+            "succ_ts": self._succ_ts[rows].copy(),
             "timestamp": self._timestamp,
-            "mutations": np.array(self._mutations, dtype=np.int64),
-            "evictions": np.array(self._evictions, dtype=np.int64),
+            "mutations": np.array(self._mutations[rows], dtype=np.int64),
+            "evictions": np.array(self._evictions[rows], dtype=np.int64),
         }
 
     @classmethod

@@ -562,27 +562,31 @@ class MultiDimVarianceSketch:
         """Peak logical footprint in machine words (per-lane peaks summed)."""
         return sum(self._max_bucket_counts) * WORDS_PER_BUCKET
 
-    def snapshot_state(self) -> "dict[str, Any]":
+    def snapshot_state(self, lanes: "slice | None" = None) -> "dict[str, Any]":
         """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
 
         Lanes travel as concatenated bucket arrays with per-lane
         lengths; the compress phase is included so the restored sketch
-        merges at exactly the same insert boundaries.
+        merges at exactly the same insert boundaries.  With ``lanes``,
+        the snapshot holds those lanes alone: the one a sketch of just
+        them in the same state would give.
         """
+        lanes = slice(None) if lanes is None else lanes
+        kept = self._lanes[lanes]
         state: "dict[str, Any]" = {
             "window_size": self._window_size,
             "epsilon": self._epsilon,
-            "n_dims": self._n_dims,
+            "n_dims": len(kept),
             "timestamp": self._timestamp,
             "since_compress": self._since_compress,
-            "max_bucket_counts": np.array(self._max_bucket_counts,
+            "max_bucket_counts": np.array(self._max_bucket_counts[lanes],
                                           dtype=np.int64),
-            "lane_len": np.array([len(lane) for lane in self._lanes],
+            "lane_len": np.array([len(lane) for lane in kept],
                                  dtype=np.int64),
         }
         for name, dtype in _LANE_FIELDS:
             state[f"lane_{name}"] = np.array(
-                [x for lane in self._lanes for x in getattr(lane, name)],
+                [x for lane in kept for x in getattr(lane, name)],
                 dtype=dtype)
         return state
 

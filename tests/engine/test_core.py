@@ -7,8 +7,10 @@ generators spawned (or seeded) exactly as the engine derives them:
 
 * the detection matrix equals the per-stream decisions, bit for bit;
 * ``last_flags`` names the same ``(tick, stream)`` pairs with the
-  stream's ``model_seq`` as it stands at the end of the ``ingest``
-  call, and the same ``score`` and ``threshold`` up to the last-ulp
+  ``model_seq`` the stream's detector reports at that reading (the
+  version the reading was scored with, even when the model is rebuilt
+  later in the same call), and the same ``score`` and ``threshold`` up
+  to the last-ulp
   round-off between the scalar path's sorted range query and the
   batched one;
 * a snapshot round trip at any call boundary is invisible.
@@ -105,11 +107,11 @@ def _reference_call(detectors: "list[OnlineOutlierDetector]",
             else:
                 score = float(decision.mdef)
                 threshold = float(spec.k_sigma * decision.sigma_mdef)
-            hits.append((offset, score, threshold))
-        for offset, score, threshold in hits:
+            hits.append((offset, score, threshold, detector.model_seq))
+        for offset, score, threshold, model_seq in hits:
             details.append({"stream": stream, "tick": base + offset,
                             "score": score, "threshold": threshold,
-                            "model_seq": detector.model_seq})
+                            "model_seq": model_seq})
     details.sort(key=lambda f: (f["tick"], f["stream"]))
     return flags, details
 
@@ -311,3 +313,129 @@ class TestAllOrNothingIngest:
         assert np.array_equal(np.concatenate([first, second], axis=0),
                               expected)
         sup.close()
+
+
+class TestEngineSurface:
+    """What a D3 leaf group reads from its engine: per-stream
+    generators, the acceptance mask, per-stream states and the model
+    version each flag was decided with."""
+
+    SPLITS = (1, 7, 32, 5, 64, 11, 1, 1, 118)
+
+    @staticmethod
+    def _seeds(n_streams: int) -> "list[int]":
+        return [1000 + 7 * s for s in range(n_streams)]
+
+    def test_generator_list_equals_stream_seeds(self):
+        spec, n_dims = CONFIGS["distance-1d"]
+        seeds = self._seeds(3)
+        by_seed = DetectorEngine(3, spec, window_size=WINDOW,
+                                 sample_size=SAMPLE, model_refresh=REFRESH,
+                                 stream_seeds=seeds)
+        by_rng = DetectorEngine(3, spec, window_size=WINDOW,
+                                sample_size=SAMPLE, model_refresh=REFRESH,
+                                rng=[resolve_rng(None, s) for s in seeds])
+        data = _readings(4, 240, 3, n_dims)
+        start = flagged = 0
+        for size in self.SPLITS:
+            chunk = data[start:start + size]
+            flags = by_rng.ingest(chunk)
+            assert np.array_equal(flags, by_seed.ingest(chunk)), start
+            assert by_rng.last_flags == by_seed.last_flags, start
+            flagged += int(flags.sum())
+            start += size
+        assert flagged > 0
+        assert encode_snapshot(by_rng) == encode_snapshot(by_seed)
+
+    def test_generator_list_needs_one_per_stream(self):
+        spec, _ = CONFIGS["distance-1d"]
+        with pytest.raises(ParameterError, match="one generator per stream"):
+            DetectorEngine(3, spec, window_size=WINDOW, sample_size=SAMPLE,
+                           rng=[np.random.default_rng(0)] * 2)
+
+    @pytest.mark.parametrize("config", ["distance-1d", "mdef-2d"])
+    def test_stream_state_encodes_like_the_stream_detector(self, config):
+        spec, n_dims = CONFIGS[config]
+        seeds = self._seeds(3)
+        engine = DetectorEngine(3, spec, window_size=WINDOW,
+                                sample_size=SAMPLE, n_dims=n_dims,
+                                model_refresh=REFRESH,
+                                rng=[resolve_rng(None, s) for s in seeds])
+        detectors = [OnlineOutlierDetector(
+            WINDOW, SAMPLE, spec, n_dims=n_dims, model_refresh=REFRESH,
+            rng=resolve_rng(None, s)) for s in seeds]
+        data = _readings(8, 240, 3, n_dims)
+        start = 0
+        for size in self.SPLITS:
+            chunk = data[start:start + size]
+            engine.ingest(chunk)
+            for stream, detector in enumerate(detectors):
+                detector.process_many(chunk[:, stream])
+            start += size
+            if start < WINDOW:
+                # A detector's count window reads |W| until its first
+                # model check; the engine reports min(arrivals, |W|).
+                continue
+            for stream, detector in enumerate(detectors):
+                assert encode_snapshot(engine.stream_state(stream)) \
+                    == encode_snapshot(detector._state), (start, stream)
+
+    def test_stream_state_is_a_copy(self):
+        spec, n_dims = CONFIGS["distance-1d"]
+        engine = _engine("distance-1d", 2, 3, False, None)
+        data = _readings(3, 60, 2, n_dims)
+        engine.ingest(data[:50])
+        before = encode_snapshot(engine)
+        state = engine.stream_state(1)
+        state.observe_many(data[50:, 1])
+        state.model()
+        assert encode_snapshot(engine) == before
+        with pytest.raises(ParameterError):
+            engine.stream_state(2)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_last_accepted_equals_offer_many(self, config):
+        _, n_dims = CONFIGS[config]
+        seeds = self._seeds(4)
+        engine = DetectorEngine(4, CONFIGS[config][0], window_size=WINDOW,
+                                sample_size=SAMPLE, n_dims=n_dims,
+                                model_refresh=REFRESH,
+                                rng=[resolve_rng(None, s) for s in seeds])
+        sample = ChainSample(WINDOW, SAMPLE, n_dims,
+                             rng=[resolve_rng(None, s) for s in seeds])
+        data = _readings(2, 240, 4, n_dims)
+        start = 0
+        for size in self.SPLITS:
+            chunk = data[start:start + size]
+            engine.ingest(chunk)
+            expected = sample.offer_many(chunk)
+            assert engine.last_accepted.shape == (4, size, SAMPLE)
+            assert np.array_equal(engine.last_accepted, expected), start
+            start += size
+
+    def test_flags_cite_the_model_version_they_were_scored_with(self):
+        """Calls longer than the refresh interval rebuild models between
+        a flag and the end of the call; the flag keeps its version."""
+        spec = DistanceOutlierSpec(radius=0.01, count_threshold=5)
+        seeds = self._seeds(4)
+        engine = DetectorEngine(4, spec, window_size=300, sample_size=30,
+                                model_refresh=16,
+                                rng=[resolve_rng(None, s) for s in seeds])
+        detectors = [OnlineOutlierDetector(
+            300, 30, spec, model_refresh=16, rng=resolve_rng(None, s))
+            for s in seeds]
+        data = np.stack(make_plateau_streams(4, 960, seed=5), axis=1)
+        expected, got = [], []
+        for start in range(0, 960, 64):
+            chunk = data[start:start + 64]
+            engine.ingest(chunk)
+            got.extend((f["tick"], f["stream"], f["model_seq"])
+                       for f in engine.last_flags)
+            for offset in range(64):
+                for stream, detector in enumerate(detectors):
+                    decision = detector.process(chunk[offset, stream])
+                    if decision is not None and decision.is_outlier:
+                        expected.append((start + offset, stream,
+                                         detector.model_seq))
+        assert len(got) > 10
+        assert got == expected
