@@ -19,8 +19,8 @@ from repro.eval.fleet import (
     check_fleet,
     run_fleet_benchmark,
     run_fleet_cell,
-    write_results,
 )
+from repro.eval.provenance import write_results
 
 #: Reduced grid: two fleet widths, a lossless and a lossy+crashy cell.
 GRID = dict(algorithm="d3", workers=(2, 4), loss_rates=(0.0, 0.25),

@@ -19,8 +19,8 @@ from repro.eval.latency_bench import (
     check_latency,
     run_latency_benchmark,
     run_latency_cell,
-    write_results,
 )
+from repro.eval.provenance import write_results
 
 #: Reduced grid: both algorithms, a lossless and a lossy regime, a
 #: tight and a loose staleness horizon.

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.eval.provenance import write_results
 from repro.eval.recovery import (
     check_recovery,
     run_recovery_benchmark,
     run_recovery_cell,
-    write_results,
 )
 
 #: Reduced grid: both algorithms, a light and a heavy crash rate, a

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.eval.provenance import write_results
 from repro.eval.resilience import (
     check_degradation,
     run_resilience_benchmark,
     run_resilience_cell,
-    write_results,
 )
 
 #: Reduced grid: both algorithms, one lossy and one crashing column.

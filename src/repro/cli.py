@@ -43,9 +43,6 @@ Commands
     Run one traced experiment under :mod:`repro.obs`, stream the JSONL
     trace to a file, validate every event against the schema, and print
     the trace summary (docs/OBSERVABILITY.md).
-``profile``
-    Run the profiling workload traced and print the per-phase hot-path
-    breakdown (batched ingestion, estimator rebuilds, range queries).
 ``export-metrics``
     Run one monitored experiment (model-health checks on) and export
     the full metrics registry -- counters, gauges incl. per-node health
@@ -60,9 +57,11 @@ Commands
     JSONL, a worker spool, or a run directory of spools -- instead of
     running a simulation; merged traces add a per-node worker column.
 
-``bench-*``, ``trace`` and ``profile`` additionally take
-``--metrics-out PATH`` to export their metrics as Prometheus text
-(``.prom``/``.txt``) or JSON lines (``.jsonl``/``.json``).
+``bench-*`` and ``trace`` additionally take ``--metrics-out PATH`` to
+export their metrics as Prometheus text (``.prom``/``.txt``) or JSON
+lines (``.jsonl``/``.json``).  Where a run's time goes is the speed
+benchmark's layer ledger (``python -m bench run --trace 1`` then
+``python -m bench layers``), not a subcommand here.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ def _add_run_options(parser: argparse.ArgumentParser, *, seed: int,
 
     All of them take a root seed and write a JSON artifact; wiring the
     two here keeps flag names and help text identical across
-    ``bench-*``, ``trace`` and ``profile``.  ``--output`` stays as a
-    back-compat alias for ``--json-out``.
+    ``bench-*`` and ``trace``.  ``--output`` stays as a back-compat
+    alias for ``--json-out``.
     """
     group = parser.add_argument_group("run options")
     group.add_argument("--seed", type=int, default=seed,
@@ -272,23 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: TRACE_<experiment>.jsonl)")
     _add_run_options(trace, seed=7, json_out=None)
 
-    profile = commands.add_parser(
-        "profile", help="run the profiling workload and print the "
-                        "per-phase hot-path breakdown")
-    profile.add_argument("--window", type=int, default=2_000,
-                         help="sliding-window size |W|")
-    profile.add_argument("--sample", type=int, default=100,
-                         help="kernel sample slots |R|")
-    profile.add_argument("--readings", type=int, default=10_000,
-                         help="single-node readings to ingest")
-    profile.add_argument("--leaves", type=int, default=8,
-                         help="leaf sensors in the network workload")
-    profile.add_argument("--ticks", type=int, default=400,
-                         help="ticks in the network workload")
-    profile.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="also stream the JSONL trace to this file")
-    _add_run_options(profile, seed=0, json_out=None)
-
     export = commands.add_parser(
         "export-metrics",
         help="run one health-monitored experiment and export the full "
@@ -412,13 +394,27 @@ def _export_metrics_file(snapshot, path: str) -> None:
     print(f"# wrote {path} ({fmt})", file=sys.stderr)
 
 
-def _doc_metrics_snapshot(doc, prefix: str):
-    """A bench document's numeric leaves as a metrics snapshot."""
+def _finish_bench(args, results, format_table, check, label: str) -> int:
+    """The tail every ``bench-*`` handler shares; returns the exit code.
+
+    Prints the table, writes the JSON document, exports its numeric
+    leaves when ``--metrics-out`` is given, then reports each ``check``
+    failure as ``# <label> FAILURE: ...`` and exits 1 if there was one.
+    """
+    from repro.eval.provenance import write_results
     from repro.obs.metrics import MetricsRegistry
 
-    registry = MetricsRegistry()
-    registry.absorb_mapping(doc, prefix)
-    return registry.snapshot()
+    print(format_table(results))
+    path = write_results(results, args.json_out)
+    print(f"# wrote {path}", file=sys.stderr)
+    if args.metrics_out:
+        registry = MetricsRegistry()
+        registry.absorb_mapping(results, f"bench.{results['benchmark']}")
+        _export_metrics_file(registry.snapshot(), args.metrics_out)
+    failures = check(results)
+    for failure in failures:
+        print(f"# {label} FAILURE: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_bench_resilience(args) -> int:
@@ -429,17 +425,8 @@ def _cmd_bench_resilience(args) -> int:
         crash_fractions=tuple(args.crash_fractions),
         n_leaves=args.leaves, window_size=args.window,
         measure_ticks=args.measure, seed=args.seed)
-    print(resilience.format_table(results))
-    path = resilience.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.resilience"),
-            args.metrics_out)
-    failures = resilience.check_degradation(results)
-    for failure in failures:
-        print(f"# DEGRADATION FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_bench(args, results, resilience.format_table,
+                         resilience.check_degradation, "DEGRADATION")
 
 
 def _cmd_bench_recovery(args) -> int:
@@ -450,17 +437,8 @@ def _cmd_bench_recovery(args) -> int:
         checkpoint_cadences=tuple(args.checkpoint_cadences),
         n_streams=args.streams, n_ticks=args.ticks,
         window_size=args.window, sample_size=args.sample, seed=args.seed)
-    print(recovery.format_table(results))
-    path = recovery.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.recovery"),
-            args.metrics_out)
-    failures = recovery.check_recovery(results)
-    for failure in failures:
-        print(f"# RECOVERY FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_bench(args, results, recovery.format_table,
+                         recovery.check_recovery, "RECOVERY")
 
 
 def _cmd_bench_latency(args) -> int:
@@ -472,17 +450,8 @@ def _cmd_bench_latency(args) -> int:
         n_leaves=args.leaves, branching=args.branching,
         window_size=args.window, measure_ticks=args.measure,
         seed=args.seed)
-    print(latency_bench.format_table(results))
-    path = latency_bench.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.latency"),
-            args.metrics_out)
-    failures = latency_bench.check_latency(results)
-    for failure in failures:
-        print(f"# LATENCY FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_bench(args, results, latency_bench.format_table,
+                         latency_bench.check_latency, "LATENCY")
 
 
 def _cmd_bench_fleet(args) -> int:
@@ -495,17 +464,8 @@ def _cmd_bench_fleet(args) -> int:
         batch_size=args.batch, checkpoint_every=args.checkpoint_every,
         seed=args.seed, use_processes=args.processes,
         run_dir=args.run_dir)
-    print(fleet.format_table(results))
-    path = fleet.write_results(results, args.json_out)
-    print(f"# wrote {path}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(
-            _doc_metrics_snapshot(results, "bench.fleet"),
-            args.metrics_out)
-    failures = fleet.check_fleet(results)
-    for failure in failures:
-        print(f"# FLEET FAILURE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_bench(args, results, fleet.format_table,
+                         fleet.check_fleet, "FLEET")
 
 
 def _cmd_merge_trace(args) -> int:
@@ -617,29 +577,6 @@ def _cmd_trace(args) -> int:
     return 1 if problems else 0
 
 
-def _cmd_profile(args) -> int:
-    import json
-
-    from repro.eval.profiling import (
-        format_profile_table,
-        run_profile_benchmark,
-    )
-
-    doc = run_profile_benchmark(
-        window_size=args.window, sample_size=args.sample,
-        n_readings=args.readings, n_leaves=args.leaves,
-        n_ticks=args.ticks, seed=args.seed, trace_path=args.trace_out)
-    print(format_profile_table(doc))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"# wrote {args.json_out}", file=sys.stderr)
-    if args.metrics_out:
-        _export_metrics_file(doc["metrics"], args.metrics_out)
-    return 0
-
-
 def _cmd_export_metrics(args) -> int:
     from repro.eval.harness import ExperimentConfig, run_accuracy_run
     from repro.obs.export import write_metrics
@@ -733,7 +670,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 "bench-fleet": _cmd_bench_fleet,
                 "merge-trace": _cmd_merge_trace,
                 "explain": _cmd_explain,
-                "trace": _cmd_trace, "profile": _cmd_profile,
+                "trace": _cmd_trace,
                 "export-metrics": _cmd_export_metrics, "top": _cmd_top}
     try:
         return handlers[args.command](args)

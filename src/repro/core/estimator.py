@@ -72,13 +72,11 @@ def range_probabilities(kernel: Kernel, lows: np.ndarray, highs: np.ndarray,
         # Clamp tiny negative values from floating point cancellation.
         return np.clip(out, 0.0, 1.0)
     finally:
-        # A failing query (e.g. a sanitizer trip) still charges its
-        # phase; without this the profile reports 0 ns for it.
+        # A failing query (e.g. a sanitizer trip) is still observed;
+        # without this the latency histogram misses failing paths.
         if obs.ACTIVE:
-            elapsed = time.perf_counter() - t0
-            obs.profiler().record("kernels.range_batch", elapsed)
-            obs.metrics().histogram(
-                "estimator.range_query.latency").observe(elapsed)
+            obs.metrics().histogram("estimator.range_query.latency").observe(
+                time.perf_counter() - t0)
 
 
 # repro-lint: shard-state
@@ -298,17 +296,16 @@ class KernelDensityEstimator:
         high_pt = as_point("high", high_arr, self._d)
         if self._sorted_1d is not None:
             if obs.ACTIVE:
-                # finally: a query that raises must still be charged to
-                # its phase, or profiles under-report failing paths.
+                # finally: a query that raises is still observed, or the
+                # latency histogram under-reports failing paths.
                 t0 = time.perf_counter()
                 try:
                     return self._range_probability_sorted_1d(
                         low_pt[0], high_pt[0])
                 finally:
-                    elapsed = time.perf_counter() - t0
-                    obs.profiler().record("estimator.query_sorted", elapsed)
                     obs.metrics().histogram(
-                        "estimator.range_query.latency").observe(elapsed)
+                        "estimator.range_query.latency").observe(
+                            time.perf_counter() - t0)
             return self._range_probability_sorted_1d(low_pt[0], high_pt[0])
         return self._range_probability_single_nd(low_pt, high_pt)
 
@@ -381,10 +378,9 @@ class KernelDensityEstimator:
             return float(np.clip(total / self._n, 0.0, 1.0))
         finally:
             if obs.ACTIVE:
-                elapsed = time.perf_counter() - t0
-                obs.profiler().record("kernels.sorted_nd", elapsed)
                 obs.metrics().histogram(
-                    "estimator.range_query.latency").observe(elapsed)
+                    "estimator.range_query.latency").observe(
+                        time.perf_counter() - t0)
 
     def neighborhood_count(self, p: "np.ndarray | Sequence[float] | float",
                            r: float) -> "float | np.ndarray":

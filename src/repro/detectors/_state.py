@@ -305,18 +305,17 @@ class StreamModelState:
                                       self._bandwidth_basis,
                                       self._bandwidth_cap)
         if obs.ACTIVE:
-            # finally: a constructor that raises must still charge the
-            # rebuild phase, or the profile shows 0 ns for failed builds.
+            # finally: a constructor that raises still emits its
+            # rebuild event, so traces show failed builds too.
             t0 = time.perf_counter()
             try:
                 self._cached = KernelDensityEstimator(
                     sample, stddev=std, bandwidths=bandwidths,
                     kernel=self._kernel, window_size=window_size)
             finally:
-                elapsed = time.perf_counter() - t0
-                obs.profiler().record("estimator.rebuild", elapsed)
                 obs.emit("estimator.rebuild",
-                         sample_size=int(sample.shape[0]), dur_s=elapsed)
+                         sample_size=int(sample.shape[0]),
+                         dur_s=time.perf_counter() - t0)
         else:
             self._cached = KernelDensityEstimator(
                 sample, stddev=std, bandwidths=bandwidths,

@@ -229,6 +229,10 @@ class OnlineOutlierDetector:
                     self._decide_batch(cached, vals[i:j - 1], decisions, i)
                 if model is not None:
                     self._decide_batch(model, vals[j - 1:j], decisions, j - 1)
+        if self.is_warm:
+            # process() resizes the count window at every warm reading,
+            # not only at model checks; leave the state it would.
+            self._state.count_window_size = min(self._seen, self._window_size)
         return decisions
 
     def _decide_batch(self, model: KernelDensityEstimator, points: np.ndarray,

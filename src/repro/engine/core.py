@@ -380,7 +380,6 @@ class DetectorEngine:
             # is charged an equal share of it.
             share = (time.perf_counter() - t0) / rebuilt.size
             for _ in range(rebuilt.size):
-                obs.profiler().record("estimator.rebuild", share)
                 obs.emit("estimator.rebuild",
                          sample_size=self._sample_size, dur_s=share)
 

@@ -23,7 +23,6 @@ from repro.eval.harness import (
     run_accuracy_run,
 )
 from repro.eval.metrics import PrecisionRecall, precision_recall
-from repro.eval.profiling import format_profile_table, run_profile_benchmark
 from repro.eval.provenance import git_sha, run_metadata
 from repro.eval.reporting import render_table
 from repro.eval.resilience import (
@@ -66,8 +65,6 @@ __all__ = [
     "run_resilience_cell",
     "run_resilience_benchmark",
     "check_degradation",
-    "run_profile_benchmark",
-    "format_profile_table",
     "run_metadata",
     "git_sha",
 ]

@@ -36,7 +36,6 @@ sweeps a (workers x loss-rate) grid into ``BENCH_fleet.json`` and
 from __future__ import annotations
 
 import json
-import platform
 import queue as queue_module
 import tempfile
 import time
@@ -54,7 +53,7 @@ from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
 from repro.engine.core import DetectorEngine
 from repro.engine.supervisor import SupervisedEngine
-from repro.eval.provenance import run_metadata
+from repro.eval.provenance import machine_info, run_metadata
 from repro.eval.reporting import render_grid
 from repro.network.faults import EngineCrash, FaultPlan
 from repro.network.messages import MessageCounter, OutlierReport
@@ -69,7 +68,6 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "run_fleet_cell",
     "run_fleet_benchmark",
-    "write_results",
     "check_fleet",
     "format_table",
     "fleet_workload",
@@ -555,11 +553,7 @@ def run_fleet_benchmark(*, algorithm: str = "d3",
             run_dir=cell_dir))
     return {
         "benchmark": "fleet",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "machine": machine_info(),
         "meta": run_metadata(seed=seed),
         "grid": {
             "algorithm": algorithm,
@@ -576,13 +570,6 @@ def run_fleet_benchmark(*, algorithm: str = "d3",
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def check_fleet(results: "Mapping[str, object]") -> "list[str]":

@@ -342,7 +342,7 @@ def run_accuracy_run(config: ExperimentConfig, seed: int, *,
     ``obs`` attaches the :mod:`repro.obs` instrumentation to this run:
     ``True`` collects in memory only, a string additionally streams the
     trace to that JSONL path.  The collected snapshot (events by kind,
-    metrics, phase profile) is embedded in ``result.network_stats`` under
+    metrics) is embedded in ``result.network_stats`` under
     the ``"obs"`` key.  Prior singleton state is discarded so the
     snapshot describes exactly this run.
     """

@@ -23,22 +23,16 @@ seeded, so a cell replays bit for bit.
 
 from __future__ import annotations
 
-import platform
-from pathlib import Path
 from types import MappingProxyType
 
-import numpy as np
-
-from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro.eval.harness import ExperimentConfig, run_accuracy_run
-from repro.eval.provenance import run_metadata
+from repro.eval.provenance import machine_info, run_metadata
 from repro.eval.reporting import render_grid
 
 __all__ = [
     "run_latency_cell",
     "run_latency_benchmark",
-    "write_results",
     "check_latency",
     "format_table",
 ]
@@ -114,11 +108,7 @@ def run_latency_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
     ]
     return {
         "benchmark": "latency",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "machine": machine_info(),
         "meta": run_metadata(seed=seed),
         "grid": {
             "algorithms": list(algorithms),
@@ -132,15 +122,6 @@ def run_latency_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    import json
-
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def check_latency(results: "dict[str, object]") -> "list[str]":

@@ -1,14 +1,16 @@
-"""Run metadata for benchmark artifacts.
+"""Run metadata for benchmark artifacts, and writing them.
 
 ``BENCH_*.json`` sweep results are only attributable over time if each
 document records what produced it.  This
 module stamps a ``meta`` key -- git sha, seed, python/numpy versions,
-platform, wall clock -- without touching the keys the CI gates read.
+platform, wall clock -- and the ``machine`` block without touching the
+keys the CI gates read, and writes the finished document.
 """
 
 from __future__ import annotations
 
 import datetime
+import json
 import platform
 import subprocess
 import sys
@@ -16,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backend import backend_name
+from repro._artifacts import atomic_write_text
 
-__all__ = ["git_sha", "run_metadata"]
+__all__ = ["git_sha", "machine_info", "run_metadata", "write_results"]
 
 
 def git_sha() -> str:
@@ -49,7 +51,6 @@ def run_metadata(*, seed: "int | None" = None) -> "dict[str, object]":
         "git_sha": git_sha(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "backend": backend_name(),
         "platform": sys.platform,
         "machine": platform.machine(),
         "wall_clock_utc": datetime.datetime.now(
@@ -58,3 +59,18 @@ def run_metadata(*, seed: "int | None" = None) -> "dict[str, object]":
     if seed is not None:
         meta["seed"] = seed
     return meta
+
+
+def machine_info() -> "dict[str, str]":
+    """The ``machine`` block of a benchmark document."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def write_results(results: "dict[str, object]", path: "str | Path") -> Path:
+    """Atomically write a benchmark document as JSON; return the path."""
+    return atomic_write_text(
+        path, json.dumps(results, indent=2, sort_keys=True) + "\n")

@@ -24,7 +24,6 @@ cell replays bit for bit.
 
 from __future__ import annotations
 
-import platform
 import tempfile
 import time
 from pathlib import Path
@@ -32,21 +31,19 @@ from types import MappingProxyType
 
 import numpy as np
 
-from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro._rng import resolve_rng
 from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
 from repro.engine.core import DetectorEngine
 from repro.engine.supervisor import SupervisedEngine
-from repro.eval.provenance import run_metadata
+from repro.eval.provenance import machine_info, run_metadata
 from repro.eval.reporting import render_grid
 from repro.network.faults import EngineCrash, FaultPlan
 
 __all__ = [
     "run_recovery_cell",
     "run_recovery_benchmark",
-    "write_results",
     "check_recovery",
     "format_table",
 ]
@@ -172,11 +169,7 @@ def run_recovery_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
     ]
     return {
         "benchmark": "recovery",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "machine": machine_info(),
         "meta": run_metadata(seed=seed),
         "grid": {
             "algorithms": list(algorithms),
@@ -190,15 +183,6 @@ def run_recovery_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    import json
-
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def check_recovery(results: "dict[str, object]") -> "list[str]":

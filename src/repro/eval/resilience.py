@@ -28,23 +28,16 @@ Everything is seeded, so a cell replays bit for bit.
 
 from __future__ import annotations
 
-import json
-import platform
 from types import MappingProxyType
-from pathlib import Path
 
-import numpy as np
-
-from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError
 from repro.eval.harness import ExperimentConfig, run_accuracy_run
-from repro.eval.provenance import run_metadata
+from repro.eval.provenance import machine_info, run_metadata
 from repro.eval.reporting import render_grid
 
 __all__ = [
     "run_resilience_cell",
     "run_resilience_benchmark",
-    "write_results",
     "check_degradation",
     "format_table",
 ]
@@ -133,11 +126,7 @@ def run_resilience_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
         cell["message_overhead"] = sent / base_sent if base_sent else 0.0
     return {
         "benchmark": "resilience",
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "machine": machine_info(),
         "meta": run_metadata(seed=seed),
         "grid": {
             "algorithms": list(algorithms),
@@ -150,13 +139,6 @@ def run_resilience_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
         },
         "cells": cells,
     }
-
-
-def write_results(results: "dict[str, object]",
-                  path: "str | Path" = DEFAULT_OUTPUT) -> Path:
-    """Atomically write the result document as JSON; return the path."""
-    return atomic_write_text(
-        path, json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def check_degradation(results: "dict[str, object]") -> "list[str]":

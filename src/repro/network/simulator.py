@@ -25,7 +25,6 @@ per message kind.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -286,15 +285,8 @@ class NetworkSimulator:
     def _drain(self, queue: "deque[_Envelope]") -> None:
         """Route queued messages until the network is quiet this tick."""
         if obs.ACTIVE:
-            # finally: a drain aborted by an exception still charges its
-            # phase (the span itself already closes via its own finally).
-            start = time.perf_counter()
-            try:
-                with obs.span("phase", phase="drain", tick=self._tick):
-                    self._drain_queue(queue)
-            finally:
-                obs.profiler().record("simulator.drain",
-                                      time.perf_counter() - start)
+            with obs.span("phase", phase="drain", tick=self._tick):
+                self._drain_queue(queue)
         else:
             self._drain_queue(queue)
 
@@ -487,19 +479,8 @@ class NetworkSimulator:
         for i, leaf in enumerate(leaf_ids):
             if leaf not in fed:
                 continue
-            node = self._nodes[leaf]
-            if obs.ACTIVE:
-                # finally: ingestion that raises still charges its phase.
-                t0 = time.perf_counter()
-                try:
-                    batched[leaf] = node.on_readings(
-                        self._streams.block(i, start, start + n_ticks), start)
-                finally:
-                    obs.profiler().record("simulator.batch_ingest",
-                                          time.perf_counter() - t0)
-            else:
-                batched[leaf] = node.on_readings(
-                    self._streams.block(i, start, start + n_ticks), start)
+            batched[leaf] = self._nodes[leaf].on_readings(
+                self._streams.block(i, start, start + n_ticks), start)
 
         for offset in range(n_ticks):
             if obs.ACTIVE:

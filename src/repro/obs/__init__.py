@@ -1,4 +1,4 @@
-"""Opt-in observability: tracing, metrics and profiling (``repro.obs``).
+"""Opt-in observability: tracing and metrics (``repro.obs``).
 
 Mirrors the :mod:`repro._sanitize` pattern: a module-level ``ACTIVE``
 flag, initialised from the ``REPRO_TRACE`` environment variable, gates
@@ -11,7 +11,7 @@ every instrumentation site behind a single attribute check::
 
 With the flag off (the default) instrumented code pays one boolean
 check per site and allocates nothing, so production benchmarks are
-unaffected.  With it on, three singletons collect everything:
+unaffected.  With it on, two singletons collect everything:
 
 * :class:`repro.obs.trace.Tracer` -- hierarchical ``run > tick > node >
   phase`` spans and JSONL events, ring-buffered and optionally streamed
@@ -19,9 +19,10 @@ unaffected.  With it on, three singletons collect everything:
 * :class:`repro.obs.metrics.MetricsRegistry` -- named counters, gauges
   and histograms unifying the legacy ``MessageCounter`` /
   ``network_stats`` accounting.
-* :class:`repro.obs.profile.PhaseProfiler` -- ``perf_counter`` timers
-  over the PR-1 hot paths (batched ingestion, estimator cache rebuilds,
-  Theorem 2 sorted-path queries).
+
+Where the time goes is the benchmark's layer ledger (``python -m bench
+run --trace 1`` then ``python -m bench layers``); traces answer why a
+reading was flagged.
 
 Activation, like sanitization, is either ambient (``REPRO_TRACE=1``),
 imperative (:func:`activate` / :func:`deactivate`) or scoped
@@ -36,7 +37,6 @@ from typing import Iterator
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                merge_snapshots)
-from repro.obs.profile import PhaseProfiler
 from repro.obs.trace import DEFAULT_CAPACITY, Tracer
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseProfiler",
     "Tracer",
     "activate",
     "deactivate",
@@ -54,7 +53,6 @@ __all__ = [
     "enabled",
     "merge_snapshots",
     "metrics",
-    "profiler",
     "reset",
     "snapshot",
     "span",
@@ -76,7 +74,6 @@ ACTIVE: bool = _env_active()
 
 _tracer = Tracer()
 _metrics = MetricsRegistry()
-_profiler = PhaseProfiler()
 
 
 def tracer() -> Tracer:
@@ -89,18 +86,12 @@ def metrics() -> MetricsRegistry:
     return _metrics
 
 
-def profiler() -> PhaseProfiler:
-    """The process-wide phase profiler singleton."""
-    return _profiler
-
-
 def reset() -> None:
-    """Discard all collected events, metrics and phase timings."""
-    global _tracer, _metrics, _profiler
+    """Discard all collected events and metrics."""
+    global _tracer, _metrics
     _tracer.close_sink()
     _tracer = Tracer()
     _metrics = MetricsRegistry()
-    _profiler = PhaseProfiler()
 
 
 def activate(trace_path: "str | None" = None) -> None:
@@ -153,7 +144,6 @@ def snapshot() -> "dict[str, object]":
         "n_ring_dropped": _tracer.n_dropped,
         "ring_dropped_by_kind": _tracer.dropped_by_kind(),
         "metrics": _metrics.snapshot(),
-        "profile": _profiler.summary(),
     }
 
 

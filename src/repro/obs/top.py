@@ -45,10 +45,8 @@ def build_workload(*, n_leaves: int = 8, branching: int = 4,
                    ) -> "tuple[NetworkSimulator, dict[int, object], object]":
     """A D3 deployment for the live view: (simulator, nodes, hierarchy).
 
-    Mirrors the ``repro profile`` workload so ``repro top`` watches the
-    same kind of run the other tooling measures.  ``dataset`` is
-    ``"synthetic"`` (stationary mixture) or ``"drift"`` (mean shift at
-    mid-stream, so drift scores visibly move).
+    ``dataset`` is ``"synthetic"`` (stationary mixture) or ``"drift"``
+    (mean shift at mid-stream, so drift scores visibly move).
     """
     if dataset == "synthetic":
         arrays = make_mixture_streams(n_leaves, n_ticks, seed=seed)

@@ -44,7 +44,6 @@ independent of how arrivals are grouped.
 from __future__ import annotations
 
 import math
-import time
 from typing import Any, List, Sequence, Tuple
 
 import numpy as np
@@ -454,7 +453,6 @@ class ChainSample:
         ts0 = self._start(start_timestamp, m)
         watched = obs.ACTIVE or _sanitize.ACTIVE
         if watched:
-            t0 = time.perf_counter()
             mutations_before = list(self._mutations)
             evictions_before = list(self._evictions)
         # Acceptance draws are materialised for (streams, ticks, |R|);
@@ -470,8 +468,6 @@ class ChainSample:
                 _sanitize.check_chain_sample(
                     self, mutations_before=sum(mutations_before))
             if obs.ACTIVE:
-                obs.profiler().record("chain.offer_many",
-                                      time.perf_counter() - t0)
                 self._note_obs(mutations_before, evictions_before)
         return hits
 

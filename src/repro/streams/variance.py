@@ -36,13 +36,12 @@ reference the sketch is tested against.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro import _sanitize, obs
+from repro import _sanitize
 from repro._exceptions import ParameterError
 from repro._validation import require_fraction, require_positive_int
 from repro.streams.window import SlidingWindow
@@ -515,13 +514,9 @@ class MultiDimVarianceSketch:
                 f"got {points.shape}")
         if not np.isfinite(points).all():
             raise ParameterError("values must all be finite")
-        t0 = time.perf_counter() if obs.ACTIVE else 0.0
         # One bulk tolist() per lane; the Python floats are the same
         # doubles bit for bit.
         self._insert(points.T.tolist(), points.shape[0], start_timestamp)
-        if obs.ACTIVE:
-            obs.profiler().record("sketch.update_many",
-                                  time.perf_counter() - t0)
 
     def _insert(self, columns: "list[list[float]]", m: int,
                 start_timestamp: "int | None") -> None:

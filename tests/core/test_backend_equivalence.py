@@ -223,5 +223,5 @@ class TestSortedIndexFastPath:
 
 
 def test_backend_name_is_numpy():
-    # Result provenance and the benchmark fingerprint record this name.
+    # The benchmark fingerprint records this name.
     assert backend_name() == "numpy"

@@ -9,6 +9,7 @@ from repro._exceptions import ParameterError
 from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
 from repro.detectors.single import OnlineOutlierDetector
+from repro.engine.snapshot import encode_snapshot
 
 DIST = DistanceOutlierSpec(radius=0.01, count_threshold=5)
 MDEF = MDEFSpec(sampling_radius=0.08, counting_radius=0.01, min_mdef=0.8)
@@ -114,11 +115,13 @@ class TestProcessMany:
     """The batched ingestion path reproduces the scalar decisions."""
 
     @staticmethod
-    def _compare(spec, stream, splits, window=500, sample=50):
-        scalar = OnlineOutlierDetector(window, sample, spec,
-                                       rng=np.random.default_rng(11))
-        batched = OnlineOutlierDetector(window, sample, spec,
-                                        rng=np.random.default_rng(11))
+    def _compare(spec, stream, splits, window=500, sample=50, warmup=None,
+                 model_refresh=32):
+        scalar, batched = (
+            OnlineOutlierDetector(window, sample, spec, warmup=warmup,
+                                  model_refresh=model_refresh,
+                                  rng=np.random.default_rng(11))
+            for _ in range(2))
         scalar_decisions = [scalar.process(v) for v in stream]
         batched_decisions = []
         start = 0
@@ -133,6 +136,7 @@ class TestProcessMany:
                 assert a.is_outlier == b.is_outlier
         assert scalar.readings_seen == batched.readings_seen
         assert scalar.readings_flagged == batched.readings_flagged
+        assert encode_snapshot(scalar) == encode_snapshot(batched)
         return scalar_decisions, batched_decisions
 
     def test_distance_mode_identical_flags(self, rng):
@@ -160,6 +164,14 @@ class TestProcessMany:
     def test_single_element_blocks_match_scalar(self, rng):
         stream = rng.normal(0.4, 0.02, 400)
         self._compare(DIST, stream, [1] * 400, window=150, sample=15)
+
+    def test_short_warmup_leaves_scalar_state(self, rng):
+        # With warmup < |W| the count window still grows after warm-up;
+        # a block ending between model checks must leave it where
+        # process() would, not at its value at the last check.
+        stream = rng.normal(0.4, 0.02, 13)
+        self._compare(DIST, stream, [13], window=24, sample=8, warmup=5,
+                      model_refresh=8)
 
     def test_wrong_shape_rejected(self, rng):
         detector = OnlineOutlierDetector(100, 10, DIST, rng=rng)

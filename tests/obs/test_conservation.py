@@ -230,8 +230,6 @@ class TestEngineMaintenanceTelemetry:
         by_kind = engine_snap["events_by_kind"]
         assert by_kind["estimator.rebuild"] == \
             detector_snap["events_by_kind"]["estimator.rebuild"]
-        assert {"chain.offer_many", "sketch.update_many", "kernels.range_batch",
-                "estimator.rebuild"} <= set(engine_snap["profile"])
 
     def test_tracing_does_not_perturb_engine(self):
         spec = DistanceOutlierSpec(radius=0.5, count_threshold=3)

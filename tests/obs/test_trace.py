@@ -194,7 +194,6 @@ class TestActivation:
         assert obs.tracer().events() == []
         assert obs.metrics().snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}}
-        assert obs.profiler().summary() == {}
 
     def test_enabled_restores_previous_state(self):
         assert not obs.ACTIVE
@@ -221,12 +220,11 @@ class TestActivation:
         obs.activate()
         obs.emit("sample.evict", count=1)
         obs.metrics().counter("transport.retries").inc()
-        obs.profiler().record("simulator.drain", 0.25)
         snap = obs.snapshot()
         assert snap["n_events"] == 1
         assert snap["events_by_kind"] == {"sample.evict": 1}
         assert snap["metrics"]["counters"]["transport.retries"] == 1
-        assert "simulator.drain" in snap["profile"]
+        assert "profile" not in snap
 
 
 class TestEnvParsing:

@@ -36,8 +36,7 @@ class TestParser:
         for command, seed, json_out in (
                 (["bench-resilience"], 7, "BENCH_resilience.json"),
                 (["bench-recovery"], 7, "BENCH_recovery.json"),
-                (["trace", "d3"], 7, None),
-                (["profile"], 0, None)):
+                (["trace", "d3"], 7, None)):
             args = build_parser().parse_args(command)
             assert args.seed == seed, command
             assert args.json_out == json_out, command
@@ -179,19 +178,6 @@ class TestCommands:
         assert all("event" in event for event in events)
         snapshot = json.loads(json_out.read_text())
         assert snapshot["n_events"] == len(events)
-
-    def test_profile_prints_phase_table(self, tmp_path, capsys):
-        import json
-
-        json_out = tmp_path / "profile.json"
-        assert main(["profile", "--readings", "2000", "--ticks", "100",
-                     "--window", "500", "--sample", "50",
-                     "--json-out", str(json_out)]) == 0
-        out = capsys.readouterr().out
-        assert "simulator.batch_ingest" in out
-        doc = json.loads(json_out.read_text())
-        assert doc["benchmark"] == "profile"
-        assert "simulator.drain" in doc["phases"]
 
     def test_export_metrics_writes_parseable_prometheus(self, tmp_path,
                                                         capsys):

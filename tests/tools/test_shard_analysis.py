@@ -140,7 +140,6 @@ class TestLiveTreeContracts:
             "repro._sanitize.ACTIVE",
             "repro.obs.ACTIVE",
             "repro.obs._metrics",
-            "repro.obs._profiler",
             "repro.obs._tracer",
         ]
 

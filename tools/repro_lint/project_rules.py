@@ -240,7 +240,7 @@ class ShardStateContractRule(ProjectRule):
     pickling and carry no process-local resources: no threading locks,
     open file objects, sockets, live generators, lambdas/closures, and
     no references into the obs singletons (``Tracer``,
-    ``MetricsRegistry``, ``PhaseProfiler``) -- those are per-process by
+    ``MetricsRegistry``) -- those are per-process by
     design and must be re-resolved inside the worker, not shipped.
     The pass recurses through fields whose values or annotations name
     other in-index classes, so a safe-looking wrapper cannot smuggle a
@@ -254,8 +254,7 @@ class ShardStateContractRule(ProjectRule):
         "Lock", "RLock", "Condition", "Event", "Semaphore",
         "BoundedSemaphore", "Barrier", "Thread", "open", "socket",
         "mmap", "Popen", "TemporaryFile", "NamedTemporaryFile",
-        "iter", "Tracer", "MetricsRegistry", "PhaseProfiler",
-        "tracer", "metrics", "profiler",
+        "iter", "Tracer", "MetricsRegistry", "tracer", "metrics",
     })
 
     #: Annotation terminals that denote non-portable types.
@@ -263,7 +262,7 @@ class ShardStateContractRule(ProjectRule):
         "Lock", "RLock", "Condition", "Event", "Semaphore", "Thread",
         "IO", "TextIO", "BinaryIO", "TextIOWrapper", "BufferedWriter",
         "Generator", "Iterator", "Callable",
-        "Tracer", "MetricsRegistry", "PhaseProfiler",
+        "Tracer", "MetricsRegistry",
     })
 
     #: ``Generator``/``Iterator``/``Callable`` in an annotation usually
@@ -673,8 +672,7 @@ class ObsPurityRule(ProjectRule):
     obs-smoke CI leg asserts that a disabled run emits nothing.  Any
     code path reachable with ``obs.ACTIVE == False`` that still calls
     an emitting/mutating obs API (``emit``, ``span``, metric
-    ``inc``/``set``/``observe`` accessors, profiler records, sanitizer
-    checks) breaks that guarantee and -- worse for sharding -- makes
+    ``inc``/``set``/``observe`` accessors, sanitizer checks) breaks that guarantee and -- worse for sharding -- makes
     worker processes allocate into their *own* obs singletons,
     producing per-shard state that never merges.  A mutating call is
     compliant when it is lexically guarded (``if obs.ACTIVE:``,
@@ -697,7 +695,6 @@ class ObsPurityRule(ProjectRule):
     _ACCESSOR_MUTATORS = {
         "tracer": frozenset({"emit", "span", "open_sink", "close_sink"}),
         "metrics": frozenset({"counter", "gauge", "histogram"}),
-        "profiler": frozenset({"record", "span"}),
     }
 
     #: Mutating methods on metric objects obtained from ``metrics()``

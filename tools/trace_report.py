@@ -7,8 +7,7 @@ Usage::
 
 Renders the per-kind event counts, the per-message-kind
 send/deliver/drop/word totals and the span time breakdown of a trace
-produced by ``repro trace``, ``repro profile --trace-out`` or any
-``repro.obs`` file sink.  The input may also be one worker spool file
+produced by ``repro trace`` or any ``repro.obs`` file sink.  The input may also be one worker spool file
 or a run directory of ``worker-*.spool.jsonl`` spools (merged on the
 fly); distributed sources additionally report per-worker ring-overflow
 drops and torn spool tails.  ``--validate`` additionally checks every
