@@ -30,6 +30,7 @@ __all__ = [
     "resolve_rng",
     "rng_from_state",
     "rng_state",
+    "spawn_rngs",
 ]
 
 #: Root seed of the process-global fallback stream family (the paper's
@@ -63,6 +64,21 @@ def resolve_rng(rng: "np.random.Generator | None",
     return fresh_rng()
 
 
+def spawn_rngs(rng: np.random.Generator,
+               n: int) -> "list[np.random.Generator]":
+    """``n`` child generators of ``rng``, independent of it and each other.
+
+    Spawning derives them from the SeedSequence without advancing
+    ``rng``.  Generators that cannot spawn (numpy < 1.25, and
+    :func:`rng_from_state` rebuilds) seed each child from one draw.
+    """
+    try:
+        return list(rng.spawn(n))
+    except (AttributeError, TypeError):
+        return [np.random.default_rng(int(seed))
+                for seed in rng.integers(0, 2**63, size=n)]
+
+
 def rng_state(rng: np.random.Generator) -> "dict[str, object]":
     """Portable snapshot of a generator's exact bitstream position.
 
@@ -72,11 +88,8 @@ def rng_state(rng: np.random.Generator) -> "dict[str, object]":
     draws are bit-identical to the original's.  numpy returns a fresh
     dict on every access, so the snapshot does not alias live state.
 
-    Note the *spawn* lineage (the underlying ``SeedSequence``) is not
-    part of bit-generator state: a restored generator replays draws
-    exactly but cannot spawn (``spawn`` raises ``TypeError``).  All
-    shard-state classes spawn only at construction time, so replay is
-    unaffected.
+    The ``SeedSequence`` is not part of that state: a restored generator
+    replays draws exactly but cannot spawn (see :func:`spawn_rngs`).
     """
     return dict(rng.bit_generator.state)
 

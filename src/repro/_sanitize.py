@@ -15,8 +15,9 @@ mathematics promise:
   :class:`~repro.streams.variance.MultiDimVarianceSketch`;
 * :class:`~repro.streams.sampling.ChainSample` keeps strictly
   increasing chain timestamps inside the window in every slot of every
-  stream, a pending successor in ``(newest, newest + |W|]``, and a
-  monotonically non-decreasing ``mutation_count``.  The cross-stream
+  stream, a non-empty chain's pending successor equal to the
+  counter-based draw at its newest item, and a monotonically
+  non-decreasing ``mutation_count``.  The cross-stream
   :class:`~repro.engine.core.DetectorEngine` keeps its stream state in
   these two classes, so their checks cover it;
 * the 16-bit wire codec round-trips model state within one quantisation
@@ -141,9 +142,12 @@ def check_chain_sample(sample: Any, *, mutations_before: int | None = None,
     sanctioned consumer of those privates).  In every slot of every
     stream, timestamps strictly increase inside the window ``(now -
     |W|, now]``, values are finite, and a non-empty chain's pending
-    successor is due in ``(newest, newest + |W|]``; ``mutation_count``
-    -- the estimator-cache invalidation key -- never moves backwards.
+    successor is the :func:`~repro.streams.sampling.draw_successor` draw
+    at its newest item; ``mutation_count`` -- the estimator-cache
+    invalidation key -- never moves backwards.
     """
+    from repro.streams.sampling import draw_successor
+
     window = sample.window_size
     now = sample.timestamp
     if mutations_before is not None \
@@ -152,8 +156,8 @@ def check_chain_sample(sample: Any, *, mutations_before: int | None = None,
                      f"({mutations_before} -> {sample.mutation_count})")
     successors = sample._succ_ts.reshape(-1).tolist()
     for flat, successor_ts in enumerate(successors):
-        where = f"{label} stream {flat // sample.sample_size} " \
-                f"slot {flat % sample.sample_size}"
+        stream, slot = divmod(flat, sample.sample_size)
+        where = f"{label} stream {stream} slot {slot}"
         items = sample._chain(flat)
         previous = None
         for ts, value in items:
@@ -166,10 +170,13 @@ def check_chain_sample(sample: Any, *, mutations_before: int | None = None,
             if not np.isfinite(value).all():
                 _fail(where, "holds a non-finite value")
             previous = ts
-        newest = items[-1][0] if items else successor_ts - 1
-        if not newest < successor_ts <= newest + window:
-            _fail(where, f"successor_ts {successor_ts} not in "
-                         f"({newest}, {newest + window}]")
+        if items:
+            newest = items[-1][0]
+            expected = draw_successor(sample._keys[stream], slot, newest,
+                                      window)
+            if successor_ts != expected:
+                _fail(where, f"successor_ts {successor_ts} is not the draw "
+                             f"{expected} at its newest item {newest}")
 
 
 def check_eh_sketch(sketch: Any, *, label: str = "EHVarianceSketch") -> None:

@@ -27,13 +27,13 @@ per-window volume is derived in :func:`expected_parent_arrival_window`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from repro import obs
 from repro._exceptions import ParameterError, SimulationError
-from repro._rng import resolve_rng
+from repro._rng import resolve_rng, spawn_rngs
 from repro._validation import (
     require_fraction,
     require_positive_int,
@@ -45,6 +45,9 @@ from repro.engine.core import DetectorEngine
 from repro.network.messages import Message, OutlierReport, ValueForward
 from repro.network.node import Detection, DetectionLog, Outgoing
 from repro.network.topology import Hierarchy
+
+if TYPE_CHECKING:
+    from repro.detectors.mgdd import MGDDConfig
 
 __all__ = ["D3Config", "D3LeafGroup", "D3LeafNode", "D3ParentNode",
            "build_d3_network", "expected_parent_arrival_window"]
@@ -100,7 +103,8 @@ class D3Config:
         return self.window_size if self.warmup is None else self.warmup
 
 
-def expected_parent_arrival_window(n_children: int, config: D3Config) -> int:
+def expected_parent_arrival_window(
+        n_children: int, config: "D3Config | MGDDConfig") -> int:
     """A parent's window length measured in forwarded arrivals.
 
     Every node replaces sample slots and forwards each replacement
@@ -108,6 +112,8 @@ def expected_parent_arrival_window(n_children: int, config: D3Config) -> int:
     forwarding rates telescope so that any leader's window period spans
     about ``f * |R|`` of its arrivals, independent of fan-out; under
     ``"union"`` windows the span is ``c * f * |R|`` for ``c`` children.
+    ``config`` is a D3 or an MGDD config; only its ``sample_fraction``,
+    ``sample_size`` and ``parent_window`` are read.
     """
     if config.parent_window == "fixed":
         expected = int(round(config.sample_fraction * config.sample_size))
@@ -246,13 +252,8 @@ class D3LeafNode:
         self._log = log
         self._rng = rng
         # Forward gates draw from a dedicated substream so the group and
-        # the per-reading path consume it in the same order (spawned, so
-        # the node's own generator is not advanced).
-        try:
-            self._forward_rng = rng.spawn(1)[0]
-        except (AttributeError, TypeError):
-            self._forward_rng = np.random.default_rng(
-                int(rng.integers(2**63)))
+        # the per-reading path consume it in the same order.
+        self._forward_rng = spawn_rngs(rng, 1)[0]
         self._group = group if group is not None \
             else D3LeafGroup(config, n_dims)
         #: Row in the group's engine once joined.

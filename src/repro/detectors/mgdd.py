@@ -32,14 +32,17 @@ import numpy as np
 
 from repro import obs
 from repro._exceptions import ParameterError
-from repro._rng import resolve_rng
+from repro._rng import resolve_rng, spawn_rngs
 from repro._validation import require_fraction, require_positive_int
-from repro.core.bandwidth import scott_bandwidths
 from repro.core.divergence import model_js_divergence
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.kernels import EPANECHNIKOV, Kernel
 from repro.core.mdef import MDEFOutlierDetector, MDEFSpec
-from repro.detectors._state import ChildStalenessTracker, StreamModelState
+from repro.detectors._state import (
+    ChildStalenessTracker,
+    StreamModelState,
+    model_bandwidths,
+)
 from repro.detectors.d3 import expected_parent_arrival_window
 from repro.network.messages import Message, ModelUpdate, ValueForward
 from repro.network.node import Detection, DetectionLog, Outgoing
@@ -181,8 +184,8 @@ class _GlobalModelCopy:
             return None
         if self._cached is None:
             sample = self._values[self._filled]
-            bandwidths = np.minimum(
-                scott_bandwidths(self._stddev, sample.shape[0], sample.shape[1]),
+            bandwidths = model_bandwidths(
+                self._stddev, sample.shape[0], self._window_size, "sample",
                 self._bandwidth_cap)
             self._cached = KernelDensityEstimator(
                 sample, bandwidths=bandwidths,
@@ -206,13 +209,8 @@ class MGDDLeafNode:
         self._log = log
         self._rng = rng
         # Forward gates draw from a dedicated substream so the batched
-        # and per-tick ingestion paths consume it in the same order
-        # (spawned, so the node's own generator is not advanced).
-        try:
-            self._forward_rng = rng.spawn(1)[0]
-        except (AttributeError, TypeError):
-            self._forward_rng = np.random.default_rng(
-                int(rng.integers(2**63)))
+        # and per-tick ingestion paths consume it in the same order.
+        self._forward_rng = spawn_rngs(rng, 1)[0]
         # Local sample/sketch: maintained for upward propagation (and for
         # the faulty-sensor application), not for local detection.
         self._state = StreamModelState(
@@ -360,7 +358,7 @@ class MGDDLeaderNode:
         self._rng = rng
         self._n_leaves_region = n_leaves_region
         self._staleness = ChildStalenessTracker(children_leaf_counts)
-        arrival_window = expected_parent_arrival_window(n_children, _as_d3_like(config))
+        arrival_window = expected_parent_arrival_window(n_children, config)
         self._state = StreamModelState(
             arrival_window, config.sample_size, n_dims,
             epsilon=config.epsilon, model_refresh=config.model_refresh,
@@ -461,17 +459,6 @@ class MGDDLeaderNode:
             # Flood the update toward the leaves.
             out.extend((child, message) for child in self._children)
         return out
-
-
-def _as_d3_like(config: MGDDConfig):
-    """Adapter: reuse the D3 arrival-rate derivation for MGDD leaders."""
-    from repro.core.outliers import DistanceOutlierSpec
-    from repro.detectors.d3 import D3Config
-    return D3Config(
-        spec=DistanceOutlierSpec(radius=1e-3, count_threshold=1.0),
-        window_size=config.window_size, sample_size=config.sample_size,
-        sample_fraction=config.sample_fraction,
-        parent_window=config.parent_window)
 
 
 @dataclass

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro import _sanitize, obs
 from repro._exceptions import ParameterError
-from repro._rng import resolve_rng
+from repro._rng import resolve_rng, spawn_rngs
 from repro._validation import require_fraction, require_positive_int
 from repro.core.estimator import KernelDensityEstimator, range_probabilities
 from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
@@ -158,12 +158,7 @@ class DetectorEngine:
                     f"rng must hold one generator per stream "
                     f"({n_streams}), got {len(rngs)}")
         else:
-            root = resolve_rng(rng)
-            try:
-                rngs = root.spawn(n_streams)
-            except (AttributeError, TypeError):
-                seeds = root.integers(0, 2**63, size=n_streams)
-                rngs = [resolve_rng(None, int(seed)) for seed in seeds]
+            rngs = spawn_rngs(resolve_rng(rng), n_streams)
         self._configure(n_streams, spec, window_size, sample_size, n_dims,
                         window_size if warmup is None else warmup,
                         model_refresh, epsilon, kernel, bandwidth_basis)

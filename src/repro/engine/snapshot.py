@@ -79,7 +79,10 @@ SNAPSHOT_MAGIC = b"RSNP"
 #: (chains as ``(slot, ts, value)`` arrays with per-stream generator
 #: lists, lanes as concatenated bucket arrays with one timestamp and
 #: compress phase); ``DetectorEngine`` nests one of each.
-SNAPSHOT_SCHEMA_VERSION = 3
+#: Version 4: ``ChainSample`` draws successors from one 64-bit key per
+#: stream (counter-based) and stores those ``keys`` in place of the
+#: per-slot ``successor_rngs`` generator states.
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: ``magic | version (u16) | payload length (u64) | sha256 digest``.
 _HEADER = struct.Struct(">4sHQ32s")

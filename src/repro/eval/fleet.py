@@ -75,9 +75,6 @@ __all__ = [
     "partition_streams",
 ]
 
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_fleet.json"
-
 #: Node id of the coordinator (also its worker id / spool name).
 COORDINATOR_NODE = 0
 

@@ -37,9 +37,6 @@ __all__ = [
     "format_table",
 ]
 
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_latency.json"
-
 #: Dataset per algorithm, mirroring the conservation-suite operating
 #: points (MGDD needs the plateau workload to flag at all at this scale).
 _DATASETS = MappingProxyType({"d3": "synthetic", "mgdd": "plateau"})

@@ -48,9 +48,6 @@ __all__ = [
     "format_table",
 ]
 
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_recovery.json"
-
 #: Outlier definition per algorithm, scaled to the unit-variance
 #: workload below (mirrors the accuracy suites' operating points).
 _SPECS = MappingProxyType({

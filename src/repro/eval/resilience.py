@@ -42,9 +42,6 @@ __all__ = [
     "format_table",
 ]
 
-#: Default output location: the repository root.
-DEFAULT_OUTPUT = "BENCH_resilience.json"
-
 #: Dataset per algorithm: the one whose ground truth exercises each
 #: detector at benchmark scale (matching the accuracy-test suites).
 _DATASETS = MappingProxyType({"d3": "synthetic", "mgdd": "plateau"})

@@ -26,7 +26,7 @@ One :class:`ChainSample` holds any number of lockstep streams (one per
 generator passed as ``rng``) as structure-of-arrays state: every slot's
 head (active element) timestamp and value and its pending successor
 timestamp as ``(streams, |R|)`` arrays, with the rare queued successors
-in a sparse map.  A node passes one generator and gets one stream; the
+in a sparse map and one successor key per stream.  A node passes one generator and gets one stream; the
 cross-stream :class:`~repro.engine.core.DetectorEngine` passes one per
 sensor stream.
 
@@ -36,9 +36,9 @@ short walk (:func:`walk_slot`) over the rare slot events.  Its results
 are *bit-identical* to the equivalent sequence of
 :meth:`ChainSample.offer_detailed` calls: numpy generators fill a
 ``(m, |R|)`` block with exactly the same doubles, in the same order, as
-``m`` sequential ``random(|R|)`` calls, and successor timestamps are
-drawn from per-slot generator substreams, so their consumption order is
-independent of how arrivals are grouped.
+``m`` sequential ``random(|R|)`` calls, and a successor timestamp is a
+pure function of the stream's key, the slot and the arrival timestamp
+(:func:`draw_successor`), whatever the grouping or stream count.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from repro import _sanitize, obs
 from repro._exceptions import ParameterError
-from repro._rng import resolve_rng, rng_from_state, rng_state
+from repro._rng import resolve_rng, rng_from_state, rng_state, spawn_rngs
 from repro._validation import require_positive_int
 from repro.core._kernels_numpy import BLOCK_CELLS
 
@@ -62,30 +62,29 @@ __all__ = ["ChainSample", "ReservoirSample"]
 ChainItems = List[Tuple[int, List[float]]]
 
 
-def slot_generators(rng: np.random.Generator,
-                    sample_size: int) -> "list[np.random.Generator]":
-    """The per-slot successor substreams of a sample drawing from ``rng``.
+_MASK64 = (1 << 64) - 1
+#: SplitMix64's increment (the golden ratio in 64-bit fixed point).
+_GAMMA = 0x9E3779B97F4A7C15
 
-    Successor timestamps come from per-slot substreams so that the
-    batched and one-at-a-time ingestion paths consume each slot's stream
-    in the same order (see the module docstring).  Spawning derives the
-    substreams from the generator's SeedSequence without advancing its
-    bitstream, so construction leaves the caller's generator untouched.
-    The first spawned child is reserved for the sample itself (slot
-    substreams keep their identity if a per-sample stream is ever
-    claimed).
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finaliser: a bijective avalanche of a 64-bit int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def draw_successor(key: int, slot: int, ts: int, window: int) -> int:
+    """A successor timestamp uniform over ``(ts, ts + window]``.
+
+    Counter-based (Salmon et al., SC'11): slot ``s`` of the stream with
+    64-bit ``key`` reads the SplitMix64 sequence seeded with the ``s``-th
+    SplitMix64 output of ``key`` at position ``ts``; a multiply-shift
+    maps that word onto ``1..window`` (bias below ``window / 2**64``).
     """
-    try:
-        return list(rng.spawn(sample_size + 1)[1:])
-    except (AttributeError, TypeError):
-        seeds = rng.integers(0, 2**63, size=sample_size + 1)[1:]
-        return [np.random.default_rng(int(seed)) for seed in seeds]
-
-
-def draw_successor(rng: np.random.Generator, ts: int, window: int) -> int:
-    """A successor timestamp uniform over ``(ts, ts + window]``."""
-    # rng.integers' high bound is exclusive.
-    return ts + int(rng.integers(1, window + 1))
+    slot_key = _mix64((key + (slot + 1) * _GAMMA) & _MASK64)
+    h = _mix64((slot_key + (ts + 1) * _GAMMA) & _MASK64)
+    return ts + 1 + ((h * window) >> 64)
 
 
 def expire_chain(items: ChainItems, horizon: int) -> int:
@@ -105,9 +104,9 @@ def expire_chain(items: ChainItems, horizon: int) -> int:
     return n
 
 
-def walk_slot(items: ChainItems, successor_ts: int,
-              rng: np.random.Generator, rows: "list[int]", block: np.ndarray,
-              stream: int, ts0: int, window: int) -> "tuple[int, int, int]":
+def walk_slot(items: ChainItems, successor_ts: int, key: int, slot: int,
+              rows: "list[int]", block: np.ndarray, stream: int, ts0: int,
+              window: int) -> "tuple[int, int, int]":
     """Replay one slot's events over a block of arrivals.
 
     ``block[:, stream]`` holds the slot's stream's arrivals at
@@ -115,8 +114,8 @@ def walk_slot(items: ChainItems, successor_ts: int,
     rows whose acceptance draw hit this slot.  Captures the pending
     successor when it falls due, replaces the chain at each acceptance
     and charges the expiries in between exactly as one-at-a-time offers
-    would, drawing successors from ``rng`` in the same order.  ``items``
-    is updated in place.
+    would, drawing successors with :func:`draw_successor`.  ``items`` is
+    updated in place.
 
     Returns ``(successor_ts, mutations, evictions)``: the new pending
     successor and the active-element changes and expiries charged.
@@ -143,7 +142,8 @@ def walk_slot(items: ChainItems, successor_ts: int,
             if items:
                 items.append((successor_ts,
                               block[successor_ts - ts0, stream].tolist()))
-                successor_ts = draw_successor(rng, successor_ts, window)
+                successor_ts = draw_successor(key, slot, successor_ts,
+                                              window)
         elif acc_ts is not None:
             # Items that expired at arrivals *before* the acceptance are
             # charged exactly as the scalar path charges them; only the
@@ -153,7 +153,7 @@ def walk_slot(items: ChainItems, successor_ts: int,
             mutations += expired + 1
             evictions += expired
             items[:] = [(acc_ts, block[acc_ts - ts0, stream].tolist())]
-            successor_ts = draw_successor(rng, acc_ts, window)
+            successor_ts = draw_successor(key, slot, acc_ts, window)
             pos += 1
             cursor = acc_ts
         else:
@@ -198,10 +198,9 @@ class ChainSample:
         self._sample_size = sample_size
         self._n_dims = n_dims
         self._rngs = rngs
-        #: Flat (stream-major) per-slot successor substreams.
-        self._successor_rngs = [g for stream_rng in rngs
-                                for g in slot_generators(stream_rng,
-                                                         sample_size)]
+        #: Per-stream successor keys (:func:`draw_successor`).
+        self._keys = [int(child.integers(2**64, dtype=np.uint64))
+                      for g in rngs for child in spawn_rngs(g, 1)]
         shape = (len(rngs), sample_size)
         self._head_ts = np.full(shape, -1, dtype=np.int64)   # -1: empty
         self._head_val = np.zeros(shape + (n_dims,))
@@ -371,6 +370,7 @@ class ChainSample:
         inclusion_prob = 1.0 / min(timestamp + 1, window)
         horizon = timestamp - window
         succ = self._succ_ts[0]
+        key = self._keys[0]
         changed: "list[int]" = []
         # One random draw per slot; the slot scan runs on plain lists.
         for slot, (draw, head_ts, succ_ts) in enumerate(zip(
@@ -379,8 +379,7 @@ class ChainSample:
             if draw < inclusion_prob:
                 # The arrival replaces this slot's entire chain.
                 self._store_chain(slot, [(timestamp, coords)])
-                succ[slot] = draw_successor(self._successor_rngs[slot],
-                                            timestamp, window)
+                succ[slot] = draw_successor(key, slot, timestamp, window)
                 self._mutations[0] += 1
                 changed.append(slot)
             elif head_ts >= 0 and (succ_ts == timestamp or head_ts <= horizon):
@@ -388,8 +387,7 @@ class ChainSample:
                 if succ_ts == timestamp:
                     # Capture the successor chosen earlier; queue it.
                     items.append((timestamp, coords))
-                    succ[slot] = draw_successor(self._successor_rngs[slot],
-                                                timestamp, window)
+                    succ[slot] = draw_successor(key, slot, timestamp, window)
                 # Expire the active element once it falls out of the window.
                 expired = expire_chain(items, horizon)
                 self._mutations[0] += expired
@@ -513,7 +511,7 @@ class ChainSample:
         mutated, evicted = self._mutations, self._evictions
         moved: "list[int]" = []           # events whose head changed
         moved_values: "list[list[float]]" = []
-        queued = self._queued
+        queued, keys = self._queued, self._keys
         for e, flat in enumerate(events.tolist()):
             # The walk never reads the head's value: it is replaced,
             # expired or kept, so None stands for "still in the array".
@@ -521,12 +519,12 @@ class ChainSample:
                 else [(head_ts[e], None)]
             if flat in queued:
                 items.extend(queued.pop(flat))
-            stream = flat // n_slots
+            stream, slot = divmod(flat, n_slots)
             lo, hi = bounds[e], bounds[e + 1]
             if lo < hi or ts0 <= succ_ts[e] <= ts_end:
                 succ_ts[e], mutations, evictions = walk_slot(
-                    items, succ_ts[e], self._successor_rngs[flat],
-                    hit_rows[lo:hi], block, stream, ts0, window)
+                    items, succ_ts[e], keys[stream], slot, hit_rows[lo:hi],
+                    block, stream, ts0, window)
                 mutated[stream] += mutations
                 evicted[stream] += evictions
             if items and items[0][0] <= horizon:
@@ -597,12 +595,11 @@ class ChainSample:
 
         Chains travel as flat ``(slot, ts, value)`` arrays -- heads and
         queued successors, slot-major, oldest first -- beside the
-        pending successor timestamps and the exact bitstream positions
-        of the acceptance generators and the per-slot successor
-        substreams, so a :meth:`restore_state` round trip replays
-        future arrivals bit for bit.  With ``stream``, the snapshot
-        holds that stream alone: the one a one-stream sample in the
-        same state would give.
+        pending successor timestamps, the exact bitstream positions of
+        the acceptance generators and the per-stream successor keys, so
+        a :meth:`restore_state` round trip replays future arrivals bit
+        for bit.  With ``stream``, the snapshot holds that stream alone:
+        the one a one-stream sample in the same state would give.
         """
         d, n_slots = self._n_dims, self._sample_size
         rows = slice(0, len(self._rngs)) if stream is None \
@@ -615,8 +612,7 @@ class ChainSample:
             "sample_size": n_slots,
             "n_dims": d,
             "rngs": [rng_state(g) for g in self._rngs[rows]],
-            "successor_rngs": [rng_state(g)
-                               for g in self._successor_rngs[lo:hi]],
+            "keys": np.array(self._keys[rows], dtype=np.uint64),
             "chain_slot": np.array([c[0] for c in chains], dtype=np.int64),
             "chain_ts": np.array([c[1] for c in chains], dtype=np.int64),
             "chain_value": np.array([c[2] for c in chains],
@@ -631,7 +627,7 @@ class ChainSample:
     def restore_state(cls, state: "dict[str, Any]") -> "ChainSample":
         """Rebuild a sampler from a :meth:`snapshot_state` dict.
 
-        Bypasses ``__init__`` (which would spawn fresh substreams) and
+        Bypasses ``__init__`` (which would derive fresh keys) and
         reinstates every field directly, so the restored sampler is
         indistinguishable from the original under any future offers.
         """
@@ -640,8 +636,7 @@ class ChainSample:
         sample._sample_size = n_slots = int(state["sample_size"])
         sample._n_dims = d = int(state["n_dims"])
         sample._rngs = [rng_from_state(s) for s in state["rngs"]]
-        sample._successor_rngs = [
-            rng_from_state(s) for s in state["successor_rngs"]]
+        sample._keys = np.asarray(state["keys"], dtype=np.uint64).tolist()
         shape = (len(sample._rngs), n_slots)
         # astype() copies into the canonical dtype object, so a restored
         # sample snapshots to the same bytes as the original.

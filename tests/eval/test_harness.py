@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro._exceptions import ParameterError
@@ -71,12 +73,21 @@ class TestD3Run:
     def test_levels_present(self, result):
         assert set(result.levels) == {1, 2, 3}   # 8 leaves, branching 4
 
-    def test_accuracy_sane(self, result):
-        # Reduced scale is noisy; precision must still be clearly high
-        # at the leaf level and nothing should be degenerate.
-        assert result.precision(1) > 0.6
-        assert result.recall(1) > 0.3
-        assert result.n_true_outliers[1] > 0
+    def test_accuracy_sane(self):
+        # One QUICK_D3 run sees 1-7 true leaf outliers, too few for a
+        # ratio bar (its precision spans 0.0-0.75 over seeds 0-9), so
+        # the bars hold on confusion counts pooled over six seeds at a
+        # size with ~12 true leaf outliers per run.
+        config = dataclasses.replace(QUICK_D3, window_size=1000,
+                                     measure_ticks=800,
+                                     compare_histogram=False)
+        runs = [run_accuracy_run(config, seed=seed) for seed in range(6)]
+        tp = sum(run.levels[1].kernel.true_positives for run in runs)
+        fp = sum(run.levels[1].kernel.false_positives for run in runs)
+        fn = sum(run.levels[1].kernel.false_negatives for run in runs)
+        assert tp / (tp + fp) > 0.6
+        assert tp / (tp + fn) > 0.3
+        assert all(run.n_true_outliers[1] > 0 for run in runs)
 
     def test_histogram_comparison_present(self, result):
         assert result.levels[1].histogram is not None

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro._exceptions import ParameterError
-from repro.streams.sampling import ChainSample, ReservoirSample
+from repro.engine.snapshot import encode_snapshot
+from repro.streams.sampling import ChainSample, ReservoirSample, draw_successor
 
 
 def _slots(hits):
@@ -120,18 +122,63 @@ class TestUniformity:
         window_size, slots = 50, 10
         sample = ChainSample(window_size, slots, rng=rng)
         counts = np.zeros(window_size)
-        history: "list[int]" = []
         for i in range(20_000):
-            history.append(i)
             sample.offer([float(i)])
-            if i >= window_size and i % 7 == 0:
-                ages = i - sample.values()[:, 0]
-                for age in ages.astype(int):
-                    counts[age] += 1
-        frequencies = counts / counts.sum()
-        # Every age bucket within ~3x of uniform.
-        assert frequencies.max() < 3.0 / window_size
-        assert frequencies.min() > 1.0 / (3.0 * window_size)
+            # One snapshot per window: a slot's element persists for up
+            # to |W| arrivals, so closer snapshots would count it again
+            # and inflate the statistic.
+            if i >= window_size and i % window_size == 0:
+                ages = (i - sample.values()[:, 0]).astype(int)
+                np.add.at(counts, ages, 1)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+
+class TestSuccessorDraw:
+    """Successor timestamps are counter-based: a pure function of the
+    stream's key, the slot and the storing arrival's timestamp."""
+
+    WINDOW = 50
+
+    def _offset_counts(self, offsets):
+        counts = np.bincount(offsets, minlength=self.WINDOW + 1)
+        assert counts.size == self.WINDOW + 1 and counts[0] == 0
+        return counts[1:]
+
+    def test_offsets_uniform_across_keys_slots_and_timestamps(self):
+        keys = np.random.default_rng(0).integers(
+            2**64, dtype=np.uint64, size=200).tolist()
+        offsets = [draw_successor(key, k % 16, ts, self.WINDOW) - ts
+                   for k, key in enumerate(keys) for ts in range(2000)]
+        assert stats.chisquare(self._offset_counts(offsets)).pvalue > 1e-3
+
+    def test_offsets_uniform_along_one_chain(self):
+        key, ts, offsets = 0x243F6A8885A308D3, 0, []
+        for _ in range(20_000):
+            successor = draw_successor(key, 3, ts, self.WINDOW)
+            offsets.append(successor - ts)
+            ts = successor
+        assert stats.chisquare(self._offset_counts(offsets)).pvalue > 1e-3
+
+    def test_independent_of_grouping_and_stream_count(self):
+        """A stream's state -- successors included -- is the same fed
+        one at a time in its own sample or in blocks of any size
+        beside other streams."""
+        data = np.random.default_rng(4).normal(size=(400, 3, 1))
+        alone = [ChainSample(30, 6, rng=np.random.default_rng(10 + s))
+                 for s in range(3)]
+        for s, sample in enumerate(alone):
+            for value in data[:, s]:
+                sample.offer(value)
+        for splits in ([400], [1, 17, 64, 3, 315], [200, 200]):
+            shared = ChainSample(30, 6, rng=[np.random.default_rng(10 + s)
+                                             for s in range(3)])
+            start = 0
+            for size in splits:
+                shared.offer_many(data[start:start + size])
+                start += size
+            for s, sample in enumerate(alone):
+                copy = ChainSample.restore_state(shared.snapshot_state(s))
+                assert encode_snapshot(copy) == encode_snapshot(sample)
 
 
 class TestResourceAccounting:

@@ -1,14 +1,14 @@
 """Golden bitstream: fixed scripts reproduce recorded outputs exactly.
 
 The literals below were recorded from the implementation in which
-``ChainSample`` kept one list of chain objects per slot and
-``DetectorEngine`` kept its own copy of the chain and EH-lane state.
-Any change to the stream stores' layout must leave every generator draw
-where it was, so these scripts must keep producing the same values,
-chain lengths and detection digests bit for bit.  The D3 node-state
-digests and the faulted-network literals were recorded from the
-implementation in which every D3 leaf kept its own one-stream
-``StreamModelState`` and ingested its epoch block by itself.
+``ChainSample`` draws each successor timestamp from a counter-based
+function of a per-stream 64-bit key, the slot and the arrival timestamp
+(:func:`repro.streams.sampling.draw_successor`), and snapshots store
+those keys (snapshot schema version 4).  They replaced literals
+recorded when every slot drew its successors from its own spawned
+generator.  Any change to the stream stores' layout must leave every
+generator draw where it was, so these scripts must keep producing the
+same values, chain lengths and detection digests bit for bit.
 """
 
 from __future__ import annotations
@@ -32,52 +32,52 @@ from repro.streams.sampling import ChainSample
 
 #: n_dims -> (values(), chain_lengths()) after :func:`_chain_script`.
 GOLDEN_CHAIN = {
-    1: ([[0.07741221315534767], [1.484724572140023], [-0.83203693258301],
-         [0.11922350051412166], [0.7840573304471662],
+    1: ([[0.07741221315534767], [0.19406186902635922], [0.6599992334690813],
+         [-0.20552776074310697], [0.7840573304471662],
          [0.5561445311177896], [-0.5124864904956771]],
-        [2, 2, 2, 1, 1, 1, 2]),
+        [3, 2, 1, 2, 1, 1, 1]),
     2: ([[-1.6479856055446562, 0.2936038576447663],
-         [0.11996674213767772, 1.4933997905305438],
-         [0.5750271976203465, -0.18865499989803866],
-         [-0.17564064692011247, -2.062300318893085],
+         [1.4616801371722374, -0.37400201106867914],
+         [1.2120799873927248, -0.3782029491860633],
+         [0.06772794967749733, -0.26708459912924415],
          [0.4335442099660097, -0.029212854356842077],
          [0.5718171729396522, -0.3743854007470789],
          [1.4893468438471174, -0.27123502692325857]],
-        [2, 2, 2, 1, 1, 1, 2]),
+        [3, 2, 1, 2, 1, 1, 1]),
 }
 
 #: sha256 over every ingest call's flag matrix and ``last_flags``.
 GOLDEN_ENGINE = {
-    "distance": "17f5ec555c37931984216d777a58b8250a8b73193363b4b397fe15a1580f6913",
-    "mdef": "ce8290caffadb3427b42a671359be5d38355ab9078f443da3acace0a3f795005",
+    "distance": "9c6f0fae69ec9b72667f0f3a1527efcd1347a6026d33fb9600f6baabc663dd37",
+    "mdef": "a6ff83e5358ba96e73d884e58c4257b96d5e4f562f9b408af1d26a72488a189d",
 }
 
 #: (detections, sha256 of their (tick, node, origin, level) keys).
 GOLDEN_NETWORK = (
-    158, "f0d3417458e5d5e76b6e52051e9b27d972feed9ad8ffc6aafda4749282fc8bd0")
+    170, "aa31eacf1280cfbe5b615338222dd3e418e20abaf940f450beede5b1a37a5a24")
 
 #: node id -> sha256 of ``encode_snapshot(node.state)`` after that run.
 GOLDEN_NODE_STATES = {
-    0: "685dc277c00703647edcf3e4116cf20d5cea0650bfdf81caee7a697b529893da",
-    1: "4517028f240f5df3f28552e44b478946c4b791f98f26ee0b0eed077163aeaefe",
-    2: "70e50abb559c01432b7a28917b9ddad15af4efe63ac9c13f60c81af68b23e0c9",
-    3: "4dcaf197fed884697820a3c3db07534728abbd10ae3c69efa8e9ca7c945d00b8",
-    4: "b2d339516eafe84d41c9fae9aff98ed842d5b90f0ae21f13240ccfcce637cd6a",
-    5: "e1b8db70ee87d061b5b60c1bc62e0d815051ff2423420b6c35dea509ee7f5448",
-    6: "069037bfa0e3f0067b0e212df5011b13880c2a07f863c042e7e26dfc932a6192",
-    7: "243ca237400d4d0ce56f0de249f2e7f4100538ddf7bbac7fa8c6c495f34de28d",
-    8: "90b7c03a8d1a54d4540459d56fd399996340017bbf0081c476aba2689389e783",
-    9: "9729ac7ee66d7411bb590b1fe69cb9e1bee97d4bfcf6222ccda48981ba96bbd8",
-    10: "8269f85c8fb2edc3d9d03040bcaca1b03726fc99ea726970f01de239a55e6a33",
-    11: "af0ef0cdb5738ae0b5f3612d7afddebe30d80e1715c673c82966cdb53e137fb9",
-    12: "8e1e095e0c2327bb2477672e683aec84d7d47d15f860f863da0402a67cfc7db8",
+    0: "e5efff7156c14decbd2c665dfe6831aa1e2371f488f8e83c5d80885151dc9032",
+    1: "cb090b5bc2721248b86d614c36ace53c3444c079879361ac6bc0792ff31118db",
+    2: "06a26baaa6994f5db9fec052bbe7c83b5f294027586a2fdf172bf5cfb62f5ca6",
+    3: "3cf8e866b8ad25412458914878b5535141950d419414500f1b2d4c13691bbd54",
+    4: "06536182330299f8515c7841c31ab6a69420311b9ae199a1fa6d7608b5294b82",
+    5: "67f375c7c3898e0a63b604e3c27bbd79cba0346c552bbc47313ce8a1bbed9a08",
+    6: "52e0ef8ea39b2fe856a6377181e621e91326cdef0f74bb677ce68a3e3ce52230",
+    7: "08af673187b496deb5f07c6ef4222dec274344b5749982c2ea4ce41eb19a55e2",
+    8: "fd6cf5aae2a60395c2d0fd96088e219029380615939fd2b877cba25a599ebfed",
+    9: "1de263cf579e1dfd1858a8d7807a7e49ff24e1a2aab43ce68d9bd0e6a3184295",
+    10: "de5729da5a23446c397416d7515bdb2fcc836c29be6b9942c12f9e1437b489e9",
+    11: "430be6338a76ce4c9d7b15cf5e98c3478760b085432c7453354da9e33fb4ae18",
+    12: "dccbe2bb8fd98236bd7ecbbcb8c3ef9ab0c18822bcff3e86a1b362a4d3fc3fe6",
 }
 
 #: The same network with leaf 4 down over ticks [350, 480) and 10% loss:
 #: (detections, sha256 of their keys, ``counter.counts``).
 GOLDEN_FAULTED_NETWORK = (
-    123, "b3883093f52e1d1aba91a2d395bb00e41cb350ab43bffac48837f1a7af9dfcb5",
-    {"OutlierReport": 101, "ValueForward": 687})
+    126, "a2b2007bc44241fbc93141d0716e11027bc644aaa79c492fe9062555646ddfe2",
+    {"OutlierReport": 105, "ValueForward": 686})
 
 
 def _chain_script(n_dims: int) -> ChainSample:
