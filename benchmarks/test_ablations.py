@@ -150,6 +150,11 @@ def test_bandwidth_basis_resolves_recall(benchmark, rng):
     represents).  The window basis recovers the paper's reported recall;
     the sample basis over-smooths the borderline band next to clusters.
     See EXPERIMENTS.md for the full analysis.
+
+    One detector seed sees ~47 true outliers, so its ratios move by a
+    few outliers' worth between seeds (window-basis precision spans
+    0.82-1.0 and recall 0.77-0.89 over seeds 0-5): the bars hold on
+    confusion counts pooled over six detector seeds.
     """
     from repro.core.outliers import DistanceOutlierSpec
     from repro.detectors.single import OnlineOutlierDetector
@@ -158,30 +163,27 @@ def test_bandwidth_basis_resolves_recall(benchmark, rng):
     W, R = 4_000, 200
     spec = DistanceOutlierSpec(radius=0.01, count_threshold=18)
     stream = make_mixture_stream(9_000, 1, rng=rng)[:, 0]
+    # Exact truth over the last |W| values, the reading's own included.
+    truth = np.array([
+        np.sum(np.abs(stream[max(0, t - W + 1):t + 1] - stream[t])
+               <= spec.radius) < spec.count_threshold
+        for t in range(stream.size)])
 
     def run():
         out = {}
         for basis in ("window", "sample"):
-            detector = OnlineOutlierDetector(
-                W, R, spec, bandwidth_basis=basis,
-                rng=np.random.default_rng(3))
-            window: list[float] = []
             tp = fp = fn = 0
-            for value in stream:
-                window.append(value)
-                window = window[-W:]
-                decision = detector.process(value)
-                if decision is None:
-                    continue
-                arr = np.array(window)
-                truth = np.sum(np.abs(arr - value) <= spec.radius) \
-                    < spec.count_threshold
-                if decision.is_outlier and truth:
-                    tp += 1
-                elif decision.is_outlier:
-                    fp += 1
-                elif truth:
-                    fn += 1
+            for seed in range(6):
+                detector = OnlineOutlierDetector(
+                    W, R, spec, bandwidth_basis=basis,
+                    rng=np.random.default_rng(seed))
+                decisions = detector.process_many(stream)
+                live = np.array([d is not None for d in decisions])
+                flagged = np.array([d is not None and d.is_outlier
+                                    for d in decisions])
+                tp += int((flagged & truth).sum())
+                fp += int((flagged & ~truth).sum())
+                fn += int((live & ~flagged & truth).sum())
             out[basis] = (tp / max(tp + fp, 1), tp / max(tp + fn, 1))
         return out
 

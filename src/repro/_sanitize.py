@@ -20,6 +20,9 @@ mathematics promise:
   non-decreasing ``mutation_count``.  The cross-stream
   :class:`~repro.engine.core.DetectorEngine` keeps its stream state in
   these two classes, so their checks cover it;
+* an :class:`~repro.core.mdef.MDEFCellTable` keeps strictly increasing
+  keys with the int64 sentinel last and one finite, non-negative
+  population per real key;
 * the 16-bit wire codec round-trips model state within one quantisation
   step.
 
@@ -53,6 +56,7 @@ __all__ = [
     "check_eh_lane",
     "check_eh_sketch",
     "check_variance_sketch",
+    "check_mdef_table",
     "check_codec_roundtrip",
 ]
 
@@ -177,6 +181,27 @@ def check_chain_sample(sample: Any, *, mutations_before: int | None = None,
             if successor_ts != expected:
                 _fail(where, f"successor_ts {successor_ts} is not the draw "
                              f"{expected} at its newest item {newest}")
+
+
+def check_mdef_table(table: Any, *, label: str = "MDEFCellTable") -> None:
+    """Assert an :class:`~repro.core.mdef.MDEFCellTable`'s invariants.
+
+    Keys strictly increase and end with the int64 sentinel, which sits
+    past every real key; there is one population per key, and every
+    real key's population is finite and non-negative (a range
+    probability in ``[0, 1]`` times a window size).
+    """
+    keys = np.asarray(table.keys)
+    counts = np.asarray(table.counts)
+    if keys.size == 0 or keys[-1] != np.iinfo(np.int64).max:
+        _fail(label, "the int64 sentinel key is not last")
+    if counts.shape != keys.shape:
+        _fail(label, f"{keys.size} keys but {counts.size} populations")
+    if (np.diff(keys) <= 0).any():
+        _fail(label, "keys not strictly increasing")
+    real = counts[:-1]
+    if not np.isfinite(real).all() or (real < 0.0).any():
+        _fail(label, "a tabled population is negative or not finite")
 
 
 def check_eh_sketch(sketch: Any, *, label: str = "EHVarianceSketch") -> None:

@@ -12,7 +12,7 @@ The paper evaluates precision and recall against exact offline detectors:
 * **BruteForce-M** -- the aLOCI algorithm computed from the *actual*
   window contents: exact counting-neighbourhood populations and exact
   grid-cell populations, pushed through the same
-  :func:`~repro.core.mdef.mdef_statistic` rule that the model-based
+  :func:`~repro.core.mdef.mdef_statistics` rule that the model-based
   detector uses.
 """
 
@@ -25,11 +25,13 @@ from scipy.spatial import cKDTree
 
 from repro._exceptions import ParameterError
 from repro._validation import as_points
+from repro.core._kernels_numpy import BLOCK_CELLS
 from repro.core.mdef import (
     MDEFDecision,
     MDEFSpec,
+    _cells_in_ranges,
     cell_grid_centers,
-    mdef_statistic,
+    mdef_statistics,
     sampling_cell_ranges,
 )
 from repro.core.outliers import DistanceOutlierSpec
@@ -107,7 +109,7 @@ def brute_force_mdef_outliers(
     For every window value: its exact counting-neighbourhood population
     (KD-tree, Chebyshev), the exact populations of the grid cells whose
     centres fall within the sampling radius, and the Equation 9 test via
-    :func:`~repro.core.mdef.mdef_statistic`.
+    :func:`~repro.core.mdef.mdef_statistics`.
 
     Returns a boolean mask, or ``(mask, decisions)`` when
     ``return_decisions`` is set.
@@ -122,15 +124,19 @@ def brute_force_mdef_outliers(
     np.add.at(grid, tuple(idx[:, j] for j in range(d)), 1)
 
     lo, hi = sampling_cell_ranges(vals, spec)
+    # Points in blocks of at most BLOCK_CELLS sampling cells.
+    step = max(1, BLOCK_CELLS // int((hi - lo).prod(axis=1).max(initial=1)))
     mask = np.empty(n, dtype=bool)
     decisions: "list[MDEFDecision]" = []
-    for i, (starts, stops) in enumerate(zip(lo.tolist(), hi.tolist())):
-        cell_counts = grid[tuple(map(slice, starts, stops))].reshape(-1)
-        decision = mdef_statistic(neighbor_counts[i], cell_counts,
-                                  spec.k_sigma, min_mdef=spec.min_mdef)
-        mask[i] = decision.is_outlier
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        sizes, cells = _cells_in_ranges(lo[block], hi[block])
+        decided = mdef_statistics(neighbor_counts[block],
+                                  grid[tuple(cells.T)], sizes, spec.k_sigma,
+                                  min_mdef=spec.min_mdef)
+        mask[block] = decided.is_outlier
         if return_decisions:
-            decisions.append(decision)
+            decisions.extend(decided.tolist())
     if return_decisions:
         return mask, decisions
     return mask

@@ -34,10 +34,11 @@ brute-force decisions apply the *same* rule to different count sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import _sanitize
 from repro._exceptions import ParameterError
 from repro._validation import as_point
 from repro.core._kernels_numpy import BLOCK_CELLS
@@ -46,10 +47,13 @@ from repro.core.model import DensityModel
 __all__ = [
     "MDEFSpec",
     "MDEFDecision",
+    "MDEFDecisions",
     "mdef_statistic",
+    "mdef_statistics",
     "cell_grid_centers",
     "sampling_cell_ranges",
     "sampling_cell_centers",
+    "MDEFCellTable",
     "MDEFOutlierDetector",
 ]
 
@@ -135,10 +139,39 @@ class MDEFDecision:
 _POISSON_FLOOR = 2.0
 
 
-def mdef_statistic(neighbor_count: float, cell_counts: np.ndarray,
-                   k_sigma: float, *, min_mdef: float = 0.0,
-                   estimation_variance_per_unit: float = 0.0) -> MDEFDecision:
-    """Apply Equation 9 to a neighbour count and its peer cell populations.
+@dataclass(frozen=True)
+class MDEFDecisions:
+    """Outcomes of many MDEF checks: :class:`MDEFDecision`'s fields as
+    arrays, one entry per point."""
+
+    is_outlier: np.ndarray
+    mdef: np.ndarray
+    sigma_mdef: np.ndarray
+    neighbor_count: np.ndarray
+    cell_mean: np.ndarray
+    cell_std: np.ndarray
+
+    def tolist(self) -> "list[MDEFDecision]":
+        """One :class:`MDEFDecision` per point, with Python scalars."""
+        return [MDEFDecision(*fields) for fields in zip(
+            self.is_outlier.tolist(), self.mdef.tolist(),
+            self.sigma_mdef.tolist(), self.neighbor_count.tolist(),
+            self.cell_mean.tolist(), self.cell_std.tolist())]
+
+
+def mdef_statistics(neighbor_counts: "np.ndarray | Sequence[float]",
+                    cell_counts: "np.ndarray | Sequence[float]",
+                    sizes: "np.ndarray | Sequence[int]", k_sigma: float, *,
+                    min_mdef: float = 0.0,
+                    estimation_variance_per_unit: "np.ndarray | float" = 0.0,
+                    ) -> MDEFDecisions:
+    """Apply Equation 9 to many points at once.
+
+    Point ``i`` has neighbour count ``neighbor_counts[i]`` and the next
+    ``sizes[i]`` entries of ``cell_counts`` as its peer cell
+    populations (points one after another).
+    ``estimation_variance_per_unit`` is one value for all points or one
+    per point.
 
     ``n_hat`` and ``sigma_hat`` are the count-weighted moments of the
     cell populations (see the module docstring): every object in a cell
@@ -157,27 +190,85 @@ def mdef_statistic(neighbor_count: float, cell_counts: np.ndarray,
     otherwise mask true deviations.  Passing ``|W| / R_distinct`` here
     subtracts that component and floors the result at a Poisson term.
     Exact paths pass 0 and are unaffected.
+
+    The moments are ``np.sum`` reductions over each point's cells.
+    Points with equal cell counts are reduced together as the rows of
+    one C-contiguous array, which sums every row exactly as a 1-d
+    ``np.sum`` over that point's cells would, so a point's outcome does
+    not depend on the other points of the call.
     """
-    counts = np.asarray(cell_counts, dtype=float)
+    neighbor = np.array(neighbor_counts, dtype=float).reshape(-1)
+    # np.clip(counts, 0.0, None) is this maximum.
+    counts = np.maximum(np.asarray(cell_counts, dtype=float).reshape(-1),
+                        0.0)
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    m = sizes.size
+    size_list = sizes.tolist()
+    if neighbor.size != m or sum(size_list) != counts.size:
+        raise ParameterError(
+            f"need one neighbour count per point ({m}, got {neighbor.size}) "
+            f"and sum(sizes) = {sum(size_list)} cell counts "
+            f"(got {counts.size})")
+    groups = sorted(set(size_list))
+    if groups and groups[0] < 1:
+        raise ParameterError("cell_counts must be non-empty for every point")
+    # A point without evidence keeps mean 1 and variance 0, which keep
+    # the arithmetic below finite; its fields are zeroed at the end.
+    evident = np.zeros(m, dtype=bool)
+    cell_mean = np.ones(m)
+    cell_var = np.zeros(m)
+    starts = sizes.cumsum() - sizes
+    for size in groups:
+        if len(groups) == 1:
+            rows, block = np.arange(m), counts.reshape(m, size)
+        else:
+            rows = np.flatnonzero(sizes == size)
+            block = counts[starts[rows, None] + np.arange(size)]
+        # ndarray.sum is the add.reduce np.sum calls, without its wrapper.
+        total = block.sum(axis=1)
+        ok = total > _EVIDENCE_FLOOR
+        if np.count_nonzero(ok) < ok.size:
+            rows, block, total = rows[ok], block[ok], total[ok]
+        evident[rows] = True
+        mean = (block * block).sum(axis=1) / total
+        cell_mean[rows] = mean
+        cell_var[rows] = (block * (block - mean[:, None]) ** 2).sum(
+            axis=1) / total
+    # Python's max(a, b) keeps a unless b > a; the np.where calls below
+    # spell that out, so signed zeros come out as the scalar rule's.
+    evpu = np.asarray(estimation_variance_per_unit, dtype=float)
+    corrected = cell_var - evpu * cell_mean
+    corrected = np.where(corrected > 0.0, corrected, 0.0)
+    floor = _POISSON_FLOOR * np.sqrt(np.where(1.0 > cell_mean, 1.0,
+                                              cell_mean))
+    root = np.sqrt(corrected)
+    cell_std = np.where(evpu > 0.0, np.where(floor > root, floor, root),
+                        np.sqrt(np.where(0.0 > cell_var, 0.0, cell_var)))
+    mdef = 1.0 - neighbor / cell_mean
+    sigma_mdef = cell_std / cell_mean
+    is_outlier = (mdef > k_sigma * sigma_mdef) & (mdef > min_mdef)
+    if np.count_nonzero(evident) < m:
+        void = ~evident
+        for field in (is_outlier, mdef, sigma_mdef, cell_mean, cell_std):
+            field[void] = 0
+    return MDEFDecisions(is_outlier, mdef, sigma_mdef, neighbor, cell_mean,
+                         cell_std)
+
+
+def mdef_statistic(neighbor_count: float, cell_counts: np.ndarray,
+                   k_sigma: float, *, min_mdef: float = 0.0,
+                   estimation_variance_per_unit: float = 0.0) -> MDEFDecision:
+    """Apply Equation 9 to a neighbour count and its peer cell populations.
+
+    One point's :func:`mdef_statistics`.
+    """
+    counts = np.asarray(cell_counts, dtype=float).reshape(-1)
     if counts.size == 0:
         raise ParameterError("cell_counts must be non-empty")
-    counts = np.clip(counts, 0.0, None)
-    total = float(counts.sum())
-    if total <= _EVIDENCE_FLOOR:
-        return MDEFDecision(False, 0.0, 0.0, float(neighbor_count), 0.0, 0.0)
-    cell_mean = float(np.sum(counts * counts) / total)
-    cell_var = float(np.sum(counts * (counts - cell_mean) ** 2) / total)
-    if estimation_variance_per_unit > 0.0:
-        cell_var = max(0.0, cell_var - estimation_variance_per_unit * cell_mean)
-        floor = _POISSON_FLOOR * np.sqrt(max(cell_mean, 1.0))
-        cell_std = float(max(np.sqrt(cell_var), floor))
-    else:
-        cell_std = float(np.sqrt(max(cell_var, 0.0)))
-    mdef = 1.0 - float(neighbor_count) / cell_mean
-    sigma_mdef = cell_std / cell_mean
-    is_outlier = mdef > k_sigma * sigma_mdef and mdef > min_mdef
-    return MDEFDecision(is_outlier, mdef, sigma_mdef,
-                        float(neighbor_count), cell_mean, cell_std)
+    return mdef_statistics(
+        [neighbor_count], counts, [counts.size], k_sigma, min_mdef=min_mdef,
+        estimation_variance_per_unit=estimation_variance_per_unit,
+    ).tolist()[0]
 
 
 def cell_grid_centers(spec: MDEFSpec) -> np.ndarray:
@@ -255,6 +346,101 @@ def sampling_cell_centers(p: np.ndarray, spec: MDEFSpec) -> np.ndarray:
     return cell_grid_centers(spec)[_cells_in_ranges(lo, hi)[1]]
 
 
+class MDEFCellTable:
+    """Estimated sampling-cell populations of many density models.
+
+    A cell's population depends only on the model and the cell, so each
+    ``(owner, cell)`` pair is estimated once and tabled: an owner is one
+    model (an engine stream's, or a detector's single one) and a cell
+    is its grid index.  The table holds the touched cells, never the
+    whole grid.  Keys are ``owner * grid_cells + flat cell index`` in
+    one sorted int64 array, so a lookup for any mix of owners is one
+    ``searchsorted``; a sentinel key past every real key keeps the
+    positions inside the table.  When composite keys would overflow
+    int64, nothing is tabled and every lookup estimates its cells.
+
+    Every population comes from a batched range path that computes
+    each query row on its own, so a tabled population equals a fresh
+    estimate bit for bit and decisions do not depend on the order of
+    checks.  When an owner's model changes, :meth:`drop` forgets its
+    entries.
+    """
+
+    def __init__(self, n_owners: int, spec: MDEFSpec, n_dims: int) -> None:
+        self._spec = spec
+        n_cells = cell_grid_centers(spec).size
+        self._grid = n_cells ** n_dims
+        key_max = int(np.iinfo(np.int64).max)
+        #: Row-major strides of the flat grid index; None when the
+        #: composite keys do not fit int64, and then nothing is tabled.
+        self._strides = None if n_owners * self._grid > key_max \
+            else n_cells ** np.arange(n_dims - 1, -1, -1, dtype=np.int64)
+        #: Sorted keys of the tabled cells, sentinel last, and their
+        #: populations (the sentinel's is NaN).
+        self.keys = np.array([key_max], dtype=np.int64)
+        self.counts = np.array([np.nan])
+
+    def drop(self, owners: np.ndarray) -> None:
+        """Forget every population of ``owners`` (their models changed)."""
+        if self.keys.size > 1:
+            # The sentinel's owner, key_max // grid, is no real owner.
+            keep = ~np.isin(self.keys // self._grid, owners)
+            self.keys = self.keys[keep]
+            self.counts = self.counts[keep]
+
+    def populations(self, owners: np.ndarray, cells: np.ndarray,
+                    estimate: "Callable[[np.ndarray, np.ndarray], np.ndarray]",
+                    ) -> np.ndarray:
+        """Populations of ``cells`` (grid indices, ``(k, d)``) of ``owners``.
+
+        ``estimate(owners, cells)`` returns the populations of cells
+        the table lacks, owners ascending; the new populations enter
+        the table in one merge.
+        """
+        if self._strides is None:
+            order = np.argsort(owners, kind="stable")
+            out = np.empty(owners.size)
+            out[order] = estimate(owners[order], cells[order])
+            return out
+        keys = owners * self._grid + cells @ self._strides
+        at = np.searchsorted(self.keys, keys)
+        out = self.counts[at]
+        missing = self.keys[at] != keys
+        if missing.any():
+            new_keys, first, inverse = np.unique(
+                keys[missing], return_index=True, return_inverse=True)
+            fresh = np.flatnonzero(missing)[first]
+            estimated = estimate(owners[fresh], cells[fresh])
+            out[missing] = estimated[inverse]
+            at = np.searchsorted(self.keys, new_keys)
+            self.keys = np.insert(self.keys, at, new_keys)
+            self.counts = np.insert(self.counts, at, estimated)
+            if _sanitize.ACTIVE:
+                _sanitize.check_mdef_table(self)
+        return out
+
+    def decide(self, points: np.ndarray, neighbor_counts: np.ndarray,
+               owners: np.ndarray, evpu: "np.ndarray | float",
+               estimate: "Callable[[np.ndarray, np.ndarray], np.ndarray]",
+               ) -> MDEFDecisions:
+        """The MDEF test of ``points`` (``(m, d)``), each against its
+        owner's model.
+
+        ``neighbor_counts`` are the points' counting-neighbourhood
+        populations and ``evpu`` the estimation variance per unit (one
+        value, or one per point); the sampling cells come from the
+        table, ``estimate`` filling the ones it lacks (see
+        :meth:`populations`).
+        """
+        lo, hi = sampling_cell_ranges(points, self._spec)
+        sizes, cells = _cells_in_ranges(lo, hi)
+        counts = self.populations(np.repeat(owners, sizes), cells, estimate)
+        return mdef_statistics(neighbor_counts, counts, sizes,
+                               self._spec.k_sigma,
+                               min_mdef=self._spec.min_mdef,
+                               estimation_variance_per_unit=evpu)
+
+
 class MDEFOutlierDetector:
     """A density model bound to an MDEF specification (the ``isMDEFOutlier``
     procedure of Figure 4, estimated as in Figure 3).
@@ -265,18 +451,12 @@ class MDEFOutlierDetector:
 
     ``variance_correction`` (default on) subtracts the density model's
     known estimation variance from sigma_hat (see
-    :func:`mdef_statistic`); without it the sampling noise of small
+    :func:`mdef_statistics`); without it the sampling noise of small
     kernel samples systematically masks deviations.
 
-    A cell's population depends only on the model and the cell, so the
-    detector estimates each sampling cell once: it keeps a table of the
-    populations estimated so far, keyed by flat grid index, and only
-    cells a check touches for the first time reach the model.  The
-    table holds the touched cells, never the whole grid.  Every
-    population comes from the model's batched range path, which
-    computes each query row on its own, so a tabled population equals a
-    fresh estimate bit for bit and decisions do not depend on the order
-    of checks.
+    The detector estimates each sampling cell once: it keeps an
+    :class:`MDEFCellTable` with the model as its one owner, and only
+    cells a check touches for the first time reach the model.
     """
 
     def __init__(self, model: DensityModel, spec: MDEFSpec, *,
@@ -289,17 +469,7 @@ class MDEFOutlierDetector:
             if distinct:
                 self._evpu = model.window_size / max(1, int(distinct))
         self._centers_1d = cell_grid_centers(spec)
-        n_cells, d = self._centers_1d.size, model.n_dims
-        key_max = np.iinfo(np.int64).max
-        #: Row-major strides of the flat grid index; None when the grid
-        #: has too many cells for int64 keys, and then nothing is tabled.
-        self._strides = None if n_cells ** d > key_max \
-            else n_cells ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        # Sorted flat indices of the tabled cells and their populations.
-        # The sentinel key lies past every index, so searchsorted
-        # positions always point into the table.
-        self._keys = np.array([key_max], dtype=np.int64)
-        self._counts = np.array([np.nan])
+        self._table = MDEFCellTable(1, spec, model.n_dims)
 
     @property
     def model(self) -> DensityModel:
@@ -311,71 +481,48 @@ class MDEFOutlierDetector:
         """The bound MDEF specification."""
         return self._spec
 
-    def _populations(self, cells: np.ndarray, points: "np.ndarray | None",
-                     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Populations of ``cells`` (grid indices, ``(k, d)``), tabled.
+    @property
+    def _keys(self) -> np.ndarray:
+        """The cell table's sorted keys, sentinel last."""
+        return self._table.keys
 
-        Cells missing from the table are estimated in one
-        ``neighborhood_count`` batch, behind the counting queries of
-        ``points`` when given, and added to it.  Returns the points' own
-        counts and the cells' populations.
-        """
-        keys = None
-        fresh = cells
-        if self._strides is not None:
-            keys = cells @ self._strides
-            missing = self._keys[np.searchsorted(self._keys, keys)] != keys
-            fresh = cells[missing]
-            if fresh.shape[0]:
-                new_keys, first = np.unique(keys[missing], return_index=True)
-                fresh = fresh[first]
-        queries = self._centers_1d[fresh]
-        if points is not None:
-            queries = np.concatenate([points, queries])
-        counts = np.empty(0)
-        if queries.shape[0]:
-            counts = np.asarray(self._model.neighborhood_count(
-                queries, self._spec.counting_radius), dtype=float).reshape(-1)
-        m = 0 if points is None else points.shape[0]
-        own, estimated = counts[:m], counts[m:]
-        if keys is None:
-            return own, estimated
-        if estimated.size:
-            at = np.searchsorted(self._keys, new_keys)
-            self._keys = np.insert(self._keys, at, new_keys)
-            self._counts = np.insert(self._counts, at, estimated)
-        return own, self._counts[np.searchsorted(self._keys, keys)]
+    @property
+    def _counts(self) -> np.ndarray:
+        """The cell table's populations, one per key."""
+        return self._table.counts
 
-    def _statistic(self, neighbor: float,
-                   cell_counts: np.ndarray) -> MDEFDecision:
-        return mdef_statistic(neighbor, cell_counts, self._spec.k_sigma,
-                              min_mdef=self._spec.min_mdef,
-                              estimation_variance_per_unit=self._evpu)
+    def _estimate(self, _owners: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Populations of ``cells`` from the model, in one batch."""
+        return np.asarray(self._model.neighborhood_count(
+            self._centers_1d[cells], self._spec.counting_radius),
+            dtype=float).reshape(-1)
+
+    def _decide(self, points: np.ndarray, own: np.ndarray) -> MDEFDecisions:
+        return self._table.decide(points, own,
+                                  np.zeros(points.shape[0], dtype=np.int64),
+                                  self._evpu, self._estimate)
 
     def check(self, p: "np.ndarray | Sequence[float] | float") -> MDEFDecision:
         """Check one point against the model (Figure 3's estimation)."""
         point = as_point("p", p, self._model.n_dims)
         neighbor = float(np.asarray(self._model.neighborhood_count(
             point, self._spec.counting_radius)).reshape(()))
-        lo, hi = sampling_cell_ranges(point[None, :], self._spec)
-        _, cell_counts = self._populations(_cells_in_ranges(lo, hi)[1], None)
-        return self._statistic(neighbor, cell_counts)
+        return self._decide(point[None, :], np.array([neighbor])).tolist()[0]
 
     def check_many(self, points: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]",
                    neighbor_counts: "np.ndarray | Sequence[float] | None" = None,
                    ) -> "list[MDEFDecision]":
-        """Check a batch of points with one fused range-query batch.
+        """Check a batch of points with batched range queries.
 
-        The batch holds every point's counting query and the sampling
-        cells not yet tabled; Equation 9 then runs per point.  Decisions
-        match per-point :meth:`check` calls up to the round-off between
-        the single-point and batched range queries of the point's own
+        The points' counting queries go to the model in one batch and
+        the sampling cells not yet tabled in another; Equation 9 then
+        runs on all points at once.  Decisions match per-point
+        :meth:`check` calls up to the round-off between the
+        single-point and batched range queries of the point's own
         count.
 
         ``neighbor_counts`` supplies the points' counting-neighbourhood
-        populations instead, for a caller that computed them already
-        (the engine counts every stream's readings in one stacked
-        kernel call); the batch then holds only untabled cells.
+        populations instead, for a caller that computed them already.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -383,18 +530,13 @@ class MDEFOutlierDetector:
                 else pts.reshape(1, -1)
         if pts.shape[0] == 0:
             return []
-        lo, hi = sampling_cell_ranges(pts, self._spec)
-        sizes, cells = _cells_in_ranges(lo, hi)
         if neighbor_counts is None:
-            own, cell_counts = self._populations(cells, pts)
+            own = np.asarray(self._model.neighborhood_count(
+                pts, self._spec.counting_radius), dtype=float).reshape(-1)
         else:
             own = np.asarray(neighbor_counts, dtype=float).reshape(-1)
             if own.shape[0] != pts.shape[0]:
                 raise ParameterError(
                     f"neighbor_counts must hold one count per point "
                     f"({pts.shape[0]}), got {own.shape[0]}")
-            _, cell_counts = self._populations(cells, None)
-        ends = np.cumsum(sizes).tolist()
-        return [self._statistic(neighbor, cell_counts[start:end])
-                for neighbor, start, end in zip(own.tolist(), [0] + ends,
-                                                ends)]
+        return self._decide(pts, own).tolist()

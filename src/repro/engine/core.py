@@ -24,19 +24,25 @@ timestamps as ``(streams, |R|)`` arrays, the rare queued successors in a
 sparse map), and one
 :class:`~repro.streams.variance.MultiDimVarianceSketch` holds one EH
 bucket lane per (stream, dimension); the engine itself keeps each
-stream's cached model as centres, bandwidths and ``|W|`` (for the MDEF
-test, also an :class:`~repro.core.mdef.MDEFOutlierDetector` over it that
-lives as long as the model).  Streams advance in lockstep, so they share
-the warm-up end, the model-check cadence and the EH compress cadence,
-and ``ingest`` makes one pass per model-check epoch for all of them: one
+stream's cached model as centres, bandwidths and ``|W|``.  For the MDEF
+test it also keeps one :class:`~repro.core.mdef.MDEFCellTable` of
+sampling-cell populations keyed on (stream, cell), whose entries for a
+stream are dropped when that stream's model is rebuilt, and each
+stream's variance correction ``|W| / distinct centres``; neither is
+snapshotted.  Streams advance in lockstep, so they share the warm-up
+end, the model-check cadence and the EH compress cadence, and
+``ingest`` makes one pass per model-check epoch for all of them: one
 ``offer_many`` (one acceptance comparison over ``(streams, m, |R|)``,
 the slot walk only for slots with an event), one ``insert_many`` over
 all lanes, the refresh rule per stream at the shared check tick, and
 one stacked Eq. 5 kernel call for every reading's neighbourhood count
-(the distance test's score, or the MDEF test's counting neighbourhood,
-whose sampling cells each stream's detector then takes from its table).
-Every generator draw and every floating-point operation is the
-per-stream detector's, so detections are bit-identical.
+(the distance test's score, or the MDEF test's counting
+neighbourhood).  The MDEF test then decides every (stream, reading) in
+one pass: one cell selection, one table lookup, the missing cells from
+stacked kernel calls over the streams that miss, one merge into the
+table, and Equation 9 as array operations.  Every generator draw and
+every floating-point operation is the per-stream detector's, so
+detections are bit-identical.
 
 Beside the detection matrix, each call leaves the per-arrival
 acceptance mask (:attr:`DetectorEngine.last_accepted`) and, for each
@@ -59,9 +65,10 @@ from repro import _sanitize, obs
 from repro._exceptions import ParameterError
 from repro._rng import resolve_rng, spawn_rngs
 from repro._validation import require_fraction, require_positive_int
+from repro.core._kernels_numpy import BLOCK_CELLS
 from repro.core.estimator import KernelDensityEstimator, range_probabilities
 from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
-from repro.core.mdef import MDEFOutlierDetector, MDEFSpec
+from repro.core.mdef import MDEFCellTable, MDEFSpec, cell_grid_centers
 from repro.core.outliers import DistanceOutlierSpec
 from repro.detectors._state import (
     DEFAULT_BANDWIDTH_TOL,
@@ -174,8 +181,6 @@ class DetectorEngine:
         self._built_window = np.zeros(n_streams, dtype=np.int64)
         self._built_mutations = np.zeros(n_streams, dtype=np.int64)
         self._model_seq = np.zeros(n_streams, dtype=np.int64)
-        self._models: "list[MDEFOutlierDetector | None]" = \
-            [None] * n_streams
         self._last_flags: "list[dict[str, Any]]" = []
         self._accepted: "list[np.ndarray]" = []
 
@@ -199,6 +204,11 @@ class DetectorEngine:
         self._min_arrivals = default_min_arrivals(sample_size)
         self._tol = DEFAULT_BANDWIDTH_TOL
         self._kernel = kernel
+        # The MDEF test's cell populations and estimation variance per
+        # unit, per stream; derived from the models, so not snapshotted.
+        self._cells = MDEFCellTable(n_streams, spec, n_dims) \
+            if isinstance(spec, MDEFSpec) else None
+        self._evpu = np.zeros(n_streams)
 
     # ------------------------------------------------------------------
 
@@ -364,12 +374,12 @@ class DetectorEngine:
         self._built_window[rebuilt] = window
         self._built_mutations[rebuilt] = mutations[rebuilt]
         self._model_seq[rebuilt] += 1
-        if isinstance(self._spec, MDEFSpec):
-            for stream in rebuilt.tolist():
-                self._models[stream] = self._mdef_detector(stream)
-        elif _sanitize.ACTIVE:
+        if _sanitize.ACTIVE:
             _sanitize.check_bandwidths(self._bandwidths[rebuilt],
                                        label="DetectorEngine")
+        if self._cells is not None:
+            self._cells.drop(rebuilt)
+            self._set_evpu(rebuilt)
         if obs.ACTIVE:
             # One vectorised rebuild for all streams: each rebuilt stream
             # is charged an equal share of it.
@@ -385,18 +395,68 @@ class DetectorEngine:
             bandwidths=self._bandwidths[stream].copy(), kernel=self._kernel,
             window_size=int(self._built_window[stream]))
 
-    def _mdef_detector(self, stream: int) -> MDEFOutlierDetector:
-        """An MDEF detector over stream ``stream``'s cached model.
+    def _set_evpu(self, streams: np.ndarray) -> None:
+        """The MDEF variance correction of ``streams``' models.
 
-        It lives as long as the model, so its cell-population table
-        fills once per model; snapshots leave the table out.
+        ``|W| / distinct centres``, as
+        :class:`~repro.core.mdef.MDEFOutlierDetector` derives it; each
+        stream's centres are sorted lexicographically, as
+        ``np.unique(axis=0)`` sorts them, and runs of equal rows count
+        once.
         """
-        return MDEFOutlierDetector(self._model(stream), self._spec)
+        centers = self._centers[streams]
+        order = np.lexsort(centers.transpose(2, 0, 1)[::-1])
+        ranked = np.take_along_axis(centers, order[:, :, None], axis=1)
+        distinct = 1 + (ranked[:, 1:] != ranked[:, :-1]).any(axis=2).sum(
+            axis=1)
+        self._evpu[streams] = self._built_window[streams] / distinct
+
+    def _cell_populations(self, owners: np.ndarray,
+                          cells: np.ndarray) -> np.ndarray:
+        """Populations of sampling cells of the owner streams' models.
+
+        Eq. 4 counts of cells (grid indices, ``(k, d)``) of ``owners``
+        (ascending) from stacked kernel calls, each stream's queries
+        padded to the largest count of its call (the padded rows are
+        computed and dropped).  A call takes as many streams as keep
+        its (query, centre) pairs within a quarter block, so the
+        kernel's scratch arrays stay within one block's memory.
+        """
+        streams, first, n_cells = np.unique(owners, return_index=True,
+                                            return_counts=True)
+        centers_1d = cell_grid_centers(self._spec)
+        r = self._spec.counting_radius
+        out = np.empty(owners.size)
+        step = max(1, BLOCK_CELLS // 4
+                   // (int(n_cells.max()) * self._sample_size))
+        for g in range(0, streams.size, step):
+            group = slice(g, g + step)
+            rows = slice(first[g], first[g] + n_cells[group].sum())
+            plane = np.repeat(np.arange(n_cells[group].size), n_cells[group])
+            rank = np.arange(rows.start, rows.stop) - first[group][plane]
+            queries = np.zeros((plane[-1] + 1, int(n_cells[group].max()),
+                                self._n_dims))
+            queries[plane, rank] = centers_1d[cells[rows]]
+            probs = range_probabilities(
+                self._kernel, queries - r, queries + r,
+                self._centers[streams[group]],
+                self._bandwidths[streams[group]])
+            out[rows] = probs[plane, rank] * self._built_window[owners[rows]]
+        return out
 
     def _decide(self, arr: np.ndarray, lo: int, hi: int,
                 out: "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]",
                 ) -> None:
-        """Score rows ``lo:hi`` of every stream against its cached model."""
+        """Score rows ``lo:hi`` of every stream against its cached model.
+
+        One stacked Eq. 5 call counts every reading's neighbourhood.
+        The distance test compares those counts with its threshold; the
+        MDEF test hands all ``(stream, row)`` points to the cell table
+        at once (:meth:`MDEFCellTable.decide
+        <repro.core.mdef.MDEFCellTable.decide>`), which fills cells it
+        lacks through :meth:`_cell_populations` and applies Equation 9
+        to every point in one array pass.
+        """
         detections, scores, thresholds, seqs = out
         seqs[lo:hi] = self._model_seq
         spec = self._spec
@@ -413,15 +473,16 @@ class DetectorEngine:
             scores[lo:hi] = counts.T
             thresholds[lo:hi] = float(spec.count_threshold)
             return
-        for stream, detector in enumerate(self._models):
-            assert detector is not None
-            decisions = detector.check_many(points[stream], counts[stream])
-            for row, decision in enumerate(decisions, start=lo):
-                if decision.is_outlier:
-                    detections[row, stream] = True
-                    scores[row, stream] = decision.mdef
-                    thresholds[row, stream] = \
-                        spec.k_sigma * decision.sigma_mdef
+        assert self._cells is not None
+        n_streams, m = counts.shape
+        owners = np.repeat(np.arange(n_streams), m)
+        decided = self._cells.decide(
+            points.reshape(n_streams * m, -1), counts.reshape(-1), owners,
+            self._evpu[owners], self._cell_populations)
+        detections[lo:hi] = decided.is_outlier.reshape(n_streams, m).T
+        scores[lo:hi] = decided.mdef.reshape(n_streams, m).T
+        thresholds[lo:hi] = \
+            (spec.k_sigma * decided.sigma_mdef).reshape(n_streams, m).T
 
     # ------------------------------------------------------------------
     # One stream's state
@@ -521,10 +582,8 @@ class DetectorEngine:
             # restored engine snapshots to the same bytes as the original.
             setattr(engine, f"_{name}", np.asarray(state[name]).astype(dtype))
         engine._last_check = int(state["last_check"])
-        engine._models = [None] * n_streams
-        if isinstance(engine._spec, MDEFSpec) and engine._last_check >= 0:
-            engine._models = [engine._mdef_detector(s)
-                              for s in range(n_streams)]
+        if engine._cells is not None and engine._last_check >= 0:
+            engine._set_evpu(np.arange(n_streams))
         engine._last_flags = []
         engine._accepted = []
         return engine

@@ -14,7 +14,7 @@ exact window contents *incrementally*:
   against those windows -- equivalent to BruteForce-D at every arrival;
 * :class:`GlobalMDEFTruth` maintains the exact cell-population grid of
   the global union window incrementally and labels arrivals with the
-  same :func:`~repro.core.mdef.mdef_statistic` rule -- equivalent to
+  same :func:`~repro.core.mdef.mdef_statistics` rule -- equivalent to
   BruteForce-M at every arrival.
 
 It also rebuilds the paper's offline *equi-depth histogram* comparison
@@ -30,8 +30,9 @@ from repro._exceptions import ParameterError
 from repro.core.histogram import EquiDepthHistogram
 from repro.core.mdef import (
     MDEFSpec,
+    _cells_in_ranges,
     cell_grid_centers,
-    mdef_statistic,
+    mdef_statistics,
     sampling_cell_ranges,
 )
 from repro.core.outliers import DistanceOutlierSpec
@@ -251,12 +252,8 @@ class GlobalMDEFTruth:
         the cell grid.
         """
         neighbor_counts = self._neighbor_counts(arrivals)
-        lo, hi = sampling_cell_ranges(arrivals, self._spec)
-        mask = np.zeros(arrivals.shape[0], dtype=bool)
-        for i, (starts, stops) in enumerate(zip(lo.tolist(), hi.tolist())):
-            cells = self._grid[tuple(map(slice, starts, stops))].reshape(-1)
-            decision = mdef_statistic(neighbor_counts[i], cells,
-                                      self._spec.k_sigma,
-                                      min_mdef=self._spec.min_mdef)
-            mask[i] = decision.is_outlier
-        return mask
+        sizes, cells = _cells_in_ranges(
+            *sampling_cell_ranges(arrivals, self._spec))
+        return mdef_statistics(neighbor_counts, self._grid[tuple(cells.T)],
+                               sizes, self._spec.k_sigma,
+                               min_mdef=self._spec.min_mdef).is_outlier

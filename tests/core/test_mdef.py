@@ -14,11 +14,14 @@ from repro.core.estimator import KernelDensityEstimator
 from repro.core.mdef import (
     MDEFOutlierDetector,
     MDEFSpec,
+    _EVIDENCE_FLOOR,
     cell_grid_centers,
     mdef_statistic,
+    mdef_statistics,
     sampling_cell_centers,
     sampling_cell_ranges,
 )
+from tests.core._reference_mdef import reference_mdef_statistic
 
 SPEC = MDEFSpec(sampling_radius=0.08, counting_radius=0.01)
 
@@ -137,6 +140,104 @@ class TestStatistic:
             mdef_statistic(1.0, np.array([]), k_sigma=3.0)
 
 
+def _bits(decision: Any) -> tuple:
+    """A decision's fields, floats as their bit patterns (so signed
+    zeros and NaNs compare exactly)."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in (decision.is_outlier, decision.mdef,
+                           decision.sigma_mdef, decision.neighbor_count,
+                           decision.cell_mean, decision.cell_std))
+
+
+@st.composite
+def _statistic_batches(draw: Any) -> "dict[str, Any]":
+    """Points with cell counts of mixed sizes: small ones, numpy's
+    pairwise-summation block edges (8, 128) and sizes past 200."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = st.one_of(st.integers(1, 8), st.integers(127, 129),
+                     st.integers(200, 400))
+    sizes, counts, evpu = [], [], []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(size)
+        kind = draw(st.sampled_from(
+            ["spread", "negative", "floor", "zero", "integer"]))
+        if kind == "spread":
+            cells = rng.uniform(0.0, 300.0, n) * (rng.random(n) < 0.8)
+        elif kind == "negative":      # estimated counts a hair below 0
+            cells = rng.uniform(-1.0, 50.0, n)
+        elif kind == "floor":         # a total at or below the floor
+            cells = np.full(n, _EVIDENCE_FLOOR / n)
+            cells[rng.random(n) < 0.3] *= -1.0
+        elif kind == "zero":
+            cells = np.zeros(n)
+        else:
+            cells = rng.integers(0, 40, n).astype(float)
+        sizes.append(n)
+        counts.append(cells)
+        evpu.append(draw(st.sampled_from([0.0, 0.0, 0.5, 3.0, 37.5])))
+    return {
+        "sizes": sizes, "counts": counts, "evpu": evpu,
+        "neighbors": rng.uniform(0.0, 200.0, len(sizes))
+        * (rng.random(len(sizes)) < 0.8),
+        "k_sigma": draw(st.sampled_from([3.0, 1.0, 0.25])),
+        "min_mdef": draw(st.sampled_from([0.0, 0.5])),
+    }
+
+
+class TestArrayStatistic:
+    """The array Equation 9 equals the frozen scalar one, field for
+    field and bit for bit, whatever the other points of the call."""
+
+    @given(batch=_statistic_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_frozen_scalar_statistic(self, batch):
+        k_sigma, min_mdef = batch["k_sigma"], batch["min_mdef"]
+        expected = [_bits(reference_mdef_statistic(
+            n, cells, k_sigma, min_mdef=min_mdef,
+            estimation_variance_per_unit=e))
+            for n, cells, e in zip(batch["neighbors"], batch["counts"],
+                                   batch["evpu"])]
+        got = mdef_statistics(batch["neighbors"],
+                              np.concatenate(batch["counts"]),
+                              batch["sizes"], k_sigma, min_mdef=min_mdef,
+                              estimation_variance_per_unit=batch["evpu"])
+        assert [_bits(d) for d in got.tolist()] == expected
+        # One shared correction, and the one-point wrapper.
+        for evpu in (0.0, 3.0):
+            got = mdef_statistics(batch["neighbors"],
+                                  np.concatenate(batch["counts"]),
+                                  batch["sizes"], k_sigma, min_mdef=min_mdef,
+                                  estimation_variance_per_unit=evpu)
+            for decision, n, cells in zip(got.tolist(), batch["neighbors"],
+                                          batch["counts"]):
+                want = _bits(reference_mdef_statistic(
+                    n, cells, k_sigma, min_mdef=min_mdef,
+                    estimation_variance_per_unit=evpu))
+                assert _bits(decision) == want
+                assert _bits(mdef_statistic(
+                    n, cells, k_sigma, min_mdef=min_mdef,
+                    estimation_variance_per_unit=evpu)) == want
+
+    def test_every_size_up_to_400(self):
+        """Rows of every cell count, three points each, in one call."""
+        rng = np.random.default_rng(11)
+        sizes = np.repeat(np.arange(1, 401), 3)
+        counts = [rng.uniform(0.0, 500.0, n) for n in sizes]
+        neighbors = rng.uniform(0.0, 500.0, sizes.size)
+        got = mdef_statistics(neighbors, np.concatenate(counts), sizes, 3.0,
+                              estimation_variance_per_unit=2.0)
+        assert [_bits(d) for d in got.tolist()] == [
+            _bits(reference_mdef_statistic(
+                n, c, 3.0, estimation_variance_per_unit=2.0))
+            for n, c in zip(neighbors, counts)]
+
+    def test_shapes_checked(self):
+        with pytest.raises(ParameterError, match="one neighbour count"):
+            mdef_statistics([1.0, 2.0], np.ones(3), [3], 3.0)
+        with pytest.raises(ParameterError, match="non-empty"):
+            mdef_statistics([1.0, 2.0], np.ones(3), [3, 0], 3.0)
+
+
 class TestDetector:
     def test_gap_value_flagged_on_plateau_window(self, plateau_window):
         model = KernelDensityEstimator.from_window(
@@ -209,9 +310,9 @@ def _reference_check(model: KernelDensityEstimator, spec: MDEFSpec,
     centers = _reference_cell_centers(point, spec)
     cell_counts = np.asarray(
         model.neighborhood_count(centers, r_count)).reshape(-1)
-    return mdef_statistic(neighbor, cell_counts, spec.k_sigma,
-                          min_mdef=spec.min_mdef,
-                          estimation_variance_per_unit=evpu)
+    return reference_mdef_statistic(neighbor, cell_counts, spec.k_sigma,
+                                    min_mdef=spec.min_mdef,
+                                    estimation_variance_per_unit=evpu)
 
 
 def _reference_check_many(model: KernelDensityEstimator, spec: MDEFSpec,
@@ -226,7 +327,7 @@ def _reference_check_many(model: KernelDensityEstimator, spec: MDEFSpec,
     offset = m
     for i in range(m):
         n_cells = centers[i].shape[0]
-        decisions.append(mdef_statistic(
+        decisions.append(reference_mdef_statistic(
             float(counts[i]), counts[offset:offset + n_cells],
             spec.k_sigma, min_mdef=spec.min_mdef,
             estimation_variance_per_unit=evpu))

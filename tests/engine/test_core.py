@@ -191,11 +191,11 @@ class TestMDEFTableSnapshot:
                                 model_refresh=16,
                                 rng=np.random.default_rng(1))
         engine.ingest(data[:window + 50])
-        assert all(d is not None and d._keys.size > 1
-                   for d in engine._models)
+        table = engine._cells
+        assert set((table.keys[:-1] // table._grid).tolist()) \
+            == set(range(n_streams))
         restored = decode_snapshot(encode_snapshot(engine))
-        assert all(d is not None and d._keys.size == 1
-                   for d in restored._models)
+        assert restored._cells.keys.size == 1
         start, flagged = window + 50, 0
         for size in (1, 9, 2, 64, 31, 1, 92, 50):
             chunk = data[start:start + size]
@@ -206,6 +206,109 @@ class TestMDEFTableSnapshot:
             flagged += int(flags.sum())
             start += size
         assert start == 900 and flagged > 0
+
+
+class TestCrossStreamMDEF:
+    """The engine's one-pass MDEF decision over all streams.
+
+    With ``MDEFSpec(0.16, 0.02)`` the grid has 25 cells per dimension
+    over ``[0, 1]``: a reading inside it sees up to 9 cells per
+    dimension, one near 0 or 1 fewer, and one outside ``[0, 1]`` only
+    the nearest cell, so one call mixes many cell counts, streams
+    rebuild their models at different checks, and a restore midway
+    starts the cell table cold."""
+
+    SPEC = MDEFSpec(0.16, 0.02)
+    SPLITS = (1, 7, 64, 2, 33, 1, 1, 40, 51)
+
+    @staticmethod
+    def _readings(seed: int, n_ticks: int, n_streams: int) -> np.ndarray:
+        """Each stream clusters tightly at a corner of ``[0, 1]^2``,
+        with strays around it (often outside the square) and a few far
+        ones."""
+        rng = np.random.default_rng(seed)
+        shape = (n_ticks, n_streams, 2)
+        corner = np.where(rng.random((1, n_streams, 2)) < 0.5, 0.03, 0.97)
+        data = corner + rng.normal(0.0, 0.01, shape)
+        stray = rng.random(shape) < 0.1
+        data[stray] += rng.uniform(-0.25, 0.25, int(stray.sum()))
+        far = rng.random(shape) < 0.02
+        data[far] = rng.uniform(-0.5, 1.5, int(far.sum()))
+        return data
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_ragged_cells_equal_per_stream_detectors(self, seed):
+        n_streams, n_ticks = 4, sum(self.SPLITS)
+        seeds = [seed * 31 + s for s in range(n_streams)]
+        kwargs: "dict[str, Any]" = {"n_dims": 2, "warmup": 20,
+                                    "model_refresh": 8}
+        engine = DetectorEngine(n_streams, self.SPEC, window_size=400,
+                                sample_size=32, stream_seeds=seeds, **kwargs)
+        reference = [OnlineOutlierDetector(400, 32, self.SPEC,
+                                           rng=resolve_rng(None, s), **kwargs)
+                     for s in seeds]
+        data = self._readings(seed, n_ticks, n_streams)
+        start = flagged = 0
+        for call, size in enumerate(self.SPLITS):
+            if call == 4:
+                engine = decode_snapshot(encode_snapshot(engine))
+                assert engine._cells.keys.size == 1
+            chunk = data[start:start + size]
+            flags = engine.ingest(chunk)
+            expected, details = _reference_call(reference, chunk, start)
+            assert np.array_equal(flags, expected), (call, start)
+            got = engine.last_flags
+            assert [(f["tick"], f["stream"], f["model_seq"]) for f in got] \
+                == [(f["tick"], f["stream"], f["model_seq"])
+                    for f in details], (call, start)
+            for flag, want in zip(got, details):
+                assert flag["score"] == pytest.approx(want["score"],
+                                                      rel=1e-9, abs=1e-12)
+                assert flag["threshold"] == pytest.approx(
+                    want["threshold"], rel=1e-9, abs=1e-12)
+            # The variance correction, |W| / distinct centres, is the
+            # one each stream's own detector derives.
+            for stream, detector in enumerate(reference):
+                if detector._mdef is not None:
+                    assert engine._evpu[stream] == detector._mdef._evpu
+            flagged += int(flags.sum())
+            start += size
+        assert flagged > 0
+        assert (engine._evpu * 32 != engine._built_window).any()
+
+
+    def test_untabled_grid_equals_per_stream_detectors(self):
+        """Two streams of a 7-d grid with 500 cells per dimension: each
+        stream's keys fit int64, the composite (stream, cell) keys do
+        not, so the engine tables nothing and estimates every cell."""
+        spec = MDEFSpec(sampling_radius=0.0015, counting_radius=0.001)
+        seeds = [5, 6]
+        kwargs: "dict[str, Any]" = {"n_dims": 7, "warmup": 4,
+                                    "model_refresh": 4}
+        engine = DetectorEngine(2, spec, window_size=200, sample_size=20,
+                                stream_seeds=seeds, **kwargs)
+        reference = [OnlineOutlierDetector(200, 20, spec,
+                                           rng=resolve_rng(None, s), **kwargs)
+                     for s in seeds]
+        # A tight cluster on one cell centre, and strays one cell over.
+        rng = np.random.default_rng(3)
+        data = 0.501 + rng.normal(0.0, 0.0001, (100, 2, 7))
+        data[rng.random((100, 2)) < 0.1, 0] += 0.0015
+        start = flagged = 0
+        for size in (1, 9, 3, 27, 60):
+            chunk = data[start:start + size]
+            flags = engine.ingest(chunk)
+            expected, details = _reference_call(reference, chunk, start)
+            assert np.array_equal(flags, expected), start
+            assert [(f["tick"], f["stream"], f["model_seq"])
+                    for f in engine.last_flags] \
+                == [(f["tick"], f["stream"], f["model_seq"])
+                    for f in details], start
+            flagged += int(flags.sum())
+            start += size
+        assert flagged > 0
+        assert engine._cells.keys.size == 1
+        assert reference[0]._mdef._keys.size > 1
 
 
 class TestAcceptanceDrawSplit:

@@ -212,6 +212,49 @@ class TestEngineChecks:
         with pytest.raises(SanitizeError, match="successor"):
             _sanitize.check_chain_sample(engine._sample)
 
+    @pytest.mark.parametrize("mdef", [False, True])
+    def test_bad_bandwidths_trip_every_model_check(self, rng, mdef,
+                                                   monkeypatch):
+        spec = MDEFSpec(sampling_radius=1.0, counting_radius=0.25) \
+            if mdef else None
+        engine = self.make_engine(rng, spec, n_dims=2 if mdef else 1)
+        monkeypatch.setattr("repro.engine.core.model_bandwidths",
+                            lambda std, *args: np.zeros_like(std))
+        with _sanitize.enabled(), \
+                pytest.raises(SanitizeError, match="DetectorEngine"):
+            engine.ingest(rng.normal(size=(40, 4, engine._n_dims)))
+
+
+class TestMDEFTableChecks:
+    """An MDEF engine's cell table checks itself after every merge."""
+
+    @staticmethod
+    def make_table(rng):
+        engine = DetectorEngine(
+            3, MDEFSpec(sampling_radius=0.3, counting_radius=0.05),
+            window_size=30, sample_size=10, n_dims=2, warmup=5,
+            model_refresh=8, rng=np.random.default_rng(1))
+        with _sanitize.enabled():
+            engine.ingest(rng.uniform(size=(40, 3, 2)))
+        assert engine._cells.keys.size > 1
+        return engine._cells
+
+    def test_filled_table_passes(self, rng):
+        _sanitize.check_mdef_table(self.make_table(rng))
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda t: setattr(t, "keys", t.keys[::-1].copy()), "sentinel"),
+        (lambda t: t.keys.__setitem__(1, t.keys[0]), "increasing"),
+        (lambda t: setattr(t, "counts", t.counts[1:]), "populations"),
+        (lambda t: t.counts.__setitem__(0, -1.0), "negative"),
+        (lambda t: t.counts.__setitem__(0, np.inf), "finite"),
+    ])
+    def test_corrupted_table_raises(self, rng, corrupt, match):
+        table = self.make_table(rng)
+        corrupt(table)
+        with pytest.raises(SanitizeError, match=match):
+            _sanitize.check_mdef_table(table)
+
 
 class TestCodecChecks:
     def test_roundtrip_passes_with_checks_live(self, rng):
