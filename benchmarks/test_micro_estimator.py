@@ -49,14 +49,14 @@ def test_pdf_evaluation(benchmark, samples):
 
 
 def test_sorted_path_beats_dense_path(samples):
-    """The Theorem 2 fast path prunes: narrow queries touch few kernels."""
+    """The Theorem 2 pruned path prunes: narrow queries touch few kernels."""
     import time
     kde = KernelDensityEstimator(samples[2_048], window_size=40_000)
     low, high = np.array([0.49]), np.array([0.51])
 
     start = time.perf_counter()
     for _ in range(300):
-        kde._range_probability_sorted_1d(0.49, 0.51)
+        kde.range_probability(0.49, 0.51)
     fast = time.perf_counter() - start
 
     start = time.perf_counter()

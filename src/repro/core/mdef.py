@@ -516,10 +516,10 @@ class MDEFOutlierDetector:
 
         The points' counting queries go to the model in one batch and
         the sampling cells not yet tabled in another; Equation 9 then
-        runs on all points at once.  Decisions match per-point
-        :meth:`check` calls up to the round-off between the
-        single-point and batched range queries of the point's own
-        count.
+        runs on all points at once.  Decisions equal per-point
+        :meth:`check` calls field for field: a point's own count is
+        the same Eq. 5 expression whether it is queried alone or in a
+        batch.
 
         ``neighbor_counts`` supplies the points' counting-neighbourhood
         populations instead, for a caller that computed them already.

@@ -237,7 +237,8 @@ class D3LeafNode:
     group's engine (:meth:`on_readings` / :meth:`on_tick_start`); any
     other leaf keeps its own :class:`StreamModelState` and handles one
     reading at a time (:meth:`on_reading`).  Both paths make the same
-    draws and decisions.
+    draws and decisions: ``neighborhood_count``'s single-box count
+    equals the group's stacked count bit for bit.
     """
 
     def __init__(self, node_id: int, parent: "int | None", level: int,
@@ -308,12 +309,8 @@ class D3LeafNode:
         if tick >= self._config.effective_warmup:
             model = state.model()
             if model is not None:
-                # The batch kernel on a one-row box, as the group scores
-                # its members: the same count bit for bit.
-                point = np.asarray(value, dtype=float).reshape(1, -1)
-                radius = self._config.spec.radius
-                count = float(model._range_probability_batch(
-                    point - radius, point + radius)[0] * model.window_size)
+                count = float(model.neighborhood_count(
+                    value, self._config.spec.radius))
                 if count < self._config.spec.count_threshold:
                     out.extend(self._flag(tick, np.array(value, dtype=float),
                                           count, state.model_seq))

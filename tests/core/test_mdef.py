@@ -398,6 +398,10 @@ class TestCellTable:
             if kind == "check":
                 assert detector.check(pts) == _reference_check(
                     model, spec, evpu, pts)
+                # One Eq. 5 expression: the single-box own count and
+                # the batched one agree, so every field does.
+                assert detector.check(pts) == \
+                    detector.check_many(pts[None, :])[0]
             elif kind == "many":
                 assert detector.check_many(pts) == _reference_check_many(
                     model, spec, evpu, pts)

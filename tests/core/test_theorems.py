@@ -1,7 +1,7 @@
 """Direct checks of the paper's theorems.
 
-* Theorem 2's fast path is covered in ``test_estimator.py``
-  (sorted-path equivalence) and timed in ``benchmarks``.
+* Theorem 2's pruned path is covered in ``test_eq5_paths.py`` (exact
+  equality with the dense kernel) and timed in ``benchmarks``.
 * Theorem 3 -- a parent's distance-based outliers (over the union of its
   children's windows, same (D, r)) are a subset of the union of the
   children's outliers -- is checked here on exact detectors, including

@@ -152,14 +152,14 @@ class TestProcessMany:
 
     def test_neighbor_counts_close(self, rng):
         """Counts come from the batched range query instead of the
-        sorted-1d fast path; they agree to floating-point noise."""
+        single-box one; both evaluate one Eq. 5 expression, so they
+        are equal."""
         stream = rng.normal(0.4, 0.02, 800)
         scalar_decisions, batched_decisions = self._compare(
             DIST, stream, [800], window=300, sample=30)
         for a, b in zip(scalar_decisions, batched_decisions):
             if a is not None:
-                assert a.neighbor_count == pytest.approx(
-                    b.neighbor_count, abs=1e-9)
+                assert a.neighbor_count == b.neighbor_count
 
     def test_single_element_blocks_match_scalar(self, rng):
         stream = rng.normal(0.4, 0.02, 400)

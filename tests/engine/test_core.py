@@ -9,10 +9,9 @@ generators spawned (or seeded) exactly as the engine derives them:
 * ``last_flags`` names the same ``(tick, stream)`` pairs with the
   ``model_seq`` the stream's detector reports at that reading (the
   version the reading was scored with, even when the model is rebuilt
-  later in the same call), and the same ``score`` and ``threshold`` up
-  to the last-ulp
-  round-off between the scalar path's sorted range query and the
-  batched one;
+  later in the same call), and the same ``score`` and ``threshold``
+  exactly (the scalar path's single-box range query and the engine's
+  stacked one evaluate one Eq. 5 expression);
 * a snapshot round trip at any call boundary is invisible.
 
 Batch splits range from one tick per call to calls that straddle the
@@ -171,10 +170,8 @@ class TestEngineEqualsPerStreamDetectors:
                 == [(f["tick"], f["stream"], f["model_seq"])
                     for f in details], (call, start)
             for flag, want in zip(got, details):
-                assert flag["score"] == pytest.approx(want["score"],
-                                                      rel=1e-9, abs=1e-12)
-                assert flag["threshold"] == pytest.approx(
-                    want["threshold"], rel=1e-9, abs=1e-12)
+                assert flag["score"] == want["score"]
+                assert flag["threshold"] == want["threshold"]
             start += size
         assert engine.tick == sc["n_ticks"]
 
@@ -262,10 +259,8 @@ class TestCrossStreamMDEF:
                 == [(f["tick"], f["stream"], f["model_seq"])
                     for f in details], (call, start)
             for flag, want in zip(got, details):
-                assert flag["score"] == pytest.approx(want["score"],
-                                                      rel=1e-9, abs=1e-12)
-                assert flag["threshold"] == pytest.approx(
-                    want["threshold"], rel=1e-9, abs=1e-12)
+                assert flag["score"] == want["score"]
+                assert flag["threshold"] == want["threshold"]
             # The variance correction, |W| / distinct centres, is the
             # one each stream's own detector derives.
             for stream, detector in enumerate(reference):
