@@ -43,7 +43,6 @@ from typing import Any, Mapping
 
 from repro._exceptions import SnapshotError
 from repro.core.estimator import KernelDensityEstimator
-from repro.core.indexes import SortedSampleIndex
 from repro.detectors._state import ChildStalenessTracker, StreamModelState
 from repro.detectors.single import OnlineOutlierDetector
 from repro.engine.core import DetectorEngine
@@ -100,7 +99,6 @@ REGISTERED_CLASSES: "tuple[type, ...]" = (
     EHMomentsSketch,
     GKQuantileSummary,
     KernelDensityEstimator,
-    SortedSampleIndex,
     StreamModelState,
     ChildStalenessTracker,
     OnlineOutlierDetector,
