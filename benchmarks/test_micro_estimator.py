@@ -49,22 +49,43 @@ def test_pdf_evaluation(benchmark, samples):
 
 
 def test_sorted_path_beats_dense_path(samples):
-    """The Theorem 2 pruned path prunes: narrow queries touch few kernels."""
+    """The Theorem 2 pruned path prunes: narrow queries touch few kernels.
+
+    The box [0.49, 0.51] plus the kernel's reach (one bandwidth, ~0.049
+    here) holds 897 of the 2048 centres of this N(0.5, 0.1) sample, so
+    the pruned call sums fewer than half the dense call's terms; that
+    is asserted exactly.  The timing runs both calls in alternating
+    rounds and compares per-round medians, so a slow phase of the host
+    hits both sides alike.
+    """
+    import statistics
     import time
+
+    from repro.core.indexes import SortedSampleIndex
+
     kde = KernelDensityEstimator(samples[2_048], window_size=40_000)
     low, high = np.array([0.49]), np.array([0.51])
+    reached = SortedSampleIndex(kde._sample).candidates(
+        low - kde._reach, high + kde._reach)
+    assert 0 < reached.size < 2_048 // 2
 
-    start = time.perf_counter()
-    for _ in range(300):
+    def pruned() -> None:
         kde.range_probability(0.49, 0.51)
-    fast = time.perf_counter() - start
 
-    start = time.perf_counter()
-    for _ in range(300):
+    def dense() -> None:
         kde._range_probability_batch(low[None, :], high[None, :])
-    dense = time.perf_counter() - start
 
-    assert fast < dense
+    rounds: "dict[str, list[float]]" = {"pruned": [], "dense": []}
+    for round_index in range(21):
+        order = [("pruned", pruned), ("dense", dense)]
+        for name, call in order if round_index % 2 else order[::-1]:
+            start = time.perf_counter()
+            for _ in range(30):
+                call()
+            rounds[name].append(time.perf_counter() - start)
+    fast = statistics.median(rounds["pruned"])
+    dense_time = statistics.median(rounds["dense"])
+    assert fast < dense_time
 
 
 def test_model_build_cost(benchmark, samples):

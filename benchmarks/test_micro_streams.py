@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.streams.sampling import ChainSample
-from repro.streams.variance import EHVarianceSketch
+from repro.streams import variance
+from repro.streams.variance import EHVarianceSketch, MultiDimVarianceSketch
 
 
 def test_chain_sample_offer(benchmark):
@@ -43,6 +45,29 @@ def test_variance_sketch_query(benchmark):
         sketch.insert(float(value))
     result = benchmark(sketch.std)
     assert result > 0
+
+
+@pytest.mark.parametrize("kernel", ["rows", "columns"])
+@pytest.mark.parametrize("n_lanes", [1, 32, 64, 256])
+def test_variance_store_insert(benchmark, monkeypatch, n_lanes, kernel):
+    """One 32-tick block into an n-lane sketch at steady state (|W| =
+    1000): four compresses and one ``std()``, the engine's EH work per
+    call, with each kernel forced.  The lane count where ``columns``
+    overtakes ``rows`` is the crossover ``_COLUMN_KERNEL_LANES`` is set
+    from."""
+    monkeypatch.setattr(variance, "_COLUMN_KERNEL_LANES",
+                        1 if kernel == "columns" else n_lanes + 1)
+    rng = np.random.default_rng(0)
+    data = rng.normal(0.5, 0.1, size=(2_000 + 32 * 40, n_lanes))
+    sketch = MultiDimVarianceSketch(1_000, n_lanes)
+    sketch.insert_many(data[:2_000])
+    blocks = iter(np.split(data[2_000:], 40))
+
+    def insert_block() -> None:
+        sketch.insert_many(next(blocks))
+        sketch.std()
+
+    benchmark.pedantic(insert_block, rounds=40, iterations=1)
 
 
 def test_windowed_neighbor_index_insert(benchmark):

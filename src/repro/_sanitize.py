@@ -53,7 +53,6 @@ __all__ = [
     "check_mass",
     "check_bandwidths",
     "check_chain_sample",
-    "check_eh_lane",
     "check_eh_sketch",
     "check_variance_sketch",
     "check_mdef_table",
@@ -207,50 +206,54 @@ def check_mdef_table(table: Any, *, label: str = "MDEFCellTable") -> None:
 def check_eh_sketch(sketch: Any, *, label: str = "EHVarianceSketch") -> None:
     """Assert the EH variance sketch's bucket invariants (PODS'03).
 
-    Buckets run oldest to newest with strictly increasing timestamps,
-    only the oldest may precede the window's left edge (its count is
-    halved at query time -- that is the approximation the epsilon budget
-    bounds), every count is a positive integer, and every ``m2`` is
-    non-negative and finite.
+    See :func:`check_variance_sketch`; the scalar sketch is one lane.
     """
-    check_eh_lane(sketch._lane, sketch.timestamp, sketch.window_size,
-                  label=label)
+    check_variance_sketch(sketch._store, label=label)
 
 
 def check_variance_sketch(sketch: Any, *,
                           label: str = "MultiDimVarianceSketch") -> None:
-    """Assert :func:`check_eh_sketch`'s invariants on every lane of a
-    :class:`~repro.streams.variance.MultiDimVarianceSketch`."""
-    for dim, lane in enumerate(sketch._lanes):
-        check_eh_lane(lane, sketch._timestamp, sketch._window_size,
-                      label=f"{label} dim {dim}")
+    """Assert the bucket invariants of every lane of a
+    :class:`~repro.streams.variance.MultiDimVarianceSketch`.
 
-
-def check_eh_lane(lane: Any, now: int, window: int, *, label: str) -> None:
-    """Assert one EH lane's bucket invariants at timestamp ``now``.
-
-    See :func:`check_eh_sketch`; ``lane`` is a
-    :class:`~repro.streams.variance.EHLane`.
+    Each lane's buckets run oldest to newest with strictly increasing
+    timestamps that are not in the future, only the oldest may precede
+    the window's left edge (its count is halved at query time -- that is
+    the approximation the epsilon budget bounds), every count is a
+    positive integer, every ``m2`` is non-negative and finite, and no
+    lane is longer than the arrays hold.
     """
-    previous_ts = None
-    for i, (ts, count, mean, m2) in enumerate(
-            zip(lane.ts, lane.counts, lane.means, lane.m2s)):
-        if count < 1:
-            _fail(label, f"bucket {i} has count {count} < 1")
-        if not (np.isfinite(mean) and np.isfinite(m2)):
-            _fail(label, f"bucket {i} has non-finite moments")
-        if m2 < -ATOL:
-            _fail(label, f"bucket {i} has negative m2 {m2!r}")
-        if ts > now:
-            _fail(label, f"bucket {i} timestamp {ts} is in the future "
-                         f"(now {now})")
-        if i > 0 and ts <= now - window:
-            _fail(label, f"non-oldest bucket {i} expired at {ts} but was "
-                         f"kept")
-        if previous_ts is not None and ts <= previous_ts:
-            _fail(label, f"bucket timestamps not strictly increasing "
-                         f"({previous_ts} -> {ts})")
-        previous_ts = ts
+    now, window, end = sketch._timestamp, sketch._window_size, sketch._end
+    first = sketch._first
+    if end > sketch._ts.shape[1] or (first < 0).any() or (first > end).any():
+        _fail(label, f"lane lengths {(end - first).tolist()} exceed the "
+                     f"{end} stored columns")
+    column = np.arange(end)
+    valid = column >= first[:, None]
+    ts = sketch._ts[:, :end]
+    counts = sketch._counts[:, :end]
+    m2s = sketch._m2s[:, :end]
+    finite = np.isfinite(sketch._means[:, :end]) & np.isfinite(m2s)
+    unordered = np.zeros_like(valid)
+    unordered[:, 1:] = valid[:, 1:] & (ts[:, 1:] <= ts[:, :-1])
+    # One invariant at a time over all lanes; the first offending bucket
+    # in lane order is reported.
+    for bad, message in (
+            (valid & (counts < 1), "bucket {i} has count {count} < 1"),
+            (valid & ~finite, "bucket {i} has non-finite moments"),
+            (valid & (m2s < -ATOL), "bucket {i} has negative m2 {m2!r}"),
+            (valid & (ts > now),
+             "bucket {i} timestamp {ts} is in the future (now {now})"),
+            (valid & (column > first[:, None]) & (ts <= now - window),
+             "non-oldest bucket {i} expired at {ts} but was kept"),
+            (unordered, "bucket timestamps not strictly increasing "
+                        "({previous} -> {ts})")):
+        if bad.any():
+            lane, col = (int(x) for x in np.argwhere(bad)[0])
+            _fail(f"{label} dim {lane}", message.format(
+                i=col - int(first[lane]), count=int(counts[lane, col]),
+                m2=float(m2s[lane, col]), ts=int(ts[lane, col]),
+                previous=int(ts[lane, col - 1]), now=now))
 
 
 def check_codec_roundtrip(payload: bytes, sample: np.ndarray,

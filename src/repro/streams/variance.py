@@ -29,6 +29,21 @@ O((1/eps) log |W|) to O((1/eps^2) log |W|) words -- inside Theorem 1's
 budget, which is exactly the relationship the Section 10.3 experiment
 reports ("actual ... 55%-65% less than the theoretic upper bound").
 
+One store holds every lane: :class:`MultiDimVarianceSketch` keeps the
+four bucket fields as padded ``(lanes, cap)`` arrays, each lane
+right-aligned to one shared end column, so appending a block is one
+slice write, expiry only shortens lanes, and compaction writes every
+lane back in one masked copy.  Compress visits each lane's buckets
+after its *count-frozen prefix* only: two neighbours whose counts
+already sum past the count cap can never merge (counts only grow), so
+the greedy re-emits every bucket before the first open boundary
+unchanged and the suffix fold never needs them.  The greedy itself, and
+the windowed aggregate, are sequential folds; they run as a numpy loop
+over bucket columns across all lanes from :data:`_COLUMN_KERNEL_LANES`
+lanes on, and as a Python loop over each lane's ``tolist()``'d row
+below it, with the same arithmetic in the same order, so both give the
+same bits.  :class:`EHVarianceSketch` is one lane of the store.
+
 :class:`ExactWindowedVariance` keeps the full window and serves as the
 reference the sketch is tested against.
 """
@@ -36,7 +51,6 @@ reference the sketch is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -47,7 +61,6 @@ from repro._validation import require_fraction, require_positive_int
 from repro.streams.window import SlidingWindow
 
 __all__ = [
-    "EHLane",
     "ExactWindowedVariance",
     "EHVarianceSketch",
     "MultiDimVarianceSketch",
@@ -79,379 +92,148 @@ _BUDGET_FACTOR = 10.0
 
 
 def variance_budget(epsilon: float) -> float:
-    """The merge budget's ``eps^2`` multiple (see :meth:`EHLane.compress`)."""
+    """The merge budget's ``eps^2`` multiple (see
+    :meth:`MultiDimVarianceSketch._compress`)."""
     return _BUDGET_FACTOR * epsilon * epsilon
 
 
-#: :class:`EHLane` fields and their snapshot dtypes.
-_LANE_FIELDS = (("ts", np.int64), ("counts", np.int64), ("means", float),
-                ("m2s", float))
+#: Bucket fields of :class:`MultiDimVarianceSketch`: snapshot name,
+#: dtype, and the value padding columns hold.  Padding has a timestamp
+#: below every horizon, so expiry counts it as expired, and the count
+#: and m2 of a singleton bucket, so an append writes only timestamps and
+#: values and the column loops below never divide by zero.
+_FIELDS = (("ts", np.int64, np.iinfo(np.int64).min),
+           ("counts", np.int64, 1),
+           ("means", np.float64, 0.0),
+           ("m2s", np.float64, 0.0))
 
 #: Compress once per this many inserts; between compressions new values
 #: sit in singleton buckets, which costs a little transient memory but
 #: keeps the amortised insert cost O(B / interval).
 _COMPRESS_INTERVAL = 8
 
+#: From this many lanes on, compress and the windowed aggregate run a
+#: numpy loop over bucket columns, across all lanes at once; below it,
+#: a Python loop over each lane's ``tolist()``'d row.  The measured
+#: crossover lies between 32 and 48 lanes at |W| = 1000 and near 48 at
+#: |W| = 300 (docs/PERFORMANCE.md, "One EH store"): engine-d3's 256
+#: lanes and the 64 of network-d3's leaves and supervised-d3 take the
+#: column loop; engine-mgdd-2d's 32 and the one-lane sketches the rows.
+_COLUMN_KERNEL_LANES = 64
 
-@dataclass(slots=True)
-class EHLane:
-    """The buckets of one scalar EH sketch, as parallel lists.
 
-    Bucket ``i`` (oldest first) holds ``counts[i]`` values whose newest
-    timestamp is ``ts[i]``, with mean ``means[i]`` and sum of squared
-    deviations ``m2s[i]``.  :class:`EHVarianceSketch` keeps one lane;
-    :class:`MultiDimVarianceSketch` keeps one per lane (dimension, or
-    (stream, dimension) in the cross-stream engine), and both run the
-    methods below.
+def _padded(lanes: int, cap: int) -> "list[np.ndarray]":
+    """Fresh ``(lanes, cap)`` bucket arrays holding padding only."""
+    fields = [np.empty((lanes, cap), dtype=dtype) for _, dtype, _ in _FIELDS]
+    for field, (_, _, pad) in zip(fields, _FIELDS):
+        field.fill(pad)
+    return fields
+
+
+def _greedy_rows(counts: np.ndarray, means: np.ndarray, m2s: np.ndarray,
+                 ends: np.ndarray, first: np.ndarray, end: int,
+                 max_count: float, budget: float) -> None:
+    """The greedy merge, one lane at a time over Python floats.
+
+    See :meth:`MultiDimVarianceSketch._compress` for the contract.
     """
-
-    ts: "list[int]" = field(default_factory=list)
-    counts: "list[int]" = field(default_factory=list)
-    means: "list[float]" = field(default_factory=list)
-    m2s: "list[float]" = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def append(self, ts0: int, values: "list[float]") -> None:
-        """Append singleton buckets for ``values`` at ``ts0, ts0 + 1, ...``."""
-        k = len(values)
-        self.ts.extend(range(ts0, ts0 + k))
-        self.counts.extend([1] * k)
-        self.means.extend(values)
-        self.m2s.extend([0.0] * k)
-
-    def expire(self, horizon: int) -> None:
-        """Drop the buckets whose newest timestamp is ``<= horizon``."""
-        ts = self.ts
-        drop = 0
-        while drop < len(ts) and ts[drop] <= horizon:
-            drop += 1
-        if drop:
-            del ts[:drop], self.counts[:drop], self.means[:drop], \
-                self.m2s[:drop]
-
-    def compress(self, max_count: float, budget: float) -> None:
-        """Greedily merge adjacent buckets, oldest first, within budget.
-
-        Each merge must respect both budgets:
-          (a) 9 * m2(merged) <= eps^2 * m2(suffix headed by merged);
-          (b) count(merged)  <= eps/2 * window population
-        (``budget`` and ``max_count`` carry the two right-hand sides).
-        """
-        n = len(self.ts)
+    for lane, f in enumerate(first.tolist()):
+        row = counts[lane, f:end].tolist()
+        s = next((i for i in range(len(row) - 1)
+                  if row[i] + row[i + 1] <= max_count), len(row) - 1)
+        n = len(row) - s
         if n < 2:
-            return
-        counts, means, m2s, newest = self.counts, self.means, self.m2s, \
-            self.ts
-        # suffix_m2[i] is the m2 of the union of buckets[i:], built newest
-        # to oldest.  The key property making one pass sufficient: merging
-        # buckets[i:j] into one bucket leaves the union (and hence the
-        # suffix aggregate headed by the merged bucket) unchanged.  Both
-        # passes inline the parallel-axis rule on plain floats: this runs
-        # every ``_COMPRESS_INTERVAL`` inserts over a few dozen buckets,
-        # where object (or numpy-array) handling dominates the arithmetic.
-        suffix_m2 = [0.0] * n
-        s_count, s_mean, s_m2 = counts[n - 1], means[n - 1], m2s[n - 1]
-        suffix_m2[n - 1] = s_m2
+            continue
+        c = row[s:]
+        s += f
+        mu = means[lane, s:end].tolist()
+        q = m2s[lane, s:end].tolist()
+        # suffix[i] is the m2 of the union of buckets[i:], built newest
+        # to oldest.  Merging buckets[i:j] leaves that union unchanged,
+        # so one pass is enough.
+        suffix = [0.0] * n
+        s_count, s_mean, s_m2 = c[n - 1], mu[n - 1], q[n - 1]
+        suffix[n - 1] = s_m2
         for i in range(n - 2, -1, -1):
-            c = counts[i]
-            total = c + s_count
-            delta = s_mean - means[i]
-            s_m2 = m2s[i] + s_m2 + delta * delta * (c * s_count / total)
-            s_mean = means[i] + delta * (s_count / total)
+            total = c[i] + s_count
+            delta = s_mean - mu[i]
+            s_m2 = q[i] + s_m2 + delta * delta * (c[i] * s_count / total)
+            s_mean = mu[i] + delta * (s_count / total)
             s_count = total
-            suffix_m2[i] = s_m2
-        out_ts: "list[int]" = []
-        out_counts: "list[int]" = []
-        out_means: "list[float]" = []
-        out_m2s: "list[float]" = []
-        c_ts = newest[0]
-        c_count, c_mean, c_m2 = counts[0], means[0], m2s[0]
+            suffix[i] = s_m2
+        keep = [False] * n
+        c_count, c_mean, c_m2 = c[0], mu[0], q[0]
         head = 0          # index whose suffix aggregate the run heads
         for i in range(1, n):
-            b_count = counts[i]
+            b_count = c[i]
             total = c_count + b_count
-            delta = means[i] - c_mean
-            cand_m2 = c_m2 + m2s[i] + delta * delta * (c_count * b_count / total)
-            if total <= max_count and cand_m2 <= budget * suffix_m2[head]:
+            delta = mu[i] - c_mean
+            cand_m2 = c_m2 + q[i] + delta * delta * (c_count * b_count / total)
+            if total <= max_count and cand_m2 <= budget * suffix[head]:
                 c_mean += delta * (b_count / total)
                 c_m2 = cand_m2
                 c_count = total
-                c_ts = newest[i]
             else:
-                out_ts.append(c_ts)
-                out_counts.append(c_count)
-                out_means.append(c_mean)
-                out_m2s.append(c_m2)
-                c_ts = newest[i]
-                c_count, c_mean, c_m2 = b_count, means[i], m2s[i]
+                c[i - 1], mu[i - 1], q[i - 1] = c_count, c_mean, c_m2
+                keep[i - 1] = True
+                c_count, c_mean, c_m2 = b_count, mu[i], q[i]
                 head = i
-        out_ts.append(c_ts)
-        out_counts.append(c_count)
-        out_means.append(c_mean)
-        out_m2s.append(c_m2)
-        self.ts, self.counts, self.means, self.m2s = \
-            out_ts, out_counts, out_means, out_m2s
-
-    def aggregate(self) -> "tuple[int, float, float] | None":
-        """``(count, mean, m2)`` of the window, or None when empty.
-
-        The oldest bucket straddles the window edge, so it is charged at
-        half weight; the rest merge in by the parallel-axis (Chan et
-        al.) rule.
-        """
-        n = len(self.ts)
-        if not n:
-            return None
-        count, mean, m2 = self.counts[0], self.means[0], self.m2s[0]
-        if n == 1:
-            return count, mean, m2
-        count, m2 = max(1, count // 2), m2 / 2.0
-        counts, means, m2s = self.counts, self.means, self.m2s
-        for i in range(1, n):
-            b_count = counts[i]
-            total = count + b_count
-            delta = means[i] - mean
-            mean = mean + delta * (b_count / total)
-            m2 = m2 + m2s[i] + delta * delta * (count * b_count / total)
-            count = total
-        return count, mean, m2
-
-    def std(self) -> float:
-        """Estimated standard deviation of the window."""
-        agg = self.aggregate()
-        if agg is None:
-            raise ParameterError("no values inserted yet")
-        return math.sqrt(max(agg[2] / agg[0], 0.0))
+        c[n - 1], mu[n - 1], q[n - 1] = c_count, c_mean, c_m2
+        keep[n - 1] = True
+        counts[lane, s:end] = c
+        means[lane, s:end] = mu
+        m2s[lane, s:end] = q
+        ends[lane, s:end] = keep
 
 
-def insert_lanes(lanes: "Sequence[EHLane]", columns: "list[list[float]]",
-                 ts0: int, since_compress: int, window: int,
-                 count_fraction: float, budget: float,
-                 peaks: "list[int]") -> int:
-    """Insert one column of values per lane at ``ts0, ts0 + 1, ...``.
+def _greedy_columns(counts: np.ndarray, means: np.ndarray, m2s: np.ndarray,
+                    ends: np.ndarray, first: np.ndarray, end: int,
+                    max_count: float, budget: float) -> None:
+    """The greedy merge, one bucket column at a time across all lanes.
 
-    All lanes share timestamps and compress cadence: values go in as
-    singleton buckets in chunks aligned to :data:`_COMPRESS_INTERVAL`,
-    expiry is charged once at each chunk's final timestamp (no merge
-    decision is taken before the next compression point), and every
-    lane compresses when the cadence comes due.  The result is exactly
-    the bucket state of one-at-a-time inserts.  ``peaks[i]`` is raised
-    to lane ``i``'s bucket count after each compress; returns the new
-    inserts-since-compress phase.
+    The same arithmetic as :func:`_greedy_rows`, in the same order, on
+    float64/int64 arrays.  A lane is held out of merging up to its
+    ``start`` column, so it re-emits its frozen prefix (and any padding
+    to its left) unchanged.
     """
-    m = len(columns[0]) if columns else 0
-    i = 0
-    while i < m:
-        k = min(m - i, _COMPRESS_INTERVAL - since_compress)
-        last_ts = ts0 + i + k - 1
-        horizon = last_ts - window
-        for lane, column in zip(lanes, columns):
-            lane.append(ts0 + i, column[i:i + k])
-            if lane.ts[0] <= horizon:
-                lane.expire(horizon)
-        since_compress += k
-        i += k
-        if since_compress >= _COMPRESS_INTERVAL:
-            population = min(last_ts + 1, window)
-            max_count = max(1.0, count_fraction * population)
-            for index, lane in enumerate(lanes):
-                lane.compress(max_count, budget)
-                peaks[index] = max(peaks[index], len(lane.ts))
-            since_compress = 0
-    return since_compress
-
-
-# repro-lint: shard-state
-class EHVarianceSketch:
-    """Approximate variance of the last ``window_size`` scalar values.
-
-    Parameters
-    ----------
-    window_size:
-        Window length ``|W|`` in arrivals (timestamps).
-    epsilon:
-        Accuracy knob; smaller values keep more, finer buckets.  The
-        paper's memory experiment uses ``eps = 0.2``.
-    """
-
-    def __init__(self, window_size: int, epsilon: float = 0.2) -> None:
-        require_positive_int("window_size", window_size)
-        require_fraction("epsilon", epsilon)
-        self._window_size = window_size
-        self._epsilon = epsilon
-        # Variance budget: a merged bucket's internal variance must stay
-        # within a small multiple of eps^2 of the variance of the stream
-        # suffix it heads (the PODS'03 invariant family).
-        self._variance_budget = variance_budget(epsilon)
-        # Edge-correction budget: no bucket may hold more than eps/2 of
-        # the window population, bounding the halved-oldest count error.
-        self._count_fraction = epsilon / 2.0
-        self._lane = EHLane()   # oldest bucket first
-        self._timestamp = -1
-        self._max_bucket_count = 0
-        self._since_compress = 0
-
-    # ------------------------------------------------------------------
-
-    @property
-    def window_size(self) -> int:
-        """Window length ``|W|`` in arrivals."""
-        return self._window_size
-
-    @property
-    def epsilon(self) -> float:
-        """The accuracy parameter."""
-        return self._epsilon
-
-    @property
-    def timestamp(self) -> int:
-        """Timestamp of the latest insertion (-1 before any)."""
-        return self._timestamp
-
-    @property
-    def bucket_count(self) -> int:
-        """Number of buckets currently stored."""
-        return len(self._lane)
-
-    @property
-    def max_bucket_count(self) -> int:
-        """High-water mark of the bucket count (for the memory experiment)."""
-        return self._max_bucket_count
-
-    def memory_words(self) -> int:
-        """Current logical footprint in machine words."""
-        return len(self._lane) * WORDS_PER_BUCKET
-
-    def max_memory_words(self) -> int:
-        """Peak logical footprint in machine words over the sketch's life."""
-        return self._max_bucket_count * WORDS_PER_BUCKET
-
-    # ------------------------------------------------------------------
-
-    def insert(self, value: float, timestamp: int | None = None) -> None:
-        """Insert one value; timestamps auto-increment when omitted."""
-        if timestamp is None:
-            timestamp = self._timestamp + 1
-        if timestamp <= self._timestamp:
-            raise ParameterError(
-                f"timestamps must be strictly increasing "
-                f"(got {timestamp} after {self._timestamp})")
-        if not np.isfinite(value):
-            raise ParameterError(f"value must be finite, got {value!r}")
-        self._timestamp = timestamp
-        lane = self._lane
-        # Expire buckets whose newest element has left the window.
-        horizon = timestamp - self._window_size
-        if lane.ts and lane.ts[0] <= horizon:
-            lane.expire(horizon)
-        lane.ts.append(timestamp)
-        lane.counts.append(1)
-        lane.means.append(float(value))
-        lane.m2s.append(0.0)
-        self._since_compress += 1
-        if self._since_compress >= _COMPRESS_INTERVAL:
-            population = min(self._timestamp + 1, self._window_size)
-            self._lane.compress(max(1.0, self._count_fraction * population),
-                                self._variance_budget)
-            self._since_compress = 0
-            self._max_bucket_count = max(self._max_bucket_count,
-                                         len(self._lane))
-            if _sanitize.ACTIVE:
-                _sanitize.check_eh_sketch(self)
-
-    def insert_many(self, values: "np.ndarray | Sequence[float]",
-                    start_timestamp: int | None = None) -> None:
-        """Insert a block of values at consecutive timestamps.
-
-        Produces *exactly* the bucket state of the equivalent sequence of
-        :meth:`insert` calls (see :func:`insert_lanes`).  Validation
-        (finiteness, monotone timestamps) runs once up front.
-        """
-        vals = np.asarray(values, dtype=float).reshape(-1)
-        m = vals.shape[0]
-        if m == 0:
-            return
-        ts0 = self._timestamp + 1 if start_timestamp is None \
-            else int(start_timestamp)
-        if ts0 <= self._timestamp:
-            raise ParameterError(
-                f"timestamps must be strictly increasing "
-                f"(got {ts0} after {self._timestamp})")
-        if not np.isfinite(vals).all():
-            raise ParameterError("values must all be finite")
-        # One bulk tolist() instead of m float(vals[i]) boxings; the
-        # resulting Python floats are the same doubles bit for bit.
-        peaks = [self._max_bucket_count]
-        self._since_compress = insert_lanes(
-            [self._lane], [vals.tolist()], ts0, self._since_compress,
-            self._window_size, self._count_fraction, self._variance_budget,
-            peaks)
-        self._timestamp = ts0 + m - 1
-        self._max_bucket_count = peaks[0]
-        if _sanitize.ACTIVE:
-            _sanitize.check_eh_sketch(self)
-
-    # ------------------------------------------------------------------
-
-    def count(self) -> int:
-        """Estimated number of in-window values."""
-        agg = self._lane.aggregate()
-        return 0 if agg is None else agg[0]
-
-    def mean(self) -> float:
-        """Estimated mean of the window."""
-        agg = self._lane.aggregate()
-        if agg is None:
-            raise ParameterError("no values inserted yet")
-        return agg[1]
-
-    def variance(self) -> float:
-        """Estimated (population) variance of the window."""
-        agg = self._lane.aggregate()
-        if agg is None:
-            raise ParameterError("no values inserted yet")
-        return agg[2] / agg[0]
-
-    def std(self) -> float:
-        """Estimated standard deviation of the window."""
-        return self._lane.std()
-
-    # ------------------------------------------------------------------
-    # Snapshot protocol (repro.engine.snapshot)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> "dict[str, Any]":
-        """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
-
-        Buckets are flattened to ``(newest_ts, count, mean, m2)`` tuples;
-        the compression phase (``_since_compress``) is included so the
-        restored sketch merges at exactly the same insert boundaries.
-        """
-        lane = self._lane
-        return {
-            "window_size": self._window_size,
-            "epsilon": self._epsilon,
-            "buckets": list(zip(lane.ts, lane.counts, lane.means, lane.m2s)),
-            "timestamp": self._timestamp,
-            "max_bucket_count": self._max_bucket_count,
-            "since_compress": self._since_compress,
-        }
-
-    @classmethod
-    def restore_state(cls, state: "dict[str, Any]") -> "EHVarianceSketch":
-        """Rebuild a sketch from a :meth:`snapshot_state` dict."""
-        sketch = cls(int(state["window_size"]), float(state["epsilon"]))
-        for ts, count, mean, m2 in state["buckets"]:
-            sketch._lane.ts.append(int(ts))
-            sketch._lane.counts.append(int(count))
-            sketch._lane.means.append(float(mean))
-            sketch._lane.m2s.append(float(m2))
-        sketch._timestamp = int(state["timestamp"])
-        sketch._max_bucket_count = int(state["max_bucket_count"])
-        sketch._since_compress = int(state["since_compress"])
-        return sketch
+    open_ = (counts[:, :end - 1] + counts[:, 1:end] <= max_count) \
+        & ends[:, :-1]
+    start = np.where(open_.any(axis=1), open_.argmax(axis=1), end - 1)
+    lo = int(start.min())
+    if lo == end - 1:
+        return
+    suffix = np.empty((end - lo, counts.shape[0]))
+    s_count, s_mean, s_m2 = counts[:, end - 1], means[:, end - 1], \
+        m2s[:, end - 1]
+    suffix[-1] = s_m2
+    for j in range(end - 2, lo - 1, -1):
+        c, mu = counts[:, j], means[:, j]
+        total = c + s_count
+        delta = s_mean - mu
+        s_m2 = m2s[:, j] + s_m2 + delta * delta * (c * s_count / total)
+        s_mean = mu + delta * (s_count / total)
+        s_count = total
+        suffix[j - lo] = s_m2
+    c_count, c_mean, c_m2 = counts[:, lo], means[:, lo], m2s[:, lo]
+    head = suffix[0]
+    for j in range(lo + 1, end):
+        b_count, b_mean, b_m2 = counts[:, j], means[:, j], m2s[:, j]
+        total = c_count + b_count
+        delta = b_mean - c_mean
+        cand_m2 = c_m2 + b_m2 + delta * delta * (c_count * b_count / total)
+        merge = (total <= max_count) & (cand_m2 <= budget * head) \
+            & (start < j)
+        # Column j - 1 closes a run unless it merges on: store the run's
+        # moments there either way (a merged column is dropped).
+        counts[:, j - 1], means[:, j - 1], m2s[:, j - 1] = \
+            c_count, c_mean, c_m2
+        ends[:, j - 1] &= ~merge
+        c_mean = np.where(merge, c_mean + delta * (b_count / total), b_mean)
+        c_m2 = np.where(merge, cand_m2, b_m2)
+        c_count = np.where(merge, total, b_count)
+        head = np.where(merge, head, suffix[j - lo])
+    counts[:, end - 1], means[:, end - 1], m2s[:, end - 1] = \
+        c_count, c_mean, c_m2
 
 
 # repro-lint: shard-state
@@ -459,12 +241,18 @@ class MultiDimVarianceSketch:
     """Variance sketches for ``n_dims`` lockstep scalar lanes.
 
     One EH bucket lane per dimension, giving the ``d * (1/eps^2)
-    log|W|`` term of Theorem 1's memory bound.  The lanes share one
-    timestamp and one compress phase, so a block goes into all of them
-    through a single :func:`insert_lanes` call.  The lanes need not be
+    log|W|`` term of Theorem 1's memory bound.  The lanes need not be
     the dimensions of one stream: the cross-stream
     :class:`~repro.engine.core.DetectorEngine` keeps one sketch of
-    ``n_streams * d`` lanes.
+    ``n_streams * d`` lanes, and :class:`EHVarianceSketch` is one lane.
+
+    All lanes live in one padded structure of arrays, ``(lanes, cap)``
+    each: a lane's buckets fill columns ``first[lane] .. end``, oldest
+    first, so every lane ends at the shared column ``end``, appending
+    leaves ``first`` alone, and columns ``end .. cap`` hold the inserts
+    until the next compress.  The lanes share one timestamp and one compress
+    phase, so appending a block, expiry, compress, the windowed
+    aggregate and snapshots each run once over all lanes.
     """
 
     def __init__(self, window_size: int, n_dims: int,
@@ -475,10 +263,24 @@ class MultiDimVarianceSketch:
         self._window_size = window_size
         self._epsilon = epsilon
         self._n_dims = n_dims
-        self._lanes = [EHLane() for _ in range(n_dims)]
+        # Variance budget: a merged bucket's internal variance must stay
+        # within a small multiple of eps^2 of the variance of the stream
+        # suffix it heads (the PODS'03 invariant family).
+        self._budget = variance_budget(epsilon)
+        # Edge-correction budget: no bucket may hold more than eps/2 of
+        # the window population, bounding the halved-oldest count error.
+        self._count_fraction = epsilon / 2.0
+        self._ts, self._counts, self._means, self._m2s = \
+            _padded(n_dims, _COMPRESS_INTERVAL)
+        #: Lane ``i``'s buckets are columns ``first[i] .. end``.
+        self._first = np.zeros(n_dims, dtype=np.int64)
+        self._end = 0
+        #: :meth:`_oldest_ts`, kept so an insert that expires nothing
+        #: skips the expiry pass.
+        self._oldest = self._oldest_ts()
+        self._peaks = np.zeros(n_dims, dtype=np.int64)
         self._timestamp = -1
         self._since_compress = 0
-        self._max_bucket_counts = [0] * n_dims
 
     @property
     def n_dims(self) -> int:
@@ -495,7 +297,7 @@ class MultiDimVarianceSketch:
         coords = point.tolist()
         if not all(map(math.isfinite, coords)):
             raise ParameterError(f"value must be finite, got {coords}")
-        self._insert([[c] for c in coords], 1, timestamp)
+        self._insert(point[:, None], timestamp)
 
     def insert_many(self, values: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]",
                     start_timestamp: int | None = None) -> None:
@@ -514,14 +316,21 @@ class MultiDimVarianceSketch:
                 f"got {points.shape}")
         if not np.isfinite(points).all():
             raise ParameterError("values must all be finite")
-        # One bulk tolist() per lane; the Python floats are the same
-        # doubles bit for bit.
-        self._insert(points.T.tolist(), points.shape[0], start_timestamp)
+        self._insert(points.T, start_timestamp)
 
-    def _insert(self, columns: "list[list[float]]", m: int,
+    def _insert(self, columns: np.ndarray,
                 start_timestamp: "int | None") -> None:
-        """Insert ``m`` validated values per lane, after checking the
-        timestamps, so a refused call changes nothing."""
+        """Insert validated ``(lanes, m)`` values at consecutive timestamps.
+
+        Values go in as singleton buckets in chunks aligned to
+        :data:`_COMPRESS_INTERVAL`, expiry is charged once at each
+        chunk's final timestamp (no merge decision is taken before the
+        next compression point), and every lane compresses when the
+        cadence comes due: exactly the bucket state of one-at-a-time
+        inserts.  The timestamps are checked first, so a refused call
+        changes nothing.
+        """
+        m = columns.shape[1]
         if m == 0:
             return
         ts0 = self._timestamp + 1 if start_timestamp is None \
@@ -530,32 +339,138 @@ class MultiDimVarianceSketch:
             raise ParameterError(
                 f"timestamps must be strictly increasing "
                 f"(got {ts0} after {self._timestamp})")
-        self._since_compress = insert_lanes(
-            self._lanes, columns, ts0, self._since_compress,
-            self._window_size, self._epsilon / 2.0,
-            variance_budget(self._epsilon), self._max_bucket_counts)
+        i = 0
+        while i < m:
+            k = min(m - i, _COMPRESS_INTERVAL - self._since_compress)
+            end = self._end + k
+            # Columns from end on hold padding: a singleton's count and m2.
+            self._ts[:, self._end:end] = np.arange(ts0 + i, ts0 + i + k)
+            self._means[:, self._end:end] = columns[:, i:i + k]
+            self._end = end
+            self._oldest = min(self._oldest, ts0 + i)
+            i += k
+            last_ts = ts0 + i - 1
+            horizon = last_ts - self._window_size
+            if self._oldest <= horizon:
+                # Columns left of a lane's oldest bucket hold padding or
+                # buckets expired earlier, both at or below the horizon.
+                self._first = (self._ts[:, :end] <= horizon).sum(axis=1)
+                self._oldest = self._oldest_ts()
+            self._since_compress += k
+            if self._since_compress == _COMPRESS_INTERVAL:
+                population = min(last_ts + 1, self._window_size)
+                self._compress(max(1.0, self._count_fraction * population))
+                self._since_compress = 0
         self._timestamp = ts0 + m - 1
         if _sanitize.ACTIVE:
             _sanitize.check_variance_sketch(self)
 
+    def _compress(self, max_count: float) -> None:
+        """Greedily merge adjacent buckets, oldest first, within budget.
+
+        Each merge must respect both budgets:
+          (a) 9 * m2(merged) <= eps^2 * m2(suffix headed by merged);
+          (b) count(merged)  <= eps/2 * window population
+        (``self._budget`` and ``max_count`` carry the two right-hand
+        sides).  Counts only grow, so where two neighbours' counts
+        already sum past ``max_count`` the boundary cannot merge: each
+        lane's greedy starts at its first open boundary (``start``) and
+        re-emits the count-frozen prefix before it.  A kernel writes
+        each run's moments into the run's newest column (whose timestamp
+        is the run's) and clears ``ends`` on merged-away columns; one
+        compaction then keeps the run ends, right-aligned.
+        """
+        end = self._end
+        first = self._first
+        ends = np.arange(end) >= first[:, None]
+        kernel = _greedy_columns if self._n_dims >= _COLUMN_KERNEL_LANES \
+            else _greedy_rows
+        kernel(self._counts, self._means, self._m2s, ends, first, end,
+               max_count, self._budget)
+        lens = ends.sum(axis=1)
+        new_end = int(lens.max())
+        self._first = new_end - lens
+        dest = np.arange(new_end) >= self._first[:, None]
+        fields = _padded(self._n_dims, new_end + _COMPRESS_INTERVAL)
+        for new, old in zip(fields, self._fields()):
+            new[:, :new_end][dest] = old[:, :end][ends]
+        self._ts, self._counts, self._means, self._m2s = fields
+        self._end = new_end
+        self._oldest = self._oldest_ts()
+        self._peaks = np.maximum(self._peaks, lens)
+
+    def _oldest_ts(self) -> int:
+        """The smallest timestamp of any lane's oldest bucket (padding's
+        when a lane is empty)."""
+        return int(self._ts[np.arange(self._n_dims), self._first].min())
+
+    def _fields(self) -> "tuple[np.ndarray, ...]":
+        return self._ts, self._counts, self._means, self._m2s
+
+    def _aggregate(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Per-lane ``(count, mean, m2)`` of the window.
+
+        The oldest bucket straddles the window edge, so it is charged at
+        half weight; the rest merge in by the parallel-axis (Chan et
+        al.) rule, oldest to newest.
+        """
+        if self._timestamp < 0:
+            raise ParameterError("no values inserted yet")
+        end = self._end
+        first = self._first
+        if self._n_dims < _COLUMN_KERNEL_LANES:
+            rows = []
+            for lane, f in enumerate(first.tolist()):
+                counts = self._counts[lane, f:end].tolist()
+                means = self._means[lane, f:end].tolist()
+                m2s = self._m2s[lane, f:end].tolist()
+                count, mean, m2 = counts[0], means[0], m2s[0]
+                if len(counts) > 1:
+                    count, m2 = max(1, count // 2), m2 / 2.0
+                for b_count, b_mean, b_m2 in zip(counts[1:], means[1:],
+                                                  m2s[1:]):
+                    total = count + b_count
+                    delta = b_mean - mean
+                    mean = mean + delta * (b_count / total)
+                    m2 = m2 + b_m2 + delta * delta * (count * b_count / total)
+                    count = total
+                rows.append((count, mean, m2))
+            count, mean, m2 = (np.array(column) for column in zip(*rows))
+            return count, mean, m2
+        lanes = np.arange(self._n_dims)
+        count, mean, m2 = self._counts[lanes, first], \
+            self._means[lanes, first], self._m2s[lanes, first]
+        split = first < end - 1
+        count = np.where(split, np.maximum(1, count // 2), count)
+        m2 = np.where(split, m2 / 2.0, m2)
+        for j in range(int(first.min()) + 1, end):
+            live = first < j
+            b_count = self._counts[:, j]
+            total = count + b_count
+            delta = self._means[:, j] - mean
+            mean = np.where(live, mean + delta * (b_count / total), mean)
+            m2 = np.where(live, m2 + self._m2s[:, j]
+                          + delta * delta * (count * b_count / total), m2)
+            count = np.where(live, total, count)
+        return count, mean, m2
+
     def std(self) -> np.ndarray:
         """Estimated per-dimension standard deviations."""
-        return np.array([lane.std() for lane in self._lanes])
+        count, _, m2 = self._aggregate()
+        return np.sqrt(np.maximum(m2 / count, 0.0))
 
     def mean(self) -> np.ndarray:
         """Estimated per-dimension means."""
-        aggregates = [lane.aggregate() for lane in self._lanes]
-        if None in aggregates:
-            raise ParameterError("no values inserted yet")
-        return np.array([agg[1] for agg in aggregates if agg])
+        return self._aggregate()[1]
 
     def memory_words(self) -> int:
         """Current logical footprint in machine words."""
-        return sum(len(lane) for lane in self._lanes) * WORDS_PER_BUCKET
+        return (self._n_dims * self._end - int(self._first.sum())) \
+            * WORDS_PER_BUCKET
 
     def max_memory_words(self) -> int:
         """Peak logical footprint in machine words (per-lane peaks summed)."""
-        return sum(self._max_bucket_counts) * WORDS_PER_BUCKET
+        return int(self._peaks.sum()) * WORDS_PER_BUCKET
 
     def snapshot_state(self, lanes: "slice | None" = None) -> "dict[str, Any]":
         """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
@@ -566,23 +481,22 @@ class MultiDimVarianceSketch:
         the snapshot holds those lanes alone: the one a sketch of just
         them in the same state would give.
         """
-        lanes = slice(None) if lanes is None else lanes
-        kept = self._lanes[lanes]
+        rows = slice(None) if lanes is None else lanes
+        end = self._end
+        first = self._first[rows]
+        lens = end - first
+        valid = np.arange(end) >= first[:, None]
         state: "dict[str, Any]" = {
             "window_size": self._window_size,
             "epsilon": self._epsilon,
-            "n_dims": len(kept),
+            "n_dims": len(lens),
             "timestamp": self._timestamp,
             "since_compress": self._since_compress,
-            "max_bucket_counts": np.array(self._max_bucket_counts[lanes],
-                                          dtype=np.int64),
-            "lane_len": np.array([len(lane) for lane in kept],
-                                 dtype=np.int64),
+            "max_bucket_counts": self._peaks[rows].copy(),
+            "lane_len": lens,
         }
-        for name, dtype in _LANE_FIELDS:
-            state[f"lane_{name}"] = np.array(
-                [x for lane in kept for x in getattr(lane, name)],
-                dtype=dtype)
+        for (name, _, _), field in zip(_FIELDS, self._fields()):
+            state[f"lane_{name}"] = field[rows, :end][valid]
         return state
 
     @classmethod
@@ -590,16 +504,154 @@ class MultiDimVarianceSketch:
         """Rebuild a sketch from a :meth:`snapshot_state` dict."""
         sketch = cls(int(state["window_size"]), int(state["n_dims"]),
                      float(state["epsilon"]))
-        columns = [np.asarray(state[f"lane_{name}"]).tolist()
-                   for name, _ in _LANE_FIELDS]
-        bounds = np.cumsum([0, *np.asarray(state["lane_len"]).tolist()])
-        sketch._lanes = [EHLane(*(column[a:b] for column in columns))
-                         for a, b in zip(bounds[:-1].tolist(),
-                                         bounds[1:].tolist())]
+        # astype, unlike np.array(..., dtype=), always yields numpy's own
+        # dtype instance, which snapshots pickle byte for byte the same.
+        lens = np.asarray(state["lane_len"]).astype(np.int64)
+        end = int(lens.max())
+        fields = _padded(sketch._n_dims, end + _COMPRESS_INTERVAL)
+        sketch._first = end - lens
+        dest = np.arange(end) >= sketch._first[:, None]
+        for (name, dtype, _), field in zip(_FIELDS, fields):
+            field[:, :end][dest] = np.asarray(state[f"lane_{name}"],
+                                              dtype=dtype)
+        sketch._ts, sketch._counts, sketch._means, sketch._m2s = fields
+        sketch._end = end
+        sketch._oldest = sketch._oldest_ts()
+        sketch._peaks = np.asarray(state["max_bucket_counts"]).astype(np.int64)
         sketch._timestamp = int(state["timestamp"])
         sketch._since_compress = int(state["since_compress"])
-        sketch._max_bucket_counts = \
-            np.asarray(state["max_bucket_counts"]).tolist()
+        return sketch
+
+
+# repro-lint: shard-state
+class EHVarianceSketch:
+    """Approximate variance of the last ``window_size`` scalar values.
+
+    A one-lane :class:`MultiDimVarianceSketch` behind a scalar interface.
+
+    Parameters
+    ----------
+    window_size:
+        Window length ``|W|`` in arrivals (timestamps).
+    epsilon:
+        Accuracy knob; smaller values keep more, finer buckets.  The
+        paper's memory experiment uses ``eps = 0.2``.
+    """
+
+    def __init__(self, window_size: int, epsilon: float = 0.2) -> None:
+        self._store = MultiDimVarianceSketch(window_size, 1, epsilon)
+
+    # ------------------------------------------------------------------
+
+    @property
+    def window_size(self) -> int:
+        """Window length ``|W|`` in arrivals."""
+        return self._store._window_size
+
+    @property
+    def epsilon(self) -> float:
+        """The accuracy parameter."""
+        return self._store._epsilon
+
+    @property
+    def timestamp(self) -> int:
+        """Timestamp of the latest insertion (-1 before any)."""
+        return self._store._timestamp
+
+    @property
+    def bucket_count(self) -> int:
+        """Number of buckets currently stored."""
+        return self._store._end - int(self._store._first[0])
+
+    @property
+    def max_bucket_count(self) -> int:
+        """High-water mark of the bucket count (for the memory experiment)."""
+        return int(self._store._peaks[0])
+
+    def memory_words(self) -> int:
+        """Current logical footprint in machine words."""
+        return self._store.memory_words()
+
+    def max_memory_words(self) -> int:
+        """Peak logical footprint in machine words over the sketch's life."""
+        return self._store.max_memory_words()
+
+    # ------------------------------------------------------------------
+
+    def insert(self, value: float, timestamp: int | None = None) -> None:
+        """Insert one value; timestamps auto-increment when omitted."""
+        self._store.insert(value, timestamp)
+
+    def insert_many(self, values: "np.ndarray | Sequence[float]",
+                    start_timestamp: int | None = None) -> None:
+        """Insert a block of values at consecutive timestamps.
+
+        Produces *exactly* the bucket state of the equivalent sequence of
+        :meth:`insert` calls.
+        """
+        self._store.insert_many(np.asarray(values, dtype=float).reshape(-1),
+                                start_timestamp)
+
+    # ------------------------------------------------------------------
+
+    def count(self) -> int:
+        """Estimated number of in-window values."""
+        if self._store._timestamp < 0:
+            return 0
+        return int(self._store._aggregate()[0][0])
+
+    def mean(self) -> float:
+        """Estimated mean of the window."""
+        return float(self._store.mean()[0])
+
+    def variance(self) -> float:
+        """Estimated (population) variance of the window."""
+        count, _, m2 = self._store._aggregate()
+        return float(m2[0] / count[0])
+
+    def std(self) -> float:
+        """Estimated standard deviation of the window."""
+        return float(self._store.std()[0])
+
+    # ------------------------------------------------------------------
+    # Snapshot protocol (repro.engine.snapshot)
+    # ------------------------------------------------------------------
+
+    def snapshot_state(self) -> "dict[str, Any]":
+        """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
+
+        Buckets are flattened to ``(newest_ts, count, mean, m2)`` tuples;
+        the compression phase (``_since_compress``) is included so the
+        restored sketch merges at exactly the same insert boundaries.
+        """
+        state = self._store.snapshot_state()
+        return {
+            "window_size": self.window_size,
+            "epsilon": self.epsilon,
+            "buckets": list(zip(*(state[f"lane_{name}"].tolist()
+                                  for name, _, _ in _FIELDS))),
+            "timestamp": self.timestamp,
+            "max_bucket_count": self.max_bucket_count,
+            "since_compress": self._store._since_compress,
+        }
+
+    @classmethod
+    def restore_state(cls, state: "dict[str, Any]") -> "EHVarianceSketch":
+        """Rebuild a sketch from a :meth:`snapshot_state` dict."""
+        buckets = list(zip(*state["buckets"])) or [()] * len(_FIELDS)
+        store = {
+            "window_size": state["window_size"],
+            "epsilon": state["epsilon"],
+            "n_dims": 1,
+            "timestamp": state["timestamp"],
+            "since_compress": state["since_compress"],
+            "max_bucket_counts": [state["max_bucket_count"]],
+            "lane_len": [len(state["buckets"])],
+        }
+        for (name, _, _), column in zip(_FIELDS, buckets):
+            store[f"lane_{name}"] = list(column)
+        sketch = cls.__new__(cls)
+        sketch._store = MultiDimVarianceSketch.restore_state(store)
         return sketch
 
 

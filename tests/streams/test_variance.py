@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import pickle
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._exceptions import ParameterError
+from repro.engine.snapshot import decode_snapshot, encode_snapshot
+from repro.streams import variance
 from repro.streams.variance import (
     EHVarianceSketch,
     ExactWindowedVariance,
     MultiDimVarianceSketch,
     theoretical_bound_words,
+    variance_budget,
 )
+from tests.streams import _reference_eh as reference
 
 
 class TestExactReference:
@@ -244,3 +252,120 @@ class TestInsertMany:
         before = sketch.variance()
         sketch.insert_many(np.empty(0))
         assert sketch.variance() == before
+
+
+class _Reference:
+    """The frozen per-lane lists, driven like a sketch."""
+
+    def __init__(self, window_size: int, n_lanes: int,
+                 epsilon: float = 0.2) -> None:
+        self.window_size, self.epsilon = window_size, epsilon
+        self.lanes = [reference.EHLane() for _ in range(n_lanes)]
+        self.peaks = [0] * n_lanes
+        self.since_compress = 0
+        self.timestamp = -1
+
+    def insert_many(self, block: np.ndarray) -> None:
+        self.since_compress = reference.insert_lanes(
+            self.lanes, block.T.tolist(), self.timestamp + 1,
+            self.since_compress, self.window_size, self.epsilon / 2.0,
+            variance_budget(self.epsilon), self.peaks)
+        self.timestamp += block.shape[0]
+
+    def snapshot(self) -> "dict[str, object]":
+        return reference.snapshot_state(
+            self.lanes, self.window_size, self.epsilon, self.timestamp,
+            self.since_compress, self.peaks)
+
+
+def _assert_same_state(sketch: MultiDimVarianceSketch,
+                       ref: _Reference) -> None:
+    """Bucket for bucket, the aggregates with ``==``, and equal snapshot
+    bytes."""
+    state = sketch.snapshot_state()
+    expected = ref.snapshot()
+    assert state.keys() == expected.keys()
+    for key, value in expected.items():
+        np.testing.assert_array_equal(state[key], value, err_msg=key)
+    assert pickle.dumps(state) == pickle.dumps(expected)
+    if ref.timestamp >= 0:
+        aggregates = [lane.aggregate() for lane in ref.lanes]
+        assert sketch.mean().tolist() == [a[1] for a in aggregates]
+        assert sketch.std().tolist() == [
+            float(np.sqrt(max(a[2] / a[0], 0.0))) for a in aggregates]
+
+
+def _lane_values(rng: np.random.Generator, n_ticks: int,
+                 n_lanes: int) -> np.ndarray:
+    """Columns that compress very differently, for ragged lane lengths:
+    constant lanes (whose buckets fill to the count cap, so their prefix
+    freezes), narrow and wide Gaussians, and jumps."""
+    kind = np.arange(n_lanes) % 4
+    values = rng.normal(size=(n_ticks, n_lanes)) \
+        * np.where(kind == 1, 1e-3, 1.0)
+    values[:, kind == 0] = 0.25
+    jumps = rng.uniform(size=(n_ticks, n_lanes)) < 0.05
+    values[:, kind == 3] += 50.0 * jumps[:, kind == 3]
+    return values
+
+
+_KERNELS = {"rows": 10**9, "columns": 1, "switch": None}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@settings(max_examples=20, deadline=None)
+@given(n_lanes=st.sampled_from([1, 2, variance._COLUMN_KERNEL_LANES - 1,
+                                variance._COLUMN_KERNEL_LANES,
+                                variance._COLUMN_KERNEL_LANES + 1, 256]),
+       window_size=st.sampled_from([1, 3, 7, 20, 64, 150]),
+       blocks=st.lists(st.integers(0, 21), min_size=1, max_size=12),
+       restore_after=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_store_equals_frozen_reference(kernel, n_lanes, window_size, blocks,
+                                       restore_after, seed):
+    """Both greedy kernels, and the lane-count switch between them, keep
+    the frozen per-lane lists' buckets, aggregates and snapshot bytes,
+    through expiry inside a chunk (windows shorter than the compress
+    interval), a count cap still growing in warm-up, count-frozen lanes
+    and a restore in mid-phase; the padding raises no numpy warning."""
+    threshold = _KERNELS[kernel] or variance._COLUMN_KERNEL_LANES
+    rng = np.random.default_rng(seed)
+    values = _lane_values(rng, sum(blocks), n_lanes)
+    sketch = MultiDimVarianceSketch(window_size, n_lanes)
+    ref = _Reference(window_size, n_lanes)
+    with mock.patch.object(variance, "_COLUMN_KERNEL_LANES", threshold), \
+            np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = 0
+        for index, size in enumerate(blocks):
+            block = values[start:start + size]
+            start += size
+            sketch.insert_many(block)
+            ref.insert_many(block)
+            if index == restore_after:
+                sketch = decode_snapshot(encode_snapshot(sketch))
+            _assert_same_state(sketch, ref)
+
+
+def test_scalar_sketch_is_one_reference_lane(rng):
+    """``EHVarianceSketch`` keeps the frozen lane's buckets, with the
+    scalar snapshot's bucket tuples."""
+    values = rng.normal(size=300)
+    sketch = EHVarianceSketch(40, 0.2)
+    ref = _Reference(40, 1)
+    for value in values[:150]:
+        sketch.insert(float(value))
+        ref.insert_many(np.array([[value]]))
+    sketch.insert_many(values[150:])
+    ref.insert_many(values[150:, None])
+    lane = ref.lanes[0]
+    state = sketch.snapshot_state()
+    assert state["buckets"] == list(zip(lane.ts, lane.counts, lane.means,
+                                        lane.m2s))
+    assert (state["max_bucket_count"], state["since_compress"]) == \
+        (ref.peaks[0], ref.since_compress)
+    count, mean, m2 = lane.aggregate()
+    assert (sketch.count(), sketch.mean(), sketch.variance()) == \
+        (count, mean, m2 / count)
+    restored = EHVarianceSketch.restore_state(state)
+    assert encode_snapshot(restored) == encode_snapshot(sketch)

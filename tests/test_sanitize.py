@@ -146,21 +146,23 @@ class TestEHSketchChecks:
 
     def test_zero_count_bucket_raises(self, rng):
         sketch = self.make_sketch(rng)
-        sketch._lane.counts[0] = 0
+        store = sketch._store
+        store._counts[0, store._first[0]] = 0
         with pytest.raises(SanitizeError, match="count"):
             _sanitize.check_eh_sketch(sketch)
 
     def test_unordered_buckets_raise(self, rng):
         sketch = self.make_sketch(rng)
-        if len(sketch._lane) < 2:
+        if sketch.bucket_count < 2:
             pytest.skip("sketch compressed to a single bucket")
-        sketch._lane.ts[-1] = sketch._lane.ts[0]
+        store = sketch._store
+        store._ts[0, store._end - 1] = store._ts[0, store._first[0]]
         with pytest.raises(SanitizeError, match="increasing"):
             _sanitize.check_eh_sketch(sketch)
 
     def test_negative_m2_raises(self, rng):
         sketch = self.make_sketch(rng)
-        sketch._lane.m2s[-1] = -1.0
+        sketch._store._m2s[0, sketch._store._end - 1] = -1.0
         with pytest.raises(SanitizeError, match="m2"):
             _sanitize.check_eh_sketch(sketch)
 
@@ -190,13 +192,14 @@ class TestEngineChecks:
     def test_corrupted_lane_raises(self, rng):
         engine = self.make_engine(rng)
         # One lane per (stream, dimension): 1-d stream 1 is lane 1.
-        engine._sketch._lanes[1].counts[0] = 0
+        sketch = engine._sketch
+        sketch._counts[1, sketch._first[1]] = 0
         with pytest.raises(SanitizeError, match=r"dim 1\].*count"):
             _sanitize.check_variance_sketch(engine._sketch)
 
     def test_corrupted_lane_trips_ingest(self, rng):
         engine = self.make_engine(rng)
-        engine._sketch._lanes[2].m2s[-1] = -1.0
+        engine._sketch._m2s[2, engine._sketch._end - 1] = -1.0
         with _sanitize.enabled(), pytest.raises(SanitizeError, match="m2"):
             engine.ingest(rng.normal(size=(1, 4)))
 
