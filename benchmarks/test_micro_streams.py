@@ -29,6 +29,34 @@ def test_chain_sample_values_snapshot(benchmark):
     assert result.shape == (500, 1)
 
 
+#: (streams, |R|, |W|, d) of the bench workloads whose engines or
+#: leaves feed ``offer_many``, and of a one-stream node at |W| = |R|.
+_CHAIN_SHAPES = {
+    "256x50": (256, 50, 1_000, 1),      # engine-d3, supervised-d3 (x64)
+    "16x100": (16, 100, 1_000, 2),      # engine-mgdd-2d
+    "64x30": (64, 30, 300, 1),          # network-d3 leaves
+    "1x30": (1, 30, 30, 1),             # one node's sample
+}
+
+
+@pytest.mark.parametrize("shape, ticks", [
+    ("256x50", 1), ("256x50", 32), ("16x100", 1), ("16x100", 32),
+    ("64x30", 1), ("64x30", 64), ("1x30", 1)])
+def test_chain_offer_many(benchmark, shape, ticks):
+    """One ``offer_many`` call of ``ticks`` arrivals per stream at steady
+    state (after a 2|W| warm-up): the draws, the array walk over the
+    slot events and the expiry at the call's last arrival."""
+    n_streams, n_slots, window, n_dims = _CHAIN_SHAPES[shape]
+    rng = np.random.default_rng(0)
+    sample = ChainSample(window, n_slots, n_dims=n_dims,
+                         rng=[np.random.default_rng([0, s])
+                              for s in range(n_streams)])
+    sample.offer_many(rng.normal(size=(2 * window, n_streams, n_dims)))
+    blocks = iter(rng.normal(size=(60, ticks, n_streams, n_dims)))
+    benchmark.pedantic(lambda: sample.offer_many(next(blocks)), rounds=60,
+                       iterations=1)
+
+
 def test_variance_sketch_insert(benchmark):
     rng = np.random.default_rng(0)
     sketch = EHVarianceSketch(10_000, 0.2)

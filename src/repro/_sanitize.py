@@ -141,45 +141,68 @@ def check_chain_sample(sample: Any, *, mutations_before: int | None = None,
                        label: str = "ChainSample") -> None:
     """Assert a :class:`~repro.streams.sampling.ChainSample`'s invariants.
 
-    Inspects the sampler's internal chains (this module is the one
+    Inspects the sampler's padded chain arrays (this module is the one
     sanctioned consumer of those privates).  In every slot of every
     stream, timestamps strictly increase inside the window ``(now -
-    |W|, now]``, values are finite, and a non-empty chain's pending
-    successor is the :func:`~repro.streams.sampling.draw_successor` draw
-    at its newest item; ``mutation_count`` -- the estimator-cache
-    invalidation key -- never moves backwards.
+    |W|, now]``, values are finite, columns past the chain's length
+    (column 0 of an empty slot included) hold -1, and a non-empty
+    chain's pending successor is the
+    :func:`~repro.streams.sampling.draw_successors` draw at its newest
+    item; ``mutation_count`` -- the estimator-cache invalidation key --
+    never moves backwards.
     """
-    from repro.streams.sampling import draw_successor
+    from repro.streams.sampling import draw_successors
 
     window = sample.window_size
     now = sample.timestamp
+    n_slots = sample.sample_size
     if mutations_before is not None \
             and sample.mutation_count < mutations_before:
         _fail(label, f"mutation_count moved backwards "
                      f"({mutations_before} -> {sample.mutation_count})")
-    successors = sample._succ_ts.reshape(-1).tolist()
-    for flat, successor_ts in enumerate(successors):
-        stream, slot = divmod(flat, sample.sample_size)
-        where = f"{label} stream {stream} slot {slot}"
-        items = sample._chain(flat)
-        previous = None
-        for ts, value in items:
-            if ts <= now - window or ts > now:
-                _fail(where, f"holds timestamp {ts} outside window "
-                             f"({now - window}, {now}]")
-            if previous is not None and ts <= previous:
-                _fail(where, f"chain timestamps not strictly increasing "
-                             f"({previous} -> {ts})")
-            if not np.isfinite(value).all():
-                _fail(where, "holds a non-finite value")
-            previous = ts
-        if items:
-            newest = items[-1][0]
-            expected = draw_successor(sample._keys[stream], slot, newest,
-                                      window)
-            if successor_ts != expected:
-                _fail(where, f"successor_ts {successor_ts} is not the draw "
-                             f"{expected} at its newest item {newest}")
+    ts = sample._chain_ts
+    lengths = sample._chain_len
+    width = ts.shape[1]
+
+    def where(flat: int) -> str:
+        stream, slot = divmod(flat, n_slots)
+        return f"{label} stream {stream} slot {slot}"
+
+    misfit = (lengths < 0) | (lengths > width)
+    if misfit.any():
+        flat = int(np.flatnonzero(misfit)[0])
+        _fail(where(flat), f"chain length {lengths[flat]} outside "
+                           f"0..{width}")
+    stored = np.arange(width) < lengths[:, None]
+    outside = stored & ((ts <= now - window) | (ts > now))
+    if outside.any():
+        flat, col = np.argwhere(outside)[0].tolist()
+        _fail(where(flat), f"holds timestamp {ts[flat, col]} outside window "
+                           f"({now - window}, {now}]")
+    unordered = stored[:, 1:] & (ts[:, 1:] <= ts[:, :-1])
+    if unordered.any():
+        flat, col = np.argwhere(unordered)[0].tolist()
+        _fail(where(flat), f"chain timestamps not strictly increasing "
+                           f"({ts[flat, col]} -> {ts[flat, col + 1]})")
+    padding = ~stored & (ts != -1)
+    if padding.any():
+        flat, col = np.argwhere(padding)[0].tolist()
+        _fail(where(flat), f"holds timestamp {ts[flat, col]} past its chain "
+                           f"length {lengths[flat]} (-1 expected)")
+    nonfinite = stored & ~np.isfinite(sample._chain_val).all(axis=2)
+    if nonfinite.any():
+        _fail(where(int(np.argwhere(nonfinite)[0, 0])),
+              "holds a non-finite value")
+    live = np.flatnonzero(lengths)
+    newest = ts[live, lengths[live] - 1]
+    expected = draw_successors(sample._keys[live // n_slots],
+                               live % n_slots, newest, window)
+    successors = sample._succ_ts.reshape(-1)[live]
+    if (successors != expected).any():
+        i = int(np.flatnonzero(successors != expected)[0])
+        _fail(where(int(live[i])),
+              f"successor_ts {successors[i]} is not the draw "
+              f"{expected[i]} at its newest item {newest[i]}")
 
 
 def check_mdef_table(table: Any, *, label: str = "MDEFCellTable") -> None:

@@ -26,13 +26,15 @@ __all__ = ["scott_bandwidths", "silverman_bandwidths", "MIN_BANDWIDTH"]
 MIN_BANDWIDTH = 1e-4
 
 
-def _as_stddev_vector(stddev: "float | np.ndarray", n_dims: int | None) -> np.ndarray:
+def _as_stddev(stddev: "float | np.ndarray", n_dims: int | None) -> np.ndarray:
     sigma = np.atleast_1d(np.asarray(stddev, dtype=float))
-    if sigma.ndim != 1:
-        raise ParameterError(f"stddev must be scalar or 1-d, got shape {sigma.shape}")
-    if n_dims is not None and sigma.shape[0] != n_dims:
+    if sigma.ndim != 1 and n_dims is None:
         raise ParameterError(
-            f"stddev has {sigma.shape[0]} entries but data has {n_dims} dimension(s)")
+            f"stddev must be scalar or 1-d unless n_dims is given, "
+            f"got shape {sigma.shape}")
+    if n_dims is not None and sigma.shape[-1] != n_dims:
+        raise ParameterError(
+            f"stddev has {sigma.shape[-1]} entries but data has {n_dims} dimension(s)")
     if not np.isfinite(sigma).all() or (sigma < 0).any():
         raise ParameterError("stddev entries must be finite and non-negative")
     return sigma
@@ -45,7 +47,9 @@ def scott_bandwidths(stddev: "float | np.ndarray", sample_size: int,
     Parameters
     ----------
     stddev:
-        Standard deviation per dimension (scalar accepted for 1-d data).
+        Standard deviation per dimension (scalar accepted for 1-d data);
+        with ``n_dims``, also a ``(..., n_dims)`` array of several
+        models' deviations, all built from ``sample_size`` centres.
     sample_size:
         Number of kernel centres ``|R|``.
     n_dims:
@@ -54,11 +58,12 @@ def scott_bandwidths(stddev: "float | np.ndarray", sample_size: int,
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(d,)`` of strictly positive bandwidths.
+        Strictly positive bandwidths, shaped like ``stddev`` (``(d,)``
+        for a scalar or vector).
     """
     require_positive_int("sample_size", sample_size)
-    sigma = _as_stddev_vector(stddev, n_dims)
-    d = sigma.shape[0]
+    sigma = _as_stddev(stddev, n_dims)
+    d = sigma.shape[-1]
     factor = np.sqrt(5.0) * sample_size ** (-1.0 / (d + 4))
     return np.maximum(sigma * factor, MIN_BANDWIDTH)
 
@@ -70,7 +75,7 @@ def silverman_bandwidths(stddev: "float | np.ndarray", sample_size: int,
     ``B_i = sigma_i * (4 / (d + 2)) ** (1/(d+4)) * |R| ** (-1/(d+4))``.
     """
     require_positive_int("sample_size", sample_size)
-    sigma = _as_stddev_vector(stddev, n_dims)
-    d = sigma.shape[0]
+    sigma = _as_stddev(stddev, n_dims)
+    d = sigma.shape[-1]
     factor = (4.0 / (d + 2.0)) ** (1.0 / (d + 4)) * sample_size ** (-1.0 / (d + 4))
     return np.maximum(sigma * factor, MIN_BANDWIDTH)

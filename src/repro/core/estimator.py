@@ -151,6 +151,9 @@ class KernelDensityEstimator:
         else:
             if stddev is None:
                 stddev = points.std(axis=0)
+            elif np.ndim(stddev) > 1:
+                raise ParameterError(f"stddev must be scalar or 1-d, got "
+                                     f"shape {np.shape(stddev)}")
             if bandwidth_n is None:
                 bandwidth_n = self._n
             elif bandwidth_n < 1:

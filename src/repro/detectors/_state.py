@@ -109,7 +109,8 @@ def model_bandwidths(std: np.ndarray, n_sample: int, window_size: int,
 
     ``basis`` picks Scott's ``n``: ``"window"`` uses the larger of the
     sample size and the count window, ``"sample"`` the sample size; the
-    result is capped at ``cap`` when one is given.
+    result is capped at ``cap`` when one is given.  ``std`` is ``(...,
+    d)``: leading axes are models sharing ``n_sample`` and the window.
     """
     n_basis = max(n_sample, window_size) if basis == "window" else n_sample
     bandwidths = scott_bandwidths(std, n_basis, std.shape[-1])

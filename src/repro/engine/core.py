@@ -364,10 +364,8 @@ class DetectorEngine:
         rebuilt = np.flatnonzero(stale)
         if not rebuilt.size:
             return
-        for stream in rebuilt.tolist():
-            self._bandwidths[stream] = model_bandwidths(
-                std[stream], self._sample_size, window, self._basis,
-                self._cap)
+        self._bandwidths[rebuilt] = model_bandwidths(
+            std[rebuilt], self._sample_size, window, self._basis, self._cap)
         self._centers[rebuilt] = self._sample.values().reshape(
             self._n_streams, self._sample_size, self._n_dims)[rebuilt]
         self._built_std[rebuilt] = std[rebuilt]

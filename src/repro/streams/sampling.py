@@ -23,28 +23,36 @@ it is the wrong tool once the distribution drifts.
 Layout and batched ingestion
 ----------------------------
 One :class:`ChainSample` holds any number of lockstep streams (one per
-generator passed as ``rng``) as structure-of-arrays state: every slot's
-head (active element) timestamp and value and its pending successor
-timestamp as ``(streams, |R|)`` arrays, with the rare queued successors
-in a sparse map and one successor key per stream.  A node passes one generator and gets one stream; the
-cross-stream :class:`~repro.engine.core.DetectorEngine` passes one per
-sensor stream.
+generator passed as ``rng``) as structure-of-arrays state.  Every
+slot's chain -- its active element, then the queued successors, oldest
+first -- is one row of padded arrays: timestamps ``(streams * |R|, C)``
+(int64, -1 past the chain's end, so an empty slot reads -1 in column
+0), values ``(streams * |R|, C, d)`` and lengths ``(streams * |R|,)``.
+``C`` grows to the longest chain seen (a handful: the expected length
+is O(1)).  Beside them sit each slot's pending successor timestamp and
+one successor key per stream.  A node passes one generator and gets one
+stream; the cross-stream :class:`~repro.engine.core.DetectorEngine`
+passes one per sensor stream.
 
 :meth:`ChainSample.offer_many` processes a block of arrivals with one
-vectorised acceptance draw per stream (``rng.random((m, |R|))``) and a
-short walk (:func:`walk_slot`) over the rare slot events.  Its results
-are *bit-identical* to the equivalent sequence of
+vectorised acceptance draw per stream (``rng.random((m, |R|))``) and
+walks the rare slot events -- acceptances, successor captures and the
+expiries before them -- in array rounds, one event per slot per round,
+followed by one expiry at the block's last arrival.  Its results are
+*bit-identical* to the equivalent sequence of
 :meth:`ChainSample.offer_detailed` calls: numpy generators fill a
 ``(m, |R|)`` block with exactly the same doubles, in the same order, as
 ``m`` sequential ``random(|R|)`` calls, and a successor timestamp is a
 pure function of the stream's key, the slot and the arrival timestamp
-(:func:`draw_successor`), whatever the grouping or stream count.
+(:func:`draw_successor`, or :func:`draw_successors` over arrays),
+whatever the grouping or stream count.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -55,12 +63,6 @@ from repro._validation import require_positive_int
 from repro.core._kernels_numpy import BLOCK_CELLS
 
 __all__ = ["ChainSample", "ReservoirSample"]
-
-#: One slot's chain: (timestamp, value) pairs, oldest first; ``[0]`` is
-#: the active sample element, the rest are queued successors.  Values
-#: are ``d``-float lists.
-ChainItems = List[Tuple[int, List[float]]]
-
 
 _MASK64 = (1 << 64) - 1
 #: SplitMix64's increment (the golden ratio in 64-bit fixed point).
@@ -87,77 +89,56 @@ def draw_successor(key: int, slot: int, ts: int, window: int) -> int:
     return ts + 1 + ((h * window) >> 64)
 
 
-def expire_chain(items: ChainItems, horizon: int) -> int:
-    """Drop the chain's leading items with timestamp ``<= horizon``.
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a ``uint64`` array, in place (wrapping)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
-    Returns how many were dropped; each one is an active-element change
-    (an expiry), so callers add the count to their mutation and
-    eviction counters.
+
+def _slot_keys(keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The per-slot keys of :func:`draw_successor`, as ``uint64``."""
+    return _mix64_array(np.asarray(keys, dtype=np.uint64)
+                        + (np.asarray(slots, dtype=np.uint64) + 1) * _GAMMA)
+
+
+def _draw(slot_key: np.ndarray, ts: np.ndarray, window: int) -> np.ndarray:
+    """:func:`draw_successor` from per-slot keys, over ``int64`` ``ts``.
+
+    The multiply-high ``(h * window) >> 64`` is split into 32-bit
+    halves, each product below ``2**64``; exact for ``window < 2**32``.
     """
-    n = 0
-    for ts, _ in items:
-        if ts > horizon:
-            break
-        n += 1
-    if n:
-        del items[:n]
-    return n
+    h = ts.astype(np.uint64)
+    h += 1
+    h *= _GAMMA
+    h += slot_key
+    _mix64_array(h)
+    low = h & 0xFFFFFFFF
+    low *= window
+    low >>= 32
+    h >>= 32
+    h *= window
+    h += low
+    h >>= 32
+    offset = h.view(np.int64)
+    offset += ts
+    offset += 1
+    return offset
 
 
-def walk_slot(items: ChainItems, successor_ts: int, key: int, slot: int,
-              rows: "list[int]", block: np.ndarray, stream: int, ts0: int,
-              window: int) -> "tuple[int, int, int]":
-    """Replay one slot's events over a block of arrivals.
+def draw_successors(keys: np.ndarray, slots: np.ndarray, ts: np.ndarray,
+                    window: int) -> np.ndarray:
+    """:func:`draw_successor` elementwise over equal-shape arrays, bit
+    for bit.
 
-    ``block[:, stream]`` holds the slot's stream's arrivals at
-    timestamps ``ts0, ts0 + 1, ...``; ``rows`` are the (ascending) block
-    rows whose acceptance draw hit this slot.  Captures the pending
-    successor when it falls due, replaces the chain at each acceptance
-    and charges the expiries in between exactly as one-at-a-time offers
-    would, drawing successors with :func:`draw_successor`.  ``items`` is
-    updated in place.
-
-    Returns ``(successor_ts, mutations, evictions)``: the new pending
-    successor and the active-element changes and expiries charged.
-    Expiries after the last event are left to the caller's
-    :func:`expire_chain` at the block's final timestamp.
+    ``keys`` are 64-bit stream keys, ``slots`` and ``ts`` non-negative
+    integers; ``window`` must be below ``2**32``.
     """
-    ts_end = ts0 + block.shape[0] - 1
-    mutations = evictions = 0
-    pos, n_rows = 0, len(rows)
-    cursor = ts0 - 1      # latest timestamp already handled
-    while True:
-        acc_ts = ts0 + rows[pos] if pos < n_rows else None
-        # A pending successor is captured at its exact timestamp, unless
-        # an acceptance at the same arrival pre-empts it.
-        if (cursor < successor_ts <= ts_end
-                and (acc_ts is None or successor_ts < acc_ts)):
-            # The chain must still be live when the successor arrives:
-            # expire through the *previous* arrival, the state the
-            # scalar path checks the capture against.
-            expired = expire_chain(items, successor_ts - 1 - window)
-            mutations += expired
-            evictions += expired
-            cursor = successor_ts
-            if items:
-                items.append((successor_ts,
-                              block[successor_ts - ts0, stream].tolist()))
-                successor_ts = draw_successor(key, slot, successor_ts,
-                                              window)
-        elif acc_ts is not None:
-            # Items that expired at arrivals *before* the acceptance are
-            # charged exactly as the scalar path charges them; only the
-            # still-live remainder is discarded uncounted by the
-            # replacement below.
-            expired = expire_chain(items, acc_ts - 1 - window)
-            mutations += expired + 1
-            evictions += expired
-            items[:] = [(acc_ts, block[acc_ts - ts0, stream].tolist())]
-            successor_ts = draw_successor(key, slot, acc_ts, window)
-            pos += 1
-            cursor = acc_ts
-        else:
-            return successor_ts, mutations, evictions
+    return _draw(_slot_keys(keys, slots), np.asarray(ts, dtype=np.int64),
+                 window)
 
 
 # repro-lint: shard-state
@@ -167,7 +148,7 @@ class ChainSample:
     Parameters
     ----------
     window_size:
-        The window length ``|W|`` in arrivals.
+        The window length ``|W|`` in arrivals, below ``2**32``.
     sample_size:
         Number of slots ``|R|`` per stream.  Slots are independent, so
         the sample is "with replacement": duplicates are possible and
@@ -188,6 +169,9 @@ class ChainSample:
         require_positive_int("window_size", window_size)
         require_positive_int("sample_size", sample_size)
         require_positive_int("n_dims", n_dims)
+        if window_size >= 2**32:
+            raise ParameterError(
+                f"window_size must be below 2**32, got {window_size}")
         if rng is None or isinstance(rng, np.random.Generator):
             rngs = [resolve_rng(rng)]
         else:
@@ -199,18 +183,38 @@ class ChainSample:
         self._n_dims = n_dims
         self._rngs = rngs
         #: Per-stream successor keys (:func:`draw_successor`).
-        self._keys = [int(child.integers(2**64, dtype=np.uint64))
-                      for g in rngs for child in spawn_rngs(g, 1)]
-        shape = (len(rngs), sample_size)
-        self._head_ts = np.full(shape, -1, dtype=np.int64)   # -1: empty
-        self._head_val = np.zeros(shape + (n_dims,))
-        self._succ_ts = np.full(shape, -1, dtype=np.int64)
-        #: flat slot -> queued successors behind its head (rarely any).
-        self._queued: "dict[int, ChainItems]" = {}
+        self._keys = np.array([int(child.integers(2**64, dtype=np.uint64))
+                               for g in rngs for child in spawn_rngs(g, 1)],
+                              dtype=np.uint64)
+        n_flat = len(rngs) * sample_size
+        #: Slot ``s*|R| + j``'s chain, oldest first, in row ``s*|R| + j``;
+        #: column 0 is the active element, -1 pads (and marks empty).
+        self._chain_ts = np.full((n_flat, 1), -1, dtype=np.int64)
+        self._chain_val = np.zeros((n_flat, 1, n_dims))
+        self._chain_len = np.zeros(n_flat, dtype=np.int64)
+        self._succ_ts = np.full((len(rngs), sample_size), -1, dtype=np.int64)
         self._timestamp = -1   # timestamp of the latest offered value
         #: Per-stream active-element changes and expiry removals.
-        self._mutations = [0] * len(rngs)
-        self._evictions = [0] * len(rngs)
+        self._mutations = np.zeros(len(rngs), dtype=np.int64)
+        self._evictions = np.zeros(len(rngs), dtype=np.int64)
+        self._derive()
+
+    def _derive(self) -> None:
+        """Set the fields that follow from the chains and keys."""
+        n_slots = self._sample_size
+        flat = np.arange(self._chain_len.size)
+        self._slot_key = _slot_keys(self._keys[flat // n_slots],
+                                    flat % n_slots)
+        self._oldest = self._oldest_head()
+
+    def _oldest_head(self) -> int:
+        """The oldest active element's timestamp (``2**64 - 1`` if none).
+
+        A lower bound on it is kept in ``_oldest``: heads are only ever
+        replaced by newer items, so a span whose horizon is below it has
+        nothing to expire.
+        """
+        return int(self._chain_ts[:, 0].view(np.uint64).min())
 
     # ------------------------------------------------------------------
 
@@ -248,12 +252,12 @@ class ChainSample:
         followed by a replacement into one increment, so only equality
         with a recorded value is meaningful, not differences.
         """
-        return sum(self._mutations)
+        return int(self._mutations.sum())
 
     @property
     def mutation_counts(self) -> np.ndarray:
         """Per-stream :attr:`mutation_count`, shape ``(n_streams,)``."""
-        return np.array(self._mutations, dtype=np.int64)
+        return self._mutations.copy()
 
     @property
     def eviction_count(self) -> int:
@@ -262,11 +266,11 @@ class ChainSample:
         The subset of :attr:`mutation_count` caused by elements aging
         out of the window (as opposed to arrival replacements).
         """
-        return sum(self._evictions)
+        return int(self._evictions.sum())
 
     def __len__(self) -> int:
         """Number of slots currently holding an active element."""
-        return int(np.count_nonzero(self._head_ts >= 0))
+        return int(np.count_nonzero(self._chain_len))
 
     def newest_active_timestamp(self) -> int:
         """Timestamp of the most recent active sample element (-1 if none).
@@ -276,31 +280,9 @@ class ChainSample:
         value.  A pure read over the active slots, identical across the
         scalar and batched maintenance paths.
         """
-        return int(self._head_ts.max())
+        return int(self._chain_ts[:, 0].max())
 
     # ------------------------------------------------------------------
-
-    def _chain(self, flat: int) -> ChainItems:
-        """Slot ``flat``'s chain (stream-major index) as a fresh list."""
-        stream, slot = divmod(flat, self._sample_size)
-        ts = int(self._head_ts[stream, slot])
-        items: ChainItems = [] if ts < 0 \
-            else [(ts, self._head_val[stream, slot].tolist())]
-        items.extend(self._queued.get(flat, ()))
-        return items
-
-    def _store_chain(self, flat: int, items: ChainItems) -> None:
-        """Write a chain from :meth:`_chain` back into the arrays."""
-        stream, slot = divmod(flat, self._sample_size)
-        if items:
-            self._head_ts[stream, slot] = items[0][0]
-            self._head_val[stream, slot] = items[0][1]
-        else:
-            self._head_ts[stream, slot] = -1
-        if len(items) > 1:
-            self._queued[flat] = items[1:]
-        else:
-            self._queued.pop(flat, None)
 
     def _start(self, timestamp: "int | None", m: int) -> int:
         """The first timestamp of ``m`` arrivals, checked to increase."""
@@ -311,13 +293,24 @@ class ChainSample:
                 f"(got {ts0} after {self._timestamp})")
         return ts0
 
-    def _note_obs(self, mutations_before: "list[int]",
-                  evictions_before: "list[int]") -> None:
-        """Report each stream's mutation/eviction deltas to ``repro.obs``."""
-        for now_m, was_m, now_e, was_e in zip(
-                self._mutations, mutations_before, self._evictions,
-                evictions_before):
-            mutations, evictions = now_m - was_m, now_e - was_e
+    def _watch(self) -> "tuple[np.ndarray, np.ndarray] | None":
+        """The counters before a call, when a check or ``obs`` watches."""
+        if obs.ACTIVE or _sanitize.ACTIVE:
+            return self._mutations.copy(), self._evictions.copy()
+        return None
+
+    def _report(self, before: "tuple[np.ndarray, np.ndarray]") -> None:
+        """Check the sample after a call watched by :meth:`_watch`, and
+        report each stream's mutation/eviction deltas to ``repro.obs``."""
+        mutations_before, evictions_before = before
+        if _sanitize.ACTIVE:
+            _sanitize.check_chain_sample(
+                self, mutations_before=int(mutations_before.sum()))
+        if not obs.ACTIVE:
+            return
+        for mutations, evictions in zip(
+                (self._mutations - mutations_before).tolist(),
+                (self._evictions - evictions_before).tolist()):
             if mutations:
                 obs.metrics().counter("sample.mutations").inc(mutations)
             if evictions:
@@ -355,51 +348,78 @@ class ChainSample:
         if point.shape != (self._n_dims,):
             raise ParameterError(
                 f"value must have {self._n_dims} coordinate(s), got shape {point.shape}")
-        # A list copy: the slots keep the value, and a caller may reuse
-        # its buffer for the next reading.
         coords = point.tolist()
         if not all(map(math.isfinite, coords)):
             raise ParameterError(f"value must be finite, got {coords}")
         timestamp = self._start(timestamp, 1)
         self._timestamp = timestamp
-        watched = obs.ACTIVE or _sanitize.ACTIVE
-        if watched:
-            mutations_before = list(self._mutations)
-            evictions_before = list(self._evictions)
+        before = self._watch()
         window = self._window_size
         inclusion_prob = 1.0 / min(timestamp + 1, window)
         horizon = timestamp - window
         succ = self._succ_ts[0]
-        key = self._keys[0]
+        key = int(self._keys[0])
+        chain_ts, chain_val, chain_len = \
+            self._chain_ts, self._chain_val, self._chain_len
         changed: "list[int]" = []
+        expired = 0
         # One random draw per slot; the slot scan runs on plain lists.
         for slot, (draw, head_ts, succ_ts) in enumerate(zip(
                 self._rngs[0].random(self._sample_size).tolist(),
-                self._head_ts[0].tolist(), succ.tolist())):
+                chain_ts[:, 0].tolist(), succ.tolist())):
             if draw < inclusion_prob:
-                # The arrival replaces this slot's entire chain.
-                self._store_chain(slot, [(timestamp, coords)])
+                # The arrival replaces this slot's entire chain (the
+                # copy into the array keeps it from the caller's buffer).
+                if chain_len[slot] > 1:
+                    chain_ts[slot, 1:] = -1
+                chain_ts[slot, 0] = timestamp
+                chain_val[slot, 0] = point
+                chain_len[slot] = 1
                 succ[slot] = draw_successor(key, slot, timestamp, window)
-                self._mutations[0] += 1
                 changed.append(slot)
             elif head_ts >= 0 and (succ_ts == timestamp or head_ts <= horizon):
-                items = self._chain(slot)
                 if succ_ts == timestamp:
                     # Capture the successor chosen earlier; queue it.
-                    items.append((timestamp, coords))
+                    n = int(chain_len[slot])
+                    if n == self._chain_ts.shape[1]:
+                        self._grow(n + 1)
+                        chain_ts, chain_val = self._chain_ts, self._chain_val
+                    chain_ts[slot, n] = timestamp
+                    chain_val[slot, n] = point
+                    chain_len[slot] = n + 1
                     succ[slot] = draw_successor(key, slot, timestamp, window)
                 # Expire the active element once it falls out of the window.
-                expired = expire_chain(items, horizon)
-                self._mutations[0] += expired
-                self._evictions[0] += expired
-                self._store_chain(slot, items)
-        if watched:
-            if _sanitize.ACTIVE:
-                _sanitize.check_chain_sample(
-                    self, mutations_before=sum(mutations_before))
-            if obs.ACTIVE:
-                self._note_obs(mutations_before, evictions_before)
+                if head_ts <= horizon:
+                    expired += self._expire_slot(slot, horizon)
+        self._mutations[0] += len(changed) + expired
+        self._evictions[0] += expired
+        if changed:
+            self._oldest = min(self._oldest, timestamp)
+        if before is not None:
+            self._report(before)
         return tuple(changed)
+
+    def _expire_slot(self, flat: int, horizon: int) -> int:
+        """Drop slot ``flat``'s leading items at or below ``horizon``;
+        return how many were dropped."""
+        n = int(self._chain_len[flat])
+        drop = bisect.bisect_right(self._chain_ts[flat, :n].tolist(), horizon)
+        if drop:
+            self._chain_ts[flat, :n - drop] = self._chain_ts[flat, drop:n]
+            self._chain_ts[flat, n - drop:n] = -1
+            self._chain_val[flat, :n - drop] = self._chain_val[flat, drop:n]
+            self._chain_len[flat] = n - drop
+        return drop
+
+    def _grow(self, width: int) -> None:
+        """Widen the chain arrays to ``width`` columns."""
+        n_flat, extra = self._chain_len.size, width - self._chain_ts.shape[1]
+        self._chain_ts = np.concatenate(
+            [self._chain_ts, np.full((n_flat, extra), -1, dtype=np.int64)],
+            axis=1)
+        self._chain_val = np.concatenate(
+            [self._chain_val, np.zeros((n_flat, extra, self._n_dims))],
+            axis=1)
 
     def _as_block(self, values: Any) -> np.ndarray:
         """``values`` as a finite ``(m, n_streams, n_dims)`` block.
@@ -439,20 +459,17 @@ class ChainSample:
         docstring).
 
         The acceptance test for all ``m x |R|`` (arrival, slot) pairs of
-        every stream is one vectorised draw and comparison; Python-level
-        work is limited to the O(m |R| / |W|) expected slot events.
+        every stream is one vectorised draw and comparison, and the
+        O(m |R| / |W|) expected slot events are walked in array rounds.
         """
         vals = self._as_block(values)
         m = vals.shape[0]
-        n_streams, n_slots = self._head_ts.shape
+        n_streams, n_slots = self._succ_ts.shape
         hits = np.empty((n_streams, m, n_slots), dtype=bool)
         if m == 0:
             return hits
         ts0 = self._start(start_timestamp, m)
-        watched = obs.ACTIVE or _sanitize.ACTIVE
-        if watched:
-            mutations_before = list(self._mutations)
-            evictions_before = list(self._evictions)
+        before = self._watch()
         # Acceptance draws are materialised for (streams, ticks, |R|);
         # bound that scratch like the kernels' (splitting a block is
         # exact: consecutive spans equal one call).
@@ -460,23 +477,24 @@ class ChainSample:
         for start in range(0, m, span):
             self._offer_span(vals[start:start + span], ts0 + start,
                              hits[:, start:start + span])
-        self._timestamp = ts0 + m - 1
-        if watched:
-            if _sanitize.ACTIVE:
-                _sanitize.check_chain_sample(
-                    self, mutations_before=sum(mutations_before))
-            if obs.ACTIVE:
-                self._note_obs(mutations_before, evictions_before)
+        if before is not None:
+            self._report(before)
         return hits
 
     def _offer_span(self, block: np.ndarray, ts0: int,
                     hits: np.ndarray) -> None:
         """Chain-sample ``block`` (``k`` ticks from ``ts0``) into every
-        stream's slots, writing the acceptance mask into ``hits``."""
-        _, k, n_slots = hits.shape
+        stream's slots, writing the acceptance mask into ``hits``.
+
+        The slot events are walked in rounds, each advancing every slot
+        that still has one by one event, in time order: the capture of
+        its pending successor when that precedes its next acceptance,
+        else the acceptance (which pre-empts a successor due at the same
+        arrival).  One expiry at the span's last arrival follows.
+        """
+        n_streams, k, n_slots = hits.shape
         window = self._window_size
         ts_end = ts0 + k - 1
-        horizon = ts_end - window
         # Once the window has filled, every arrival is accepted with
         # the same probability (the same double as the array form).
         inclusion: "float | np.ndarray" = 1.0 / window
@@ -489,61 +507,120 @@ class ChainSample:
         for plane, rng in zip(draws, self._rngs):
             rng.random(out=plane)
         np.less(draws, inclusion, out=hits)
-        # Hit rows per slot, slot-major then arrival order.
-        keys, rows = np.nonzero(hits.transpose(0, 2, 1).reshape(-1, k))
-        head = self._head_ts.reshape(-1)
+        # Hits in (stream, tick, slot) order; every one is an acceptance.
+        found = np.flatnonzero(hits)
+        if found.size:
+            self._mutations += np.bincount(found // (k * n_slots),
+                                           minlength=n_streams)
+            self._oldest = min(self._oldest, ts0)
         succ = self._succ_ts.reshape(-1)
-        # Event slots: an acceptance, a successor falling due, or a head
-        # leaving the window inside this span.  Empty slots (-1) may be
-        # swept in too; walking them changes nothing.
-        due = (succ <= ts_end) | (head <= horizon)
-        due[keys] = True
-        events = np.flatnonzero(due)
-        if not events.size:
+        dropped: "list[np.ndarray]" = []     # the slot of each expiry
+        if k == 1:
+            # At one tick a hit's index is its slot, every slot has at
+            # most one event, and right after the previous tick nothing
+            # older than its horizon is left to expire first.
+            due = succ == ts0
+            due[found] = True
+            slots = np.flatnonzero(due)
+            accept = hits.reshape(-1)[slots]
+            self._events(block, ts0, slots, np.full(slots.size, ts0), accept,
+                         None if ts0 == self._timestamp + 1 else dropped)
+        else:
+            cell = found // n_slots                  # stream * k + tick
+            stream = cell // k
+            hit_slot = found - (cell - stream) * n_slots
+            order = np.argsort(hit_slot, kind="stable")
+            hit_slot = hit_slot[order]
+            due = (succ >= ts0) & (succ <= ts_end)
+            due[hit_slot] = True
+            slots = np.flatnonzero(due)
+            # Each event slot's acceptance times in order, then ts_end + 1:
+            # hit j of the slot-sorted list sits past the end marks of
+            # the event slots before its own.
+            queue = np.full(found.size + slots.size, ts_end + 1)
+            queue[np.arange(found.size) + np.searchsorted(slots, hit_slot)] \
+                = ts0 + (cell - stream * k)[order]
+            pos = np.searchsorted(hit_slot, slots) + np.arange(slots.size)
+            cursor = ts0 - 1                         # latest event handled
+            while slots.size:
+                acc_ts = queue[pos]
+                succ_ts = succ[slots]
+                capture = (succ_ts > cursor) & (succ_ts < acc_ts)
+                cursor = np.where(capture, succ_ts, acc_ts)
+                live = cursor <= ts_end
+                if not live.all():
+                    slots, pos, capture, cursor = \
+                        slots[live], pos[live], capture[live], cursor[live]
+                accept = ~capture
+                self._events(block, ts0, slots, cursor, accept, dropped)
+                pos = pos + accept
+        self._timestamp = ts_end
+        horizon = ts_end - window
+        if horizon >= self._oldest:
+            # horizon >= 0 here, and empty heads (-1) read as 2**64 - 1.
+            self._expire(np.flatnonzero(
+                self._chain_ts[:, 0].view(np.uint64) <= horizon), horizon,
+                dropped)
+            self._oldest = self._oldest_head()
+        if dropped:
+            expired = np.bincount(np.concatenate(dropped) // n_slots,
+                                  minlength=n_streams)
+            self._mutations += expired
+            self._evictions += expired
+
+    def _events(self, block: np.ndarray, ts0: int, slots: np.ndarray,
+                ts: np.ndarray, accept: np.ndarray,
+                dropped: "list[np.ndarray] | None") -> None:
+        """One round of the walk: slot ``slots[i]``'s event at ``ts[i]``
+        is an acceptance where ``accept`` is set, else a capture.
+
+        Each chain first drops the items that aged out at the arrivals
+        before its event, recorded in ``dropped`` to be charged as
+        one-at-a-time offers charge them (``None``: none can have).  An
+        acceptance then replaces the chain, a capture appends to it,
+        and both redraw the slot's successor.
+        """
+        if not slots.size:
             return
-        # Every hit slot is an event, so event e's hit rows end where
-        # event e + 1's begin.
-        bounds = np.searchsorted(keys, events).tolist()
-        bounds.append(keys.size)
-        hit_rows = rows.tolist()
-        head_ts = head[events].tolist()
-        succ_ts = succ[events].tolist()
-        mutated, evicted = self._mutations, self._evictions
-        moved: "list[int]" = []           # events whose head changed
-        moved_values: "list[list[float]]" = []
-        queued, keys = self._queued, self._keys
-        for e, flat in enumerate(events.tolist()):
-            # The walk never reads the head's value: it is replaced,
-            # expired or kept, so None stands for "still in the array".
-            items: "list[tuple[int, Any]]" = [] if head_ts[e] < 0 \
-                else [(head_ts[e], None)]
-            if flat in queued:
-                items.extend(queued.pop(flat))
-            stream, slot = divmod(flat, n_slots)
-            lo, hi = bounds[e], bounds[e + 1]
-            if lo < hi or ts0 <= succ_ts[e] <= ts_end:
-                succ_ts[e], mutations, evictions = walk_slot(
-                    items, succ_ts[e], keys[stream], slot, hit_rows[lo:hi],
-                    block, stream, ts0, window)
-                mutated[stream] += mutations
-                evicted[stream] += evictions
-            if items and items[0][0] <= horizon:
-                expired = expire_chain(items, horizon)
-                mutated[stream] += expired
-                evicted[stream] += expired
-            if not items:
-                head_ts[e] = -1
-                continue
-            head_ts[e], value = items[0]
-            if value is not None:
-                moved.append(flat)
-                moved_values.append(value)
-            if len(items) > 1:
-                queued[flat] = items[1:]
-        head[events] = head_ts
-        succ[events] = succ_ts
-        if moved:
-            self._head_val.reshape(-1, self._n_dims)[moved] = moved_values
+        if dropped is not None:
+            horizon = ts - 1 - self._window_size
+            if horizon.max() >= self._oldest:
+                self._expire(slots, horizon, dropped)
+        # An acceptance empties the chain, and then every event appends
+        # its arrival (a successor falls due at most |W| arrivals after
+        # the newest item, so a capture's chain is still live).
+        if accept.any():
+            self._chain_ts[slots[accept]] = -1
+            self._chain_len[slots[accept]] = 0
+        n = self._chain_len[slots]
+        if n.max() >= self._chain_ts.shape[1]:
+            self._grow(int(n.max()) + 1)
+        self._chain_ts[slots, n] = ts
+        self._chain_val[slots, n] = block[ts - ts0, slots // self._sample_size]
+        self._chain_len[slots] = n + 1
+        self._succ_ts.reshape(-1)[slots] = _draw(self._slot_key[slots], ts,
+                                                 self._window_size)
+
+    def _expire(self, slots: np.ndarray, horizon: "int | np.ndarray",
+                dropped: "list[np.ndarray]") -> None:
+        """Drop the chains' leading items at or below ``horizon`` (one
+        for all slots, or one per slot), appending to ``dropped`` the
+        slots that lost an item, once per item."""
+        chain_ts, chain_val = self._chain_ts, self._chain_val
+        while True:
+            head = chain_ts[slots, 0]
+            aged = (head >= 0) & (head <= horizon)
+            if not aged.any():
+                return
+            slots = slots[aged]
+            if isinstance(horizon, np.ndarray):
+                horizon = horizon[aged]
+            dropped.append(slots)
+            # Shift the chains one column left, -1 filling in.
+            chain_ts[slots, :-1] = chain_ts[slots, 1:]
+            chain_ts[slots, -1] = -1
+            chain_val[slots, :-1] = chain_val[slots, 1:]
+            self._chain_len[slots] -= 1
 
     def values(self) -> np.ndarray:
         """Active sample elements, shape ``(k, n_dims)``.
@@ -552,11 +629,11 @@ class ChainSample:
         from the first arrival onward; it can only be smaller before any
         value has been offered.
         """
-        return self._head_val[self._head_ts >= 0]
+        return self._chain_val[:, 0][self._chain_len > 0]
 
     def has_active(self) -> bool:
         """Whether any slot currently holds an active element."""
-        return bool((self._head_ts >= 0).any())
+        return bool(self._chain_len.any())
 
     # ------------------------------------------------------------------
     # Resource accounting (Section 10.3)
@@ -567,10 +644,7 @@ class ChainSample:
 
         Shape ``(n_streams * |R|,)``, stream-major.
         """
-        lengths = (self._head_ts >= 0).astype(np.int64).reshape(-1)
-        for flat, items in self._queued.items():
-            lengths[flat] += len(items)
-        return lengths
+        return self._chain_len.copy()
 
     def memory_words(self, *, words_per_value: int | None = None) -> int:
         """Logical memory footprint in machine words.
@@ -583,8 +657,8 @@ class ChainSample:
         """
         if words_per_value is None:
             words_per_value = self._n_dims
-        stored = int(self.chain_lengths().sum())
-        return stored * (words_per_value + 1) + self._head_ts.size
+        stored = int(self._chain_len.sum())
+        return stored * (words_per_value + 1) + self._succ_ts.size
 
     # ------------------------------------------------------------------
     # Snapshot protocol (repro.engine.snapshot)
@@ -601,26 +675,26 @@ class ChainSample:
         for bit.  With ``stream``, the snapshot holds that stream alone:
         the one a one-stream sample in the same state would give.
         """
-        d, n_slots = self._n_dims, self._sample_size
+        n_slots = self._sample_size
         rows = slice(0, len(self._rngs)) if stream is None \
             else slice(stream, stream + 1)
-        lo, hi = rows.start * n_slots, rows.stop * n_slots
-        chains = [(flat - lo, ts, value) for flat in range(lo, hi)
-                  for ts, value in self._chain(flat)]
+        flat = slice(rows.start * n_slots, rows.stop * n_slots)
+        ts = self._chain_ts[flat]
+        stored = ts >= 0
         return {
             "window_size": self._window_size,
             "sample_size": n_slots,
-            "n_dims": d,
+            "n_dims": self._n_dims,
             "rngs": [rng_state(g) for g in self._rngs[rows]],
-            "keys": np.array(self._keys[rows], dtype=np.uint64),
-            "chain_slot": np.array([c[0] for c in chains], dtype=np.int64),
-            "chain_ts": np.array([c[1] for c in chains], dtype=np.int64),
-            "chain_value": np.array([c[2] for c in chains],
-                                    dtype=float).reshape(-1, d),
+            "keys": self._keys[rows].copy(),
+            "chain_slot": np.repeat(np.arange(flat.stop - flat.start),
+                                    self._chain_len[flat]),
+            "chain_ts": ts[stored],
+            "chain_value": self._chain_val[flat][stored],
             "succ_ts": self._succ_ts[rows].copy(),
             "timestamp": self._timestamp,
-            "mutations": np.array(self._mutations[rows], dtype=np.int64),
-            "evictions": np.array(self._evictions[rows], dtype=np.int64),
+            "mutations": self._mutations[rows].copy(),
+            "evictions": self._evictions[rows].copy(),
         }
 
     @classmethod
@@ -636,31 +710,26 @@ class ChainSample:
         sample._sample_size = n_slots = int(state["sample_size"])
         sample._n_dims = d = int(state["n_dims"])
         sample._rngs = [rng_from_state(s) for s in state["rngs"]]
-        sample._keys = np.asarray(state["keys"], dtype=np.uint64).tolist()
-        shape = (len(sample._rngs), n_slots)
         # astype() copies into the canonical dtype object, so a restored
         # sample snapshots to the same bytes as the original.
+        sample._keys = np.asarray(state["keys"]).astype(np.uint64)
         sample._succ_ts = np.asarray(state["succ_ts"]).astype(np.int64)
-        sample._mutations = np.asarray(state["mutations"]).tolist()
-        sample._evictions = np.asarray(state["evictions"]).tolist()
+        sample._mutations = np.asarray(state["mutations"]).astype(np.int64)
+        sample._evictions = np.asarray(state["evictions"]).astype(np.int64)
         sample._timestamp = int(state["timestamp"])
         slots = np.asarray(state["chain_slot"], dtype=np.int64)
-        ts = np.asarray(state["chain_ts"], dtype=np.int64)
-        chain_values = np.asarray(state["chain_value"],
-                                  dtype=float).reshape(-1, d)
-        # A slot's first item is its head; the rest queue behind it.
-        is_head = np.ones(slots.shape, dtype=bool)
-        is_head[1:] = slots[1:] != slots[:-1]
-        sample._head_ts = np.full(shape, -1, dtype=np.int64)
-        sample._head_val = np.zeros(shape + (d,))
-        sample._head_ts.reshape(-1)[slots[is_head]] = ts[is_head]
-        sample._head_val.reshape(-1, d)[slots[is_head]] = \
-            chain_values[is_head]
-        sample._queued = {}
-        for flat, t, value in zip(slots[~is_head].tolist(),
-                                  ts[~is_head].tolist(),
-                                  chain_values[~is_head].tolist()):
-            sample._queued.setdefault(flat, []).append((t, value))
+        # A slot's items are consecutive, oldest first.
+        lengths = np.bincount(slots, minlength=len(sample._rngs) * n_slots)
+        starts = np.cumsum(lengths) - lengths
+        cols = np.arange(slots.size) - starts[slots]
+        width = max(1, int(lengths.max()))
+        sample._chain_ts = np.full((lengths.size, width), -1, dtype=np.int64)
+        sample._chain_val = np.zeros((lengths.size, width, d))
+        sample._chain_ts[slots, cols] = np.asarray(state["chain_ts"])
+        sample._chain_val[slots, cols] = np.asarray(
+            state["chain_value"], dtype=float).reshape(-1, d)
+        sample._chain_len = lengths.astype(np.int64)
+        sample._derive()
         return sample
 
 

@@ -52,6 +52,17 @@ class TestScott:
         with pytest.raises(ParameterError):
             scott_bandwidths(np.ones((2, 2)), 100)
 
+    def test_stacked_stddev_is_rowwise(self):
+        """With ``n_dims``, a ``(..., d)`` stack gives each row's own
+        bandwidths, and one bad entry anywhere rejects the stack."""
+        sigma = np.array([[0.1, 0.0], [2.5, 1e-7], [0.3, 0.3]])
+        stacked = scott_bandwidths(sigma, 77, n_dims=2)
+        assert stacked.tolist() == [scott_bandwidths(row, 77).tolist()
+                                    for row in sigma]
+        sigma[1, 0] = -1.0
+        with pytest.raises(ParameterError, match="non-negative"):
+            scott_bandwidths(sigma, 77, n_dims=2)
+
 
 class TestSilverman:
     def test_narrower_than_paper_scott_in_1d(self):

@@ -53,6 +53,10 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             make_kde([0.5], bandwidths=-0.1)
 
+    def test_matrix_stddev_rejected(self):
+        with pytest.raises(ParameterError, match="1-d"):
+            make_kde(np.zeros((5, 2)), stddev=np.ones((3, 2)))
+
     def test_sample_is_read_only(self):
         kde = make_kde([0.1, 0.2])
         with pytest.raises(ValueError):

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from repro import _sanitize
 from repro._exceptions import ParameterError
-from repro.engine.snapshot import encode_snapshot
-from repro.streams.sampling import ChainSample, ReservoirSample, draw_successor
+from repro.core._kernels_numpy import BLOCK_CELLS
+from repro.engine.snapshot import decode_snapshot, encode_snapshot
+from repro.streams.sampling import (
+    ChainSample, ReservoirSample, draw_successor, draw_successors)
+from tests.streams._reference_chain import ReferenceChainSample
 
 
 def _slots(hits):
@@ -60,6 +67,7 @@ class TestChainSampleBasics:
         {"window_size": 0, "sample_size": 4},
         {"window_size": 10, "sample_size": 0},
         {"window_size": 10, "sample_size": 4, "n_dims": 0},
+        {"window_size": 2**32, "sample_size": 4},
     ])
     def test_invalid_construction(self, kwargs):
         with pytest.raises(ParameterError):
@@ -151,6 +159,26 @@ class TestSuccessorDraw:
                    for k, key in enumerate(keys) for ts in range(2000)]
         assert stats.chisquare(self._offset_counts(offsets)).pvalue > 1e-3
 
+    @pytest.mark.parametrize("window", [1, 2, 50, 2**31, 2**32 - 1])
+    def test_array_draw_is_the_scalar_draw(self, window):
+        """The uint64 draw, its multiply-high split into 32-bit halves,
+        equals the Python-int draw at the edges of keys, slots,
+        timestamps and windows."""
+        keys = [0, 1, 2**63, 2**64 - 1, 0x243F6A8885A308D3]
+        slots = [0, 1, 59, 2**20]
+        stamps = [0, 1, 999, 2**62 - 1, 2**62, 2**62 + 12345]
+        grid = np.array([(k, s, t) for k in keys for s in slots
+                         for t in stamps], dtype=object)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = draw_successors(grid[:, 0].astype(np.uint64),
+                                    grid[:, 1].astype(np.int64),
+                                    grid[:, 2].astype(np.int64), window)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == [draw_successor(int(k), int(s), int(t),
+                                                 window)
+                                  for k, s, t in grid]
+
     def test_offsets_uniform_along_one_chain(self):
         key, ts, offsets = 0x243F6A8885A308D3, 0, []
         for _ in range(20_000):
@@ -179,6 +207,89 @@ class TestSuccessorDraw:
             for s, sample in enumerate(alone):
                 copy = ChainSample.restore_state(shared.snapshot_state(s))
                 assert encode_snapshot(copy) == encode_snapshot(sample)
+
+
+def _assert_same_state(sample, ref):
+    """The array sample holds the frozen reference's chains, heads,
+    successors and counters, and snapshots to its bytes."""
+    n_streams = ref.n_streams
+    assert sample._chain_ts[:, 0].tolist() == ref._head_ts.reshape(-1).tolist()
+    assert sample._succ_ts.tolist() == ref._succ_ts.tolist()
+    assert sample.mutation_counts.tolist() == ref._mutations
+    assert sample._evictions.tolist() == ref._evictions
+    assert sample.timestamp == ref._timestamp
+    state, expected = sample.snapshot_state(), ref.snapshot_state()
+    assert state.keys() == expected.keys()
+    for key, value in expected.items():
+        if key != "rngs":
+            np.testing.assert_array_equal(state[key], value, err_msg=key)
+    assert pickle.dumps(state) == pickle.dumps(expected)
+    if n_streams > 1:
+        stream = n_streams // 2
+        assert pickle.dumps(sample.snapshot_state(stream)) == \
+            pickle.dumps(ref.snapshot_state(stream))
+    _sanitize.check_chain_sample(sample)
+
+
+#: Span lengths; "split" is one tick past the block that
+#: ``BLOCK_CELLS`` lets one span carry.
+_SPANS = st.sampled_from([1, 1, 1, 2, 3, 5, 17, 32, 64, "split"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_streams=st.sampled_from([1, 2, 17, 64]),
+       slots=st.integers(1, 60),
+       window=st.integers(1, 64),
+       n_dims=st.sampled_from([1, 2]),
+       calls=st.lists(st.tuples(_SPANS, st.sampled_from([0, 0, 0, 1, 3, 70]),
+                                st.booleans()), min_size=1, max_size=10),
+       restore_after=st.integers(0, 10),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_streams=64, slots=60, window=3, n_dims=1,
+         calls=[(1, 0, False), ("split", 0, False), (1, 0, False),
+                (1, 5, False), ("split", 0, False)],
+         restore_after=2, seed=7)
+@example(n_streams=1, slots=60, window=2, n_dims=2,
+         calls=[(1, 4, True), (1, 0, True), (32, 0, False), (1, 0, True),
+                (5, 0, True), (64, 1, False)],
+         restore_after=3, seed=11)
+@example(n_streams=1, slots=1, window=64, n_dims=1,
+         calls=[(1, 0, False), (3, 70, False), (3, 0, False), (2, 0, False)],
+         restore_after=10, seed=0)
+def test_array_walk_equals_frozen_reference(n_streams, slots, window, n_dims,
+                                            calls, restore_after, seed):
+    """``offer_many``'s array rounds and ``offer_detailed``'s row edits
+    keep the frozen list/dict walk's hits, chains, successors and
+    counters after every call: through warm-up, timestamp gaps, short
+    windows that grow chains past the arrays' width, blocks split by
+    ``BLOCK_CELLS``, one-stream calls of both kinds mixed, and a
+    restore in mid-run; the padded arrays raise no numpy warning."""
+    rng = np.random.default_rng(seed)
+    sample = ChainSample(window, slots, n_dims=n_dims,
+                         rng=[np.random.default_rng([seed, s])
+                              for s in range(n_streams)])
+    ref = ReferenceChainSample.restore_state(sample.snapshot_state())
+    span = max(1, BLOCK_CELLS // (n_streams * slots))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for index, (ticks, gap, detailed) in enumerate(calls):
+            if ticks == "split":
+                ticks = span + 1 if span < 100 else 64
+            start = sample.timestamp + 1 + gap
+            if detailed and n_streams == 1:
+                # A one-stream sample takes single readings too.
+                for t in range(start, start + ticks):
+                    value = rng.normal(size=n_dims)
+                    assert sample.offer_detailed(value, t) == \
+                        ref.offer_detailed(value, t)
+            else:
+                block = rng.normal(size=(ticks, n_streams, n_dims))
+                hits = sample.offer_many(block, start)
+                np.testing.assert_array_equal(
+                    hits, ref.offer_many(block, start))
+            if index == restore_after:
+                sample = decode_snapshot(encode_snapshot(sample))
+            _assert_same_state(sample, ref)
 
 
 class TestResourceAccounting:

@@ -107,17 +107,17 @@ class TestChainSampleChecks:
 
     def test_corrupted_successor_raises(self, rng):
         sample = self.make_sample(rng)
-        slot = int(np.flatnonzero(sample._head_ts[0] >= 0)[0])
-        newest = sample._chain(slot)[-1][0]
+        slot = int(np.flatnonzero(sample._chain_ts[:, 0] >= 0)[0])
+        newest = sample._chain_ts[slot, sample._chain_len[slot] - 1]
         sample._succ_ts[0, slot] = newest         # due in the past
         with pytest.raises(SanitizeError, match="successor"):
             _sanitize.check_chain_sample(sample)
 
     def test_expired_item_raises(self, rng):
         sample = self.make_sample(rng)
-        slot = int(np.flatnonzero(sample._head_ts[0] >= 0)[0])
+        slot = int(np.flatnonzero(sample._chain_ts[:, 0] >= 0)[0])
         # Expired a full window ago but still held (-1 would mean empty).
-        sample._head_ts[0, slot] = sample.timestamp - 2 * sample.window_size
+        sample._chain_ts[slot, 0] = sample.timestamp - 2 * sample.window_size
         with pytest.raises(SanitizeError, match="window"):
             _sanitize.check_chain_sample(sample)
 
@@ -205,7 +205,7 @@ class TestEngineChecks:
 
     def test_expired_head_raises(self, rng):
         engine = self.make_engine(rng)
-        engine._sample._head_ts[2, 3] = engine.tick - 40     # window is 30
+        engine._sample._chain_ts[2 * 10 + 3, 0] = engine.tick - 40  # window is 30
         with pytest.raises(SanitizeError, match="stream 2 slot 3.*outside window"):
             _sanitize.check_chain_sample(engine._sample)
 
