@@ -98,25 +98,36 @@ def test_variance_store_insert(benchmark, monkeypatch, n_lanes, kernel):
     benchmark.pedantic(insert_block, rounds=40, iterations=1)
 
 
-def test_windowed_neighbor_index_insert(benchmark):
-    """The incremental exact index (ground-truth substrate)."""
-    from repro.core.indexes import WindowedNeighborIndex
-    rng = np.random.default_rng(0)
-    index = WindowedNeighborIndex(window_size=5_000, cell_width=0.01)
-    for value in rng.uniform(size=6_000):
-        index.insert([value])
-    iterator = iter(rng.uniform(size=1_000_000).tolist())
-    benchmark(lambda: index.insert([next(iterator)]))
+@pytest.mark.parametrize("algorithm", ["d3", "mgdd"])
+def test_truth_labels_for_tick(benchmark, algorithm):
+    """The accuracy harness's ground truth, one tick at Figure 7's shape
+    (16 leaves, |W| = 1500): insert the arrivals, then label them."""
+    from itertools import cycle
 
+    from repro.eval.harness import ExperimentConfig, make_streams
+    from repro.eval.truth import DistanceTruth, GlobalMDEFTruth, WindowBank
+    from repro.network.topology import build_hierarchy
 
-def test_windowed_neighbor_index_query(benchmark):
-    from repro.core.indexes import WindowedNeighborIndex
-    rng = np.random.default_rng(0)
-    index = WindowedNeighborIndex(window_size=5_000, cell_width=0.01)
-    for value in rng.uniform(size=6_000):
-        index.insert([value])
-    result = benchmark(lambda: index.neighbor_count([0.5], 0.01))
-    assert result > 0
+    config = ExperimentConfig(
+        algorithm=algorithm, window_size=1_500, n_leaves=16,
+        dataset="synthetic" if algorithm == "d3" else "plateau")
+    hierarchy = build_hierarchy(config.n_leaves, config.branching)
+    bank = WindowBank(hierarchy, config.window_size, config.n_dims,
+                      mode=config.parent_window)
+    truth = DistanceTruth(bank, hierarchy, config.distance_spec) \
+        if algorithm == "d3" \
+        else GlobalMDEFTruth(bank, hierarchy, config.mdef_spec)
+    readings = np.stack(make_streams(config, seed=1).streams, axis=1)
+    for arrivals in readings[:config.window_size]:
+        bank.insert_tick(arrivals)
+    ticks = cycle(readings[config.window_size:])
+
+    def label_tick():
+        arrivals = next(ticks)
+        bank.insert_tick(arrivals)
+        return truth.labels_for_tick(arrivals)
+
+    benchmark(label_tick)
 
 
 def test_gk_summary_insert(benchmark):

@@ -16,11 +16,6 @@ from repro.core.divergence import (
 )
 from repro.core.estimator import KernelDensityEstimator, merge_estimators
 from repro.core.histogram import EquiDepthHistogram
-from repro.core.indexes import (
-    GridCountIndex,
-    SortedWindowIndex1D,
-    WindowedNeighborIndex,
-)
 from repro.core.kernels import (
     EPANECHNIKOV,
     GAUSSIAN,
@@ -56,9 +51,6 @@ __all__ = [
     "KernelDensityEstimator",
     "merge_estimators",
     "EquiDepthHistogram",
-    "SortedWindowIndex1D",
-    "GridCountIndex",
-    "WindowedNeighborIndex",
     "kl_divergence",
     "jensen_shannon_divergence",
     "model_js_divergence",

@@ -33,7 +33,6 @@ from repro.eval.resilience import (
 from repro.eval.truth import (
     DistanceTruth,
     GlobalMDEFTruth,
-    NodeWindow,
     WindowBank,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "render_table",
     "export_result",
     "export_rows",
-    "NodeWindow",
     "WindowBank",
     "DistanceTruth",
     "GlobalMDEFTruth",

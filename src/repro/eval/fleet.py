@@ -40,7 +40,6 @@ import queue as queue_module
 import tempfile
 import time
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -49,11 +48,11 @@ from repro import obs
 from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError, RecoveryError
 from repro._rng import resolve_rng
-from repro.core.mdef import MDEFSpec
-from repro.core.outliers import DistanceOutlierSpec
 from repro.engine.core import DetectorEngine
 from repro.engine.supervisor import SupervisedEngine
 from repro.eval.provenance import machine_info, run_metadata
+# The recovery bench's operating points, so fleet figures are comparable.
+from repro.eval.recovery import _SPECS
 from repro.eval.reporting import render_grid
 from repro.network.faults import EngineCrash, FaultPlan
 from repro.network.messages import MessageCounter, OutlierReport
@@ -80,14 +79,6 @@ COORDINATOR_NODE = 0
 
 #: Merged-trace artifact name inside a run directory.
 MERGED_TRACE_NAME = "TRACE_merged.jsonl"
-
-#: Outlier definition per algorithm (the recovery bench's operating
-#: points, reused so fleet figures are comparable).
-_SPECS = MappingProxyType({
-    "d3": DistanceOutlierSpec(radius=0.5, count_threshold=3),
-    "mgdd": MDEFSpec(sampling_radius=1.0, counting_radius=0.25),
-})
-
 
 def fleet_workload(n_ticks: int, n_streams: int,
                    seed: int) -> np.ndarray:

@@ -428,8 +428,6 @@ def _run_accuracy_run(config: ExperimentConfig, seed: int) -> AccuracyResult:
 
     def on_tick(tick: int) -> None:
         arrivals = arrivals_matrix[tick]
-        if mdef_truth is not None:
-            mdef_truth.record_insert(arrivals)
         bank.insert_tick(arrivals)
         health_every = config.health_check_every
         if monitor is not None and health_every is not None \

@@ -23,12 +23,13 @@ seeded, so a cell replays bit for bit.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from repro._exceptions import ParameterError
 from repro.eval.harness import ExperimentConfig, run_accuracy_run
 from repro.eval.provenance import machine_info, run_metadata
 from repro.eval.reporting import render_grid
+# The resilience bench's dataset per algorithm (MGDD needs the plateau
+# workload to flag at all at this scale).
+from repro.eval.resilience import _DATASETS
 
 __all__ = [
     "run_latency_cell",
@@ -36,11 +37,6 @@ __all__ = [
     "check_latency",
     "format_table",
 ]
-
-#: Dataset per algorithm, mirroring the conservation-suite operating
-#: points (MGDD needs the plateau workload to flag at all at this scale).
-_DATASETS = MappingProxyType({"d3": "synthetic", "mgdd": "plateau"})
-
 
 def run_latency_cell(*, algorithm: str, loss_rate: float,
                      staleness_horizon: int, n_leaves: int = 9,

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import obs
 from repro.network.messages import Message
+from repro.obs.report import latency_stats
 
 __all__ = ["SimNode", "Outgoing", "Detection", "DetectionLog"]
 
@@ -157,27 +158,15 @@ class DetectionLog:
 
     def latency_summary(self) -> "dict[str, object]":
         """Latency and per-tier stats over everything recorded so far."""
-        n = len(self.latencies)
         by_tier: "dict[str, list[int]]" = {}
         for detection, latency in zip(self.detections, self.latencies):
             by_tier.setdefault(self.tier(detection.level), []) \
                 .append(latency)
-
-        def _stats(values: "list[int]") -> "dict[str, object]":
-            ordered = sorted(values)
-            count = len(ordered)
-            return {
-                "count": count,
-                "p50": ordered[(count - 1) // 2],
-                "p99": ordered[min(count - 1, (99 * count) // 100)],
-                "max": ordered[-1],
-            }
-
-        summary: "dict[str, object]" = {"n_flags": n}
+        summary: "dict[str, object]" = {"n_flags": len(self.latencies)}
         summary.update(
-            _stats(self.latencies) if n
-            else {"count": 0, "p50": None, "p99": None, "max": None})
-        summary["by_tier"] = {tier: _stats(values)
+            latency_stats(self.latencies)
+            or {"count": 0, "p50": None, "p99": None, "max": None})
+        summary["by_tier"] = {tier: latency_stats(values)
                               for tier, values in sorted(by_tier.items())}
         return summary
 

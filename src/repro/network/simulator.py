@@ -253,13 +253,11 @@ class NetworkSimulator:
     def step(self) -> None:
         """Advance one tick: every live leaf reads once; messages drain.
 
-        Group members (a D3 network's leaves) get a one-tick block, as
-        in :meth:`step_epoch`; every other leaf reads through
-        ``on_reading``.
+        The same as ``step_epoch(1)``.
         """
         if self._tick >= self._streams.length:
             raise SimulationError("streams exhausted; cannot step further")
-        self._advance(1, self._grouped)
+        self.step_epoch(1)
 
     # -- queue plumbing ------------------------------------------------
 
@@ -462,6 +460,10 @@ class NetworkSimulator:
         ticks they are down.  The message sequence, and hence every
         parent's state, the counters and the detection log, does not
         depend on how a run is cut into epochs.
+
+        A one-tick epoch gives a block only to group members (a D3
+        network's leaves), which have no per-reading path; every other
+        leaf reads through ``on_reading``, cheaper than a one-row block.
         """
         if n_ticks < 1:
             raise SimulationError(f"n_ticks must be >= 1, got {n_ticks}")
@@ -469,7 +471,7 @@ class NetworkSimulator:
             raise SimulationError(
                 f"cannot step {n_ticks} ticks; only "
                 f"{self._streams.length - self._tick} readings left")
-        self._advance(n_ticks, self._batched)
+        self._advance(n_ticks, self._batched if n_ticks > 1 else self._grouped)
 
     def _advance(self, n_ticks: int, fed: "set[int]") -> None:
         """Advance ``n_ticks`` ticks, feeding the ``fed`` leaves blocks."""

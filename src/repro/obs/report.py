@@ -8,9 +8,9 @@ for the validation hook), so it can digest traces produced by any run.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from typing import Mapping, Sequence
 
-__all__ = ["load_events", "summarize", "format_report"]
+__all__ = ["load_events", "summarize", "format_report", "latency_stats"]
 
 
 def load_events(path: str) -> "list[dict[str, object]]":
@@ -79,20 +79,23 @@ def summarize(
         "spans": dict(sorted(span_time.items())),
         "n_detections": n_detections,
         "n_evictions": n_evictions,
-        "flag_latency": _latency_stats(latencies),
+        "flag_latency": latency_stats(latencies),
     }
 
 
-def _latency_stats(latencies: "list[int]") -> "dict[str, int] | None":
-    """Nearest-rank latency roll-up; None for pre-lineage traces."""
+def latency_stats(latencies: "Sequence[int]") -> "dict[str, int] | None":
+    """Count, p50, p99 and max of ``latencies``; None when there are none.
+
+    Percentiles are nearest-rank: the p-th is the smallest latency with
+    at least p % of them at or below it.
+    """
     if not latencies:
         return None
     ordered = sorted(latencies)
-    def rank(q: float) -> int:
-        return ordered[min(len(ordered) - 1,
-                           max(0, int(q * len(ordered) + 0.999999) - 1))]
-    return {"count": len(ordered), "p50": rank(0.50),
-            "p99": rank(0.99), "max": ordered[-1]}
+    def rank(percent: int) -> int:
+        return ordered[-(-percent * len(ordered) // 100) - 1]
+    return {"count": len(ordered), "p50": rank(50), "p99": rank(99),
+            "max": ordered[-1]}
 
 
 def _table(headers: "list[str]",

@@ -67,6 +67,31 @@ class SlidingWindow:
         self._count = min(self._count + 1, self._capacity)
         return evicted
 
+    def extend(self, values: np.ndarray) -> None:
+        """Append a block ``(k, n_dims)`` of values, oldest first.
+
+        The block may not exceed the capacity; once the window is full,
+        each new value replaces the oldest.
+        """
+        block = np.asarray(values, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self._n_dims:
+            raise ParameterError(
+                f"values must have shape (k, {self._n_dims}), "
+                f"got {block.shape}")
+        k = block.shape[0]
+        if k > self._capacity:
+            raise ParameterError(
+                f"block of {k} values exceeds the capacity {self._capacity}")
+        end = self._next + k
+        if end <= self._capacity:
+            self._buffer[self._next:end] = block
+        else:
+            split = self._capacity - self._next
+            self._buffer[self._next:] = block[:split]
+            self._buffer[:end - self._capacity] = block[split:]
+        self._next = end % self._capacity
+        self._count = min(self._count + k, self._capacity)
+
     def values(self) -> np.ndarray:
         """Current contents, oldest first, shape ``(len(self), n_dims)``."""
         if self._count < self._capacity:

@@ -12,6 +12,8 @@ from repro.core.baselines import (
     brute_force_distance_outliers_naive,
     brute_force_mdef_outliers,
     chebyshev_neighbor_counts,
+    chunked_neighbor_counts,
+    mdef_outliers_against,
 )
 from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
@@ -38,6 +40,41 @@ class TestChebyshevCounts:
     def test_invalid_radius(self):
         with pytest.raises(ParameterError):
             chebyshev_neighbor_counts(np.zeros((3, 1)), np.zeros((3, 1)), 0.0)
+
+
+class TestChunkedCounts:
+    def test_empty_window_counts_zero(self):
+        counts = chunked_neighbor_counts(np.empty((0, 2)), np.zeros((3, 2)), 0.1)
+        assert counts.tolist() == [0, 0, 0]
+
+    def test_boundary_inclusive_and_duplicates(self):
+        values = np.array([[0.0], [0.1], [0.1], [0.3]])
+        counts = chunked_neighbor_counts(values, np.array([[0.0], [0.2]]), 0.1)
+        assert counts.tolist() == [3, 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=60),
+       st.integers(min_value=1, max_value=20),
+       st.integers(min_value=1, max_value=25),
+       st.floats(min_value=0.01, max_value=0.5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_chunked_counts_equal_kdtree(n_dims, n_values, n_queries, chunk_size,
+                                     radius, seed):
+    """The direct count equals the KD-tree count for any chunking, with
+    negative coordinates, duplicates and queries outside the window."""
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.uniform(-1.0, 1.0, size=(n_values, n_dims)), 1)
+    queries = np.concatenate([values[:n_queries // 2],
+                              rng.uniform(-1.5, 1.5, size=(n_queries, n_dims))])
+    expected = chebyshev_neighbor_counts(values, queries, radius) \
+        if n_values else np.zeros(queries.shape[0], dtype=np.int64)
+    np.testing.assert_array_equal(
+        chunked_neighbor_counts(values, queries, radius), expected)
+    np.testing.assert_array_equal(
+        chunked_neighbor_counts(values, queries, radius,
+                                chunk_size=chunk_size), expected)
 
 
 class TestBruteForceD:
@@ -112,6 +149,15 @@ class TestBruteForceM:
         assert len(decisions) == 500
         for flag, decision in zip(mask, decisions):
             assert flag == decision.is_outlier
+
+    def test_queries_against_window_match_whole_window(self, plateau_window):
+        window = plateau_window[:800].reshape(-1, 1)
+        queries = window[-16:]
+        counts = chebyshev_neighbor_counts(window, queries,
+                                           self.SPEC.counting_radius)
+        np.testing.assert_array_equal(
+            mdef_outliers_against(window, queries, counts, self.SPEC),
+            brute_force_mdef_outliers(window, self.SPEC)[-16:])
 
     def test_2d_gap_detection(self, rng):
         # Density-equalised plateaus (0.12^2 : 0.08^2 = 9 : 4) and a few

@@ -62,13 +62,22 @@ class TestBatchedEquivalence:
         sim_b.run_batched(epoch_size=epoch_size)
         assert snapshot(network_a, sim_a) == snapshot(network_b, sim_b)
 
-    @pytest.mark.parametrize("epoch_size", [64, 17])
+    @pytest.mark.parametrize("epoch_size", [64, 17, 1])
     def test_mgdd_run_batched_identical(self, epoch_size):
         network_a, sim_a = build_mgdd(seed=4)
         sim_a.run()
         network_b, sim_b = build_mgdd(seed=4)
+        blocks = []
+        for node in network_b.nodes.values():
+            if hasattr(node, "on_readings"):
+                def on_readings(values, start, _feed=node.on_readings):
+                    blocks.append(len(values))
+                    return _feed(values, start)
+                node.on_readings = on_readings
         sim_b.run_batched(epoch_size=epoch_size)
         assert snapshot(network_a, sim_a) == snapshot(network_b, sim_b)
+        # A one-tick epoch is a step: MGDD leaves read through on_reading.
+        assert (len(blocks) == 0) == (epoch_size == 1)
 
     def test_step_epoch_resumable_mid_run(self):
         """Interleaving epochs of different sizes matches one run()."""

@@ -169,6 +169,22 @@ class TestTraceReportLatency:
         assert 0 <= stats["p50"] <= stats["p99"] <= stats["max"]
         assert "flag latency" in report.format_report(summary)
 
+    @pytest.mark.parametrize("n, p50, p99", [
+        (1, 0, 0), (99, 49, 98), (100, 49, 98), (200, 99, 197)])
+    def test_one_nearest_rank_percentile(self, n, p50, p99):
+        """The network log and the trace report roll latencies up alike:
+        the smallest latency with p % of them at or below it."""
+        latencies = list(np.random.default_rng(n).permutation(n))
+        log = DetectionLog()
+        for latency in latencies:
+            log.record(Detection(tick=0, node_id=0, level=1, origin=0,
+                                 value=np.zeros(1)), flag_tick=int(latency))
+        expected = {"count": n, "p50": p50, "p99": p99, "max": n - 1}
+        assert report.latency_stats(latencies) == expected
+        summary = log.latency_summary()
+        assert {key: summary[key] for key in expected} == expected
+        assert summary["by_tier"] == {"leaf": expected}
+
     def test_pre_lineage_trace_reports_none(self):
         events = [{"event": "detector.flag", "seq": 0, "t": 0.0,
                    "span": None, "node": 1, "level": 1, "origin": 1,
