@@ -157,8 +157,8 @@ def test_bandwidth_basis_resolves_recall(benchmark, rng):
     confusion counts pooled over six detector seeds.
     """
     from repro.core.outliers import DistanceOutlierSpec
-    from repro.detectors.single import OnlineOutlierDetector
     from repro.data import make_mixture_stream
+    from repro.engine.core import DetectorEngine
 
     W, R = 4_000, 200
     spec = DistanceOutlierSpec(radius=0.01, count_threshold=18)
@@ -174,13 +174,15 @@ def test_bandwidth_basis_resolves_recall(benchmark, rng):
         for basis in ("window", "sample"):
             tp = fp = fn = 0
             for seed in range(6):
-                detector = OnlineOutlierDetector(
-                    W, R, spec, bandwidth_basis=basis,
-                    rng=np.random.default_rng(seed))
-                decisions = detector.process_many(stream)
-                live = np.array([d is not None for d in decisions])
-                flagged = np.array([d is not None and d.is_outlier
-                                    for d in decisions])
+                # A one-stream engine: the decisions of an
+                # OnlineOutlierDetector with this generator, read in
+                # one block; readings are scored after the first |W|.
+                engine = DetectorEngine(
+                    1, spec, window_size=W, sample_size=R,
+                    bandwidth_basis=basis,
+                    rng=[np.random.default_rng(seed)])
+                flagged = engine.ingest(stream[:, None])[:, 0]
+                live = np.arange(stream.size) >= W
                 tp += int((flagged & truth).sum())
                 fp += int((flagged & ~truth).sum())
                 fn += int((live & ~flagged & truth).sum())

@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hierarchy branching factor")
     latency.add_argument("--window", type=int, default=120,
                          help="sliding-window size |W|")
-    latency.add_argument("--measure", type=int, default=120,
+    latency.add_argument("--measure", type=int, default=360,
                          help="measured ticks after warm-up")
     latency.add_argument("--loss-rates", type=float, nargs="+",
                          default=[0.0, 0.25],

@@ -10,7 +10,7 @@ This module factors that trio out of the algorithm classes.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from repro.core.kernels import EPANECHNIKOV, Kernel, kernel_by_name
 from repro.streams.sampling import ChainSample
 from repro.streams.variance import MultiDimVarianceSketch
 
-__all__ = ["StreamModelState", "ChildStalenessTracker", "arrivals_until_due",
-           "model_chunks", "model_is_stale", "model_bandwidths"]
+__all__ = ["StreamModelState", "ChildStalenessTracker", "model_is_stale",
+           "model_bandwidths"]
 
 #: Check whether the cached kernel model is stale at most once per this
 #: many arrivals (callers may override).  A due check rebuilds only when
@@ -46,47 +46,6 @@ def default_min_arrivals(sample_size: int) -> int:
 # The refresh rule below is shared by StreamModelState (one node) and
 # DetectorEngine (all its streams as arrays), so both build the same
 # models at the same arrivals.
-
-def arrivals_until_due(has_model: bool, arrivals: int, last_check: int,
-                       min_arrivals: int, model_refresh: int) -> int:
-    """Arrivals after which the next model check falls due (>= 1).
-
-    Before the first model the check waits for ``min_arrivals``; after
-    it, checks run ``model_refresh`` arrivals apart, counted from the
-    last one (at arrival ``last_check``).
-    """
-    if not has_model:
-        return max(1, min_arrivals - arrivals)
-    return max(1, model_refresh - (arrivals - last_check))
-
-
-def model_chunks(m: int, seen: int, warmup: int,
-                 until_due: Callable[[], int],
-                 ) -> "Iterator[tuple[int, int, bool | None]]":
-    """Split a block of ``m`` arrivals into the chunks batched callers walk.
-
-    ``seen`` arrivals came before the block, and readings are scored
-    only after the first ``warmup``.  Yields ``(start, stop, due)`` for
-    arrivals ``start:stop`` of the block: ``due`` is ``None`` for a
-    warm-up chunk (observe only: no decisions and no model checks),
-    ``False`` when every arrival of the chunk is scored against the
-    current cached model, and ``True`` when a model check falls due at
-    the chunk's last arrival (the others see the cache, the last one the
-    checked model).  ``until_due`` is called after the caller has
-    handled the previous chunk, so it reads the state as it now stands
-    -- which reproduces the one-reading-at-a-time schedule exactly.
-    """
-    i = 0
-    while i < m:
-        if seen + i < warmup:
-            k = min(warmup - seen - i, m - i)
-            yield i, i + k, None
-        else:
-            until = until_due()
-            k = min(m - i, until)
-            yield i, i + k, k == until
-        i += k
-
 
 def model_is_stale(mutations: Any, built_mutations: Any, window_size: Any,
                    built_window_size: Any, std: np.ndarray,
@@ -226,20 +185,6 @@ class StreamModelState:
         self._arrivals += 1
         return changed
 
-    def observe_many(self, values: np.ndarray) -> np.ndarray:
-        """Feed a block of arrivals; return the replaced-slot mask.
-
-        Row ``t`` of the ``(m, |R|)`` boolean result marks the slots
-        arrival ``t`` replaced.  Bit-identical to the equivalent
-        sequence of :meth:`observe` calls (see
-        :meth:`repro.streams.sampling.ChainSample.offer_many`), at a
-        fraction of the per-arrival cost, and all or nothing like it.
-        """
-        changed = self._sample.offer_many(values)[0]
-        self._sketch.insert_many(values)
-        self._arrivals += changed.shape[0]
-        return changed
-
     @property
     def model_seq(self) -> int:
         """Monotone rebuild counter: the version of :attr:`cached_model`.
@@ -253,26 +198,8 @@ class StreamModelState:
 
     @property
     def cached_model(self) -> "KernelDensityEstimator | None":
-        """The cached estimator as-is -- no staleness check, no rebuild.
-
-        Batched callers evaluate whole chunks of readings against this
-        between due checks (see :meth:`arrivals_until_check`).
-        """
+        """The cached estimator as-is -- no staleness check, no rebuild."""
         return self._cached
-
-    def arrivals_until_check(self) -> int:
-        """Arrivals after which a :meth:`model` call may rebuild (>= 1).
-
-        Until that many further arrivals have been observed, every
-        :meth:`model` call is a pure read of :attr:`cached_model` (or of
-        ``None`` before ``min_arrivals``), so a batched caller can
-        observe a chunk of that size and score all but its last reading
-        against the current cache -- reproducing the one-at-a-time
-        schedule exactly.
-        """
-        return arrivals_until_due(self._cached is not None, self._arrivals,
-                                  self._last_check, self._min_arrivals,
-                                  self._model_refresh)
 
     def model(self) -> "KernelDensityEstimator | None":
         """The current kernel model, or None before ``min_arrivals``.

@@ -132,7 +132,7 @@ class D3LeafGroup:
 
     :func:`build_d3_network` gives all its leaves one group.  A leaf
     joins it (:meth:`D3LeafNode.join_batch`) when a simulator will feed
-    it through the batch protocol for the whole run; membership is then
+    it through the group protocol for the whole run; membership is then
     fixed.  The group's state is one
     :class:`~repro.engine.core.DetectorEngine` over the members'
     columns, built on first use from each member's own generator, so
@@ -316,20 +316,18 @@ class D3LeafNode:
                                           count, state.model_seq))
         return out
 
-    def on_readings(self, values: np.ndarray,
-                    start_tick: int) -> "list[list[Outgoing]]":
+    def on_readings(self, values: np.ndarray, start_tick: int) -> None:
         """Stage an epoch of readings into the leaf's group.
 
         Row ``i`` of ``values`` is the reading at ``start_tick + i``.
         The group ingests once all its members have staged; the
         resulting forwards and flags come out of :meth:`on_tick_start`
-        at their ticks, so the per-tick lists returned here are empty.
+        at their ticks.
         """
         if self._row is None:
             raise SimulationError(
                 f"leaf {self.node_id} has not joined its group")
         self._group.stage(self._row, values, start_tick)
-        return [[] for _ in range(len(values))]
 
     def on_tick_start(self, tick: int) -> "list[Outgoing]":
         """Emit the forward and the flag (logged) the group staged for

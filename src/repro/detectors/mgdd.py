@@ -208,8 +208,8 @@ class MGDDLeafNode:
         self._config = config
         self._log = log
         self._rng = rng
-        # Forward gates draw from a dedicated substream so the batched
-        # and per-tick ingestion paths consume it in the same order.
+        # Forward gates draw from a dedicated substream, apart from the
+        # chain sample's draws.
         self._forward_rng = spawn_rngs(rng, 1)[0]
         # Local sample/sketch: maintained for upward propagation (and for
         # the faulty-sensor application), not for local detection.
@@ -219,11 +219,6 @@ class MGDDLeafNode:
             kernel=config.kernel, rng=rng)
         self._global = _GlobalModelCopy(config.sample_size, n_dims, config.kernel,
                                         config.effective_bandwidth_cap)
-        # Epoch readings staged by on_readings, consumed by on_tick_start
-        # (MGDD detection must stay per-tick: the global-model copy
-        # changes under mid-epoch ModelUpdate messages).
-        self._epoch_values: "np.ndarray | None" = None
-        self._epoch_start = 0
         self._last_update_tick: "int | None" = None
         self.flagged_ticks: "list[int]" = []
         # The MDEF detector over the current global-model copy, kept
@@ -251,43 +246,6 @@ class MGDDLeafNode:
         if tick >= self._config.effective_warmup:
             self._detect(value, tick)
         return out
-
-    def on_readings(self, values: np.ndarray,
-                    start_tick: int) -> "list[list[Outgoing]]":
-        """Ingest an epoch at once; stage detection for :meth:`on_tick_start`.
-
-        The local sample/sketch are fed through the vectorised batch path
-        (bit-identical to per-tick :meth:`on_reading` ingestion) and the
-        upward forwards are returned per tick.  Detection itself cannot
-        be batched here: each tick's check runs against the global-model
-        copy *as of that tick*, which mid-epoch ``ModelUpdate`` floods
-        keep changing -- so the readings are staged and checked one tick
-        at a time by :meth:`on_tick_start`.
-        """
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals.reshape(-1, 1)
-        n = vals.shape[0]
-        per_tick: "list[list[Outgoing]]" = [[] for _ in range(n)]
-        changed = self._state.observe_many(vals)
-        if self._parent is not None:
-            fraction = self._config.sample_fraction
-            for j, replaced in enumerate(changed.any(axis=1).tolist()):
-                if replaced and self._forward_rng.random() < fraction:
-                    per_tick[j].append((self._parent, ValueForward(
-                        value=vals[j].copy())))
-        self._epoch_values = vals
-        self._epoch_start = start_tick
-        return per_tick
-
-    def on_tick_start(self, tick: int) -> "list[Outgoing]":
-        """Run the staged detection for ``tick`` against the current copy."""
-        if self._epoch_values is None or tick < self._config.effective_warmup:
-            return []
-        idx = tick - self._epoch_start
-        if 0 <= idx < self._epoch_values.shape[0]:
-            self._detect(self._epoch_values[idx], tick)
-        return []
 
     def model_staleness(self, tick: int) -> int:
         """Ticks since the last ModelUpdate (never = ``tick + 1``)."""

@@ -20,10 +20,11 @@ window fills), after which it returns the decision object of the
 underlying test.
 
 When readings arrive in blocks, :meth:`OnlineOutlierDetector.process_many`
-ingests them through the vectorised chain-sample/sketch fast path and
-scores whole chunks with one batched range query per cached model --
-producing the same decisions as the loop above at a fraction of the
-cost (the ``bench`` package measures it).  Model refresh is change-driven: the
+validates the whole block first and then reads it one reading at a
+time, so a bad block is refused with nothing ingested.  Lockstep
+streams that read blocks -- one stream or many -- are faster through
+:class:`~repro.engine.core.DetectorEngine`, which makes the same
+decisions.  Model refresh is change-driven: the
 kernel model is rebuilt only when the chain sample's active elements
 actually changed or the bandwidths drifted, not on a bare arrival
 counter (see :meth:`repro.detectors._state.StreamModelState.model`).
@@ -37,7 +38,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro._exceptions import ParameterError, SnapshotError
-from repro._validation import require_positive_int
+from repro._validation import as_points, require_positive_int
 from repro.core.estimator import KernelDensityEstimator
 from repro.core.kernels import EPANECHNIKOV, Kernel
 from repro.core.mdef import MDEFDecision, MDEFOutlierDetector, MDEFSpec
@@ -46,7 +47,7 @@ from repro.core.outliers import (
     DistanceOutlierSpec,
     is_distance_outlier,
 )
-from repro.detectors._state import StreamModelState, model_chunks
+from repro.detectors._state import StreamModelState
 
 __all__ = ["OnlineOutlierDetector", "bandwidth_cap", "spec_from_state",
            "spec_state"]
@@ -191,73 +192,16 @@ class OnlineOutlierDetector:
     def process_many(self, values: "np.ndarray | Sequence[Sequence[float]] | Sequence[float]") -> "list[DistanceOutlierDecision | MDEFDecision | None]":
         """Observe a block of readings; return one decision per reading.
 
-        Equivalent to calling :meth:`process` on each reading in order
-        (same chain-sample RNG consumption, same model refresh schedule,
-        same decisions), but ingestion is vectorised and all readings
-        that share a cached model are scored with a single batched range
-        query.  Readings inside the warm-up period map to ``None``.
+        :meth:`process` on each reading in order, after the whole block
+        is validated (shape and finiteness): a bad block is refused with
+        no reading ingested.  Readings inside the warm-up period map to
+        ``None``.
         """
-        vals = np.asarray(values, dtype=float)
-        n_dims = self._state.sample.n_dims
-        if vals.ndim == 1:
-            if n_dims != 1:
-                raise ParameterError(
-                    f"values must have shape (m, {n_dims}), got {vals.shape}")
-            vals = vals.reshape(-1, 1)
-        if vals.ndim != 2 or vals.shape[1] != n_dims:
-            raise ParameterError(
-                f"values must have shape (m, {n_dims}), got {vals.shape}")
-        m = vals.shape[0]
-        decisions: "list[DistanceOutlierDecision | MDEFDecision | None]" = [None] * m
-        for i, j, due in model_chunks(m, self._seen, self._warmup,
-                                      self._state.arrivals_until_check):
-            self._state.observe_many(vals[i:j])
-            self._seen += j - i
-            if due is None:
-                continue
-            cached = self._state.cached_model
-            if not due:
-                if cached is not None:
-                    self._decide_batch(cached, vals[i:j], decisions, i)
-                continue
-            model = self.model()
-            if model is cached and model is not None:
-                # Clean check: the whole chunk shares one model.
-                self._decide_batch(model, vals[i:j], decisions, i)
-            else:
-                if j - i > 1 and cached is not None:
-                    self._decide_batch(cached, vals[i:j - 1], decisions, i)
-                if model is not None:
-                    self._decide_batch(model, vals[j - 1:j], decisions, j - 1)
-        if self.is_warm:
-            # process() resizes the count window at every warm reading,
-            # not only at model checks; leave the state it would.
-            self._state.count_window_size = min(self._seen, self._window_size)
-        return decisions
-
-    def _decide_batch(self, model: KernelDensityEstimator, points: np.ndarray,
-                      decisions: list, offset: int) -> None:
-        """Score ``points`` against one model via the vectorised range path."""
-        if isinstance(self._spec, DistanceOutlierSpec):
-            radius = self._spec.radius
-            threshold = self._spec.count_threshold
-            counts = model._range_probability_batch(
-                points - radius, points + radius) * model.window_size
-            flagged = 0
-            # tolist() unboxes the whole batch at once; per-element
-            # float()/bool() on numpy scalars costs ~10x more.
-            for j, count in enumerate(counts.tolist()):
-                outlier = count < threshold
-                decisions[offset + j] = DistanceOutlierDecision(outlier, count)
-                if outlier:
-                    flagged += 1
-            self._flagged += flagged
-        else:
-            detector = self._mdef_detector(model)
-            for j, decision in enumerate(detector.check_many(points)):
-                decisions[offset + j] = decision
-                if decision.is_outlier:
-                    self._flagged += 1
+        points = as_points("values", values, n_dims=self._state.sample.n_dims)
+        # The scalar reference by design: one stream's blocks take the
+        # vectorised path through a one-stream DetectorEngine.
+        return [self.process(point)  # repro-lint: disable=RL005
+                for point in points]
 
     def _mdef_detector(self, model: KernelDensityEstimator) -> MDEFOutlierDetector:
         """The MDEF detector over ``model``, kept while the model is cached.

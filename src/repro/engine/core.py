@@ -19,12 +19,14 @@ engine is fully determined by its construction arguments.
 
 State is kept as structure-of-arrays over all streams.  One
 :class:`~repro.streams.sampling.ChainSample` holds every stream's
-chain-sample slots (head timestamps and values and pending successor
-timestamps as ``(streams, |R|)`` arrays, the rare queued successors in a
-sparse map), and one
+chain-sample slots (each slot's chain -- its active element, then the
+queued successors -- as a row of padded ``(streams * |R|, C)``
+timestamp and value arrays, and the pending successor timestamps as a
+``(streams, |R|)`` array), and one
 :class:`~repro.streams.variance.MultiDimVarianceSketch` holds one EH
-bucket lane per (stream, dimension); the engine itself keeps each
-stream's cached model as centres, bandwidths and ``|W|``.  For the MDEF
+bucket lane per (stream, dimension), all lanes in padded ``(lanes,
+cap)`` arrays; the engine itself keeps each stream's cached model as
+centres, bandwidths and ``|W|``.  For the MDEF
 test it also keeps one :class:`~repro.core.mdef.MDEFCellTable` of
 sampling-cell populations keyed on (stream, cell), whose entries for a
 stream are dropped when that stream's model is rebuilt, and each
@@ -33,8 +35,8 @@ snapshotted.  Streams advance in lockstep, so they share the warm-up
 end, the model-check cadence and the EH compress cadence, and
 ``ingest`` makes one pass per model-check epoch for all of them: one
 ``offer_many`` (one acceptance comparison over ``(streams, m, |R|)``,
-the slot walk only for slots with an event), one ``insert_many`` over
-all lanes, the refresh rule per stream at the shared check tick, and
+then the slot events in array rounds over every stream's chains), one
+``insert_many`` over all lanes, the refresh rule per stream at the shared check tick, and
 one stacked Eq. 5 kernel call for every reading's neighbourhood count
 (the distance test's score, or the MDEF test's counting
 neighbourhood).  The MDEF test then decides every (stream, reading) in
@@ -57,7 +59,7 @@ hold.  A D3 network's leaves run on one engine this way
 from __future__ import annotations
 
 import time
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -73,10 +75,8 @@ from repro.core.outliers import DistanceOutlierSpec
 from repro.detectors._state import (
     DEFAULT_BANDWIDTH_TOL,
     StreamModelState,
-    arrivals_until_due,
     default_min_arrivals,
     model_bandwidths,
-    model_chunks,
     model_is_stale,
 )
 from repro.detectors.single import bandwidth_cap, spec_from_state, spec_state
@@ -286,7 +286,7 @@ class DetectorEngine:
 
         Equivalent to running each stream's
         :class:`~repro.detectors.single.OnlineOutlierDetector` over its
-        column (``process_many`` or one ``process`` per reading); a
+        column, one ``process`` per reading; a
         reading maps to ``True`` exactly when its decision exists and
         flags an outlier.
         """
@@ -299,8 +299,7 @@ class DetectorEngine:
         out = (detections, scores, thresholds, seqs)
         self._last_flags = []
         self._accepted = []
-        for i, j, due in model_chunks(m, self.tick, self._warmup,
-                                      self._arrivals_until_due):
+        for i, j, due in self._chunks(m):
             block = arr[i:j]
             self._accepted.append(self._sample.offer_many(block))
             self._sketch.insert_many(block.reshape(j - i, -1))
@@ -331,11 +330,36 @@ class DetectorEngine:
     # Models and decisions
     # ------------------------------------------------------------------
 
-    def _arrivals_until_due(self) -> int:
-        """Arrivals until the streams' shared model check (>= 1)."""
-        return arrivals_until_due(self._last_check >= 0, self.tick,
-                                  self._last_check, self._min_arrivals,
-                                  self._refresh)
+    def _chunks(self, m: int) -> "Iterator[tuple[int, int, bool | None]]":
+        """Split a batch of ``m`` ticks into the chunks :meth:`ingest` walks.
+
+        Yields ``(start, stop, due)`` for ticks ``start:stop`` of the
+        batch: ``due`` is ``None`` for a warm-up chunk (observe only: no
+        decisions and no model checks), ``False`` when every tick of the
+        chunk is scored against the current models, and ``True`` when
+        the streams' shared model check falls due at the chunk's last
+        tick (the others see the old models, the last one the checked
+        ones).  Each chunk is sized after :meth:`ingest` has handled the
+        previous one, from the state as it now stands -- which
+        reproduces the one-reading-at-a-time schedule exactly.
+        """
+        i = 0
+        while i < m:
+            tick = self.tick              # ingest has fed ticks :i
+            if tick < self._warmup:
+                k = min(self._warmup - tick, m - i)
+                yield i, i + k, None
+            else:
+                # Before the first model the check waits for
+                # min_arrivals; after it, checks run model_refresh
+                # arrivals apart.
+                if self._last_check < 0:
+                    until = max(1, self._min_arrivals - tick)
+                else:
+                    until = max(1, self._refresh - (tick - self._last_check))
+                k = min(m - i, until)
+                yield i, i + k, k == until
+            i += k
 
     def _check_models(self) -> None:
         """The change-driven refresh rule, per stream, at a shared check.

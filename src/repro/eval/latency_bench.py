@@ -17,7 +17,8 @@ The latency bookkeeping in
 run *without* tracing -- the benchmark measures the detector network,
 not the observability layer.  Results go to ``BENCH_latency.json``;
 :func:`check_latency` asserts the invariants (non-negative latencies,
-zero latency under zero loss, a non-empty sweep).  Everything is
+zero latency under zero loss, lossless cells that flag for every
+algorithm, a non-empty sweep).  Everything is
 seeded, so a cell replays bit for bit.
 """
 
@@ -41,7 +42,7 @@ __all__ = [
 def run_latency_cell(*, algorithm: str, loss_rate: float,
                      staleness_horizon: int, n_leaves: int = 9,
                      branching: int = 3, window_size: int = 120,
-                     measure_ticks: int = 120, seed: int = 7,
+                     measure_ticks: int = 360, seed: int = 7,
                      ) -> "dict[str, object]":
     """One (algorithm, loss rate, staleness horizon) cell of the grid.
 
@@ -86,7 +87,7 @@ def run_latency_benchmark(*, algorithms: "tuple[str, ...]" = ("d3", "mgdd"),
                           loss_rates: "tuple[float, ...]" = (0.0, 0.25),
                           staleness_horizons: "tuple[int, ...]" = (30, 90),
                           n_leaves: int = 9, branching: int = 3,
-                          window_size: int = 120, measure_ticks: int = 120,
+                          window_size: int = 120, measure_ticks: int = 360,
                           seed: int = 7) -> "dict[str, object]":
     """Run the loss x staleness grid; return the result document."""
     cells = [
@@ -123,17 +124,26 @@ def check_latency(results: "dict[str, object]") -> "list[str]":
     Checks: (1) every recorded latency statistic is **non-negative** --
     a flag cannot precede its reading; (2) a lossless cell has zero
     worst-case latency (nothing delays a report when nothing is lost);
-    (3) the sweep flagged *something* overall -- an all-empty grid
-    measures nothing.  Empty list = pass.
+    (3) each algorithm's lossless cells flag *something* -- otherwise
+    its zero-delay contract holds vacuously; (4) the sweep flagged
+    something overall -- an all-empty grid measures nothing.  Empty
+    list = pass.
     """
     failures: "list[str]" = []
     cells = results["cells"]
     assert isinstance(cells, list)
     total_flags = 0
+    # algorithm -> flags over its lossless cells.
+    lossless_flags: "dict[str, int]" = {}
     for cell in cells:
         label = (f"{cell['algorithm']} loss_rate={cell['loss_rate']} "
                  f"staleness={cell['staleness_horizon']}")
-        total_flags += int(cell["n_flags"])  # type: ignore[arg-type]
+        n_flags = int(cell["n_flags"])  # type: ignore[arg-type]
+        total_flags += n_flags
+        if float(cell["loss_rate"]) == 0.0:  # type: ignore[arg-type]
+            algorithm = str(cell["algorithm"])
+            lossless_flags[algorithm] = \
+                lossless_flags.get(algorithm, 0) + n_flags
         for key in ("latency_p50", "latency_p99", "latency_max"):
             value = cell[key]
             if value is not None and value < 0:  # type: ignore[operator]
@@ -146,6 +156,11 @@ def check_latency(results: "dict[str, object]") -> "list[str]":
             failures.append(
                 f"{label}: lossless cell reports latency_max={worst}, "
                 f"expected 0 (nothing delays a report without loss)")
+    for algorithm, n_flags in lossless_flags.items():
+        if n_flags == 0:
+            failures.append(
+                f"{algorithm}: no lossless cell flagged any detection; "
+                f"its zero-delay contract measured nothing")
     if total_flags == 0:
         failures.append(
             "no cell flagged any detection; the sweep measured nothing")

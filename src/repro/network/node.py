@@ -26,39 +26,26 @@ Outgoing = Tuple[int, Message]
 class SimNode(Protocol):
     """What the simulator requires of every node implementation.
 
-    Leaves may additionally implement the optional *batch* protocol used
-    by :meth:`~repro.network.simulator.NetworkSimulator.step_epoch` (and
-    hence by ``run_batched``):
+    Leaves that share state may also implement the *group* protocol,
+    which :meth:`~repro.network.simulator.NetworkSimulator.step_epoch`
+    (and hence ``step``, ``run`` and ``run_batched``) drives:
 
-    ``on_readings(values, start_tick) -> list[list[Outgoing]]``
-        Take a whole epoch of readings (shape ``(n, d)``, tick
-        ``start_tick + i`` for row ``i``) at once, returning the
-        messages already due *per tick*.  Leaves are handed their blocks
-        in leaf order before the epoch's first tick, so leaves that
-        share state may stage their blocks and ingest them together
-        once the last one has (a D3 network's leaves do: see
+    ``join_batch() -> None``
+        Called once, when the simulator is built, on each leaf it will
+        feed blocks for the whole run (every leaf with the method and
+        no crash window in the run's fault plan).
+
+    ``on_readings(values, start_tick) -> None``
+        Stage an epoch of readings (shape ``(n, d)``, tick
+        ``start_tick + i`` for row ``i``).  Leaves are handed their
+        blocks in leaf order before the epoch's first tick, so the group
+        ingests them together once the last has staged (see
         :class:`~repro.detectors.d3.D3LeafGroup`).
 
     ``on_tick_start(tick) -> list[Outgoing]``
         Called once per tick, in leaf order, before that tick's messages
-        drain.  Emits work the batch staged for this tick -- forwards
-        and detections whose logging must stay in tick order, or checks
-        that depend on state that inbound messages update mid-epoch.
-
-    ``join_batch() -> None`` (optional)
-        Called once, when the simulator is built, on each leaf it will
-        feed through the two methods above for the whole run; leaves
-        that share state use it to fix their membership.  A leaf that
-        joins has no per-reading path left, so ``step`` (and ``run``)
-        feed it one-tick blocks too; other leaves read through
-        ``on_reading`` under ``step``.
-
-    Per tick, a leaf's ``on_readings`` row followed by its
-    ``on_tick_start`` output must be the messages ``on_reading`` would
-    return for that reading (same RNG consumption included).  Leaves
-    lacking the protocol -- and every leaf with a crash window in the
-    run's fault plan, for the whole run -- read through ``on_reading``
-    tick by tick.
+        drain: the messages ``on_reading`` would return for the tick's
+        reading (same RNG consumption included).
     """
 
     node_id: int

@@ -167,23 +167,16 @@ class NetworkSimulator:
         self._messages_lost = 0
         self._messages_duplicated = 0
         self._drops_by_reason: "dict[str, int]" = {}
-        # Leaves fed through the batch protocol, fixed for the run: a
-        # leaf with any crash window reads tick by tick throughout, so
-        # its blackout matches the per-reading schedule exactly.  Those
-        # that join a group (a D3 network's leaves) have no per-reading
-        # path left, so even a one-tick step feeds them a block.
+        # Leaves that join a group (a D3 network's leaves) read blocks
+        # for the whole run.  A leaf with any crash window reads tick by
+        # tick throughout, so its blackout matches the per-reading
+        # schedule exactly, as does every leaf without ``join_batch``.
         crashed = set(faults.crashed_node_ids) if faults is not None \
             else set()
-        self._batched: "set[int]" = set()
         self._grouped: "set[int]" = set()
         for leaf in hierarchy.leaf_ids:
-            node = self._nodes[leaf]
-            if leaf in crashed or not (hasattr(node, "on_readings")
-                                       and hasattr(node, "on_tick_start")):
-                continue
-            self._batched.add(leaf)
-            join = getattr(node, "join_batch", None)
-            if join is not None:
+            join = getattr(self._nodes[leaf], "join_batch", None)
+            if join is not None and leaf not in crashed:
                 join()
                 self._grouped.add(leaf)
 
@@ -446,24 +439,19 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
 
     def step_epoch(self, n_ticks: int) -> None:
-        """Advance ``n_ticks`` ticks, feeding each leaf its block at once.
+        """Advance ``n_ticks`` ticks, feeding each group member its block.
 
-        Leaves on the batch protocol (``on_readings`` /
-        ``on_tick_start``, see :class:`~repro.network.node.SimNode`)
-        get their whole block up front, in leaf order -- a D3 network's
-        leaves stage it into their group, which ingests all of them in
-        one engine pass once the last has -- and their staged per-tick
-        messages then drain tick by tick in leaf order.  The others --
-        leaves without the protocol, and every leaf with a crash window
-        in the :class:`~repro.network.faults.FaultPlan`, for the whole
-        run -- read tick by tick through ``on_reading`` and skip the
-        ticks they are down.  The message sequence, and hence every
-        parent's state, the counters and the detection log, does not
-        depend on how a run is cut into epochs.
-
-        A one-tick epoch gives a block only to group members (a D3
-        network's leaves), which have no per-reading path; every other
-        leaf reads through ``on_reading``, cheaper than a one-row block.
+        The leaves that joined a group (``join_batch``, see
+        :class:`~repro.network.node.SimNode`; a D3 network's leaves) get
+        their whole block up front, in leaf order -- the group ingests
+        all of them in one engine pass once the last has staged -- and
+        their staged messages then drain tick by tick in leaf order.
+        Every other leaf -- one without ``join_batch``, or with a crash
+        window in the :class:`~repro.network.faults.FaultPlan` -- reads
+        tick by tick through ``on_reading`` and skips the ticks it is
+        down.  The message sequence, and hence every parent's state, the
+        counters and the detection log, does not depend on how a run is
+        cut into epochs.
         """
         if n_ticks < 1:
             raise SimulationError(f"n_ticks must be >= 1, got {n_ticks}")
@@ -471,49 +459,41 @@ class NetworkSimulator:
             raise SimulationError(
                 f"cannot step {n_ticks} ticks; only "
                 f"{self._streams.length - self._tick} readings left")
-        self._advance(n_ticks, self._batched if n_ticks > 1 else self._grouped)
-
-    def _advance(self, n_ticks: int, fed: "set[int]") -> None:
-        """Advance ``n_ticks`` ticks, feeding the ``fed`` leaves blocks."""
         start = self._tick
         leaf_ids = self._hierarchy.leaf_ids
-        batched: "dict[int, list[list]]" = {}
         for i, leaf in enumerate(leaf_ids):
-            if leaf not in fed:
-                continue
-            batched[leaf] = self._nodes[leaf].on_readings(
-                self._streams.block(i, start, start + n_ticks), start)
-
-        for offset in range(n_ticks):
+            if leaf in self._grouped:
+                self._nodes[leaf].on_readings(
+                    self._streams.block(i, start, start + n_ticks), start)
+        for _ in range(n_ticks):
             if obs.ACTIVE:
                 with obs.span("tick", tick=self._tick):
-                    self._epoch_tick(batched, leaf_ids, offset)
+                    self._epoch_tick(leaf_ids)
             else:
-                self._epoch_tick(batched, leaf_ids, offset)
+                self._epoch_tick(leaf_ids)
             self._tick += 1
 
-    def _epoch_tick(self, batched: "dict[int, list[list]]",
-                    leaf_ids: "tuple[int, ...]", offset: int) -> None:
-        """One tick of an epoch: staged/fallback leaf output, then drain."""
+    def _epoch_tick(self, leaf_ids: "tuple[int, ...]") -> None:
+        """One tick of an epoch: every live leaf's output, then drain."""
         self._begin_tick()
         queue: "deque[_Envelope]" = deque()
         self._enqueue_due_retransmits(queue)
         for i, leaf in enumerate(leaf_ids):
-            if leaf in batched:
+            node = self._nodes[leaf]
+            if leaf in self._grouped:
                 # The reading was ingested up front by on_readings, but
                 # its lineage anchor belongs to this tick -- same tick
-                # granularity as the stepped path.
+                # granularity as the per-reading path.
                 if obs.ACTIVE:
                     obs.emit("lineage.ingest", node=leaf, tick=self._tick)
-                outgoing = list(batched[leaf][offset])
-                outgoing.extend(self._nodes[leaf].on_tick_start(self._tick))
+                outgoing = node.on_tick_start(self._tick)
             elif self._node_down(leaf, self._tick):
                 continue
             else:
                 reading = self._streams.reading(i, self._tick)
                 if obs.ACTIVE:
                     obs.emit("lineage.ingest", node=leaf, tick=self._tick)
-                outgoing = self._nodes[leaf].on_reading(reading, self._tick)
+                outgoing = node.on_reading(reading, self._tick)
             for dest, message in outgoing:
                 self._enqueue(queue, leaf, dest, message)
         self._drain(queue)
@@ -549,8 +529,8 @@ class NetworkSimulator:
         """Run in epochs of ``epoch_size`` ticks via :meth:`step_epoch`.
 
         Produces the same end state as :meth:`run` (see
-        :meth:`step_epoch`), substantially faster for leaves that
-        implement the batch protocol.  Note ``on_tick`` fires per tick
+        :meth:`step_epoch`), substantially faster for leaves that read
+        through a group.  Note ``on_tick`` fires per tick
         but only after the tick's *epoch* has completed, so callbacks
         that inspect per-tick simulator state see end-of-epoch state.
         """

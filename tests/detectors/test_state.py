@@ -74,26 +74,6 @@ class TestLifecycle:
         assert model.mean()[0] == pytest.approx(0.8, abs=0.05)
 
 
-class TestObserveMany:
-    """Blocked observation is bit-identical to the scalar loop."""
-
-    def test_changed_slots_and_model_identical(self):
-        data = np.random.default_rng(7).normal(0.5, 0.1, (400, 1))
-        scalar = make_state(rng=np.random.default_rng(1))
-        batched = make_state(rng=np.random.default_rng(1))
-        changed_a = [scalar.observe(row) for row in data]
-        changed_b = []
-        for start in (0, 3, 250):
-            stop = {0: 3, 3: 250, 250: 400}[start]
-            changed_b.extend(tuple(np.flatnonzero(row)) for row in
-                             batched.observe_many(data[start:stop]))
-        assert changed_a == changed_b
-        assert scalar.arrivals == batched.arrivals
-        np.testing.assert_array_equal(scalar.sample.values(),
-                                      batched.sample.values())
-        np.testing.assert_array_equal(scalar.sketch.std(), batched.sketch.std())
-
-
 class TestChangeDrivenRefresh:
     def test_model_call_between_checks_is_pure_read(self):
         state = make_state(model_refresh=4, min_arrivals=2,
@@ -151,20 +131,6 @@ class TestChangeDrivenRefresh:
         rebuilt = state.model()
         assert rebuilt is not first
         assert rebuilt.window_size == 999
-
-    def test_arrivals_until_check_matches_scalar_schedule(self):
-        """Observing `arrivals_until_check()` arrivals lands exactly on
-        the next arrival where model() may rebuild."""
-        state = make_state(model_refresh=8, min_arrivals=4,
-                           rng=np.random.default_rng(3))
-        rng = np.random.default_rng(9)
-        for _ in range(3):
-            state.observe(rng.uniform(size=1))
-            assert state.model() is None
-        assert state.arrivals_until_check() == 1
-        state.observe(rng.uniform(size=1))
-        assert state.model() is not None
-        assert state.arrivals_until_check() == 8
 
     def test_invalid_bandwidth_tol(self):
         with pytest.raises(ParameterError):

@@ -485,7 +485,8 @@ class TestEngineSurface:
         engine.ingest(data[:50])
         before = encode_snapshot(engine)
         state = engine.stream_state(1)
-        state.observe_many(data[50:, 1])
+        for row in data[50:, 1]:
+            state.observe(row)
         state.model()
         assert encode_snapshot(engine) == before
         with pytest.raises(ParameterError):

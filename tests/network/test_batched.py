@@ -67,17 +67,19 @@ class TestBatchedEquivalence:
         network_a, sim_a = build_mgdd(seed=4)
         sim_a.run()
         network_b, sim_b = build_mgdd(seed=4)
-        blocks = []
-        for node in network_b.nodes.values():
-            if hasattr(node, "on_readings"):
-                def on_readings(values, start, _feed=node.on_readings):
-                    blocks.append(len(values))
-                    return _feed(values, start)
-                node.on_readings = on_readings
+        reads = []
+        for leaf in sim_b.hierarchy.leaf_ids:
+            node = network_b.nodes[leaf]
+
+            def on_reading(value, tick, _read=node.on_reading):
+                reads.append(tick)
+                return _read(value, tick)
+            node.on_reading = on_reading
         sim_b.run_batched(epoch_size=epoch_size)
         assert snapshot(network_a, sim_a) == snapshot(network_b, sim_b)
-        # A one-tick epoch is a step: MGDD leaves read through on_reading.
-        assert (len(blocks) == 0) == (epoch_size == 1)
+        # MGDD leaves have no block path: at every epoch size each
+        # reading goes through on_reading.
+        assert len(reads) == len(sim_b.hierarchy.leaf_ids) * sim_b.tick
 
     def test_step_epoch_resumable_mid_run(self):
         """Interleaving epochs of different sizes matches one run()."""

@@ -21,12 +21,18 @@ class _Node:
         self.state = state
 
 
+def _observe(state, values):
+    """Feed ``values`` (one row per reading) to ``state`` in order."""
+    for row in values:
+        state.observe(row)
+
+
 def _fed_state(values, *, window=64, sample_size=16, n_dims=1, seed=0):
     """A StreamModelState that has observed ``values`` and built a model."""
     state = StreamModelState(window, sample_size, n_dims,
                              model_refresh=1,
                              rng=np.random.default_rng(seed))
-    state.observe_many(np.asarray(values, dtype=float).reshape(-1, n_dims))
+    _observe(state, np.asarray(values, dtype=float).reshape(-1, n_dims))
     state.model()
     return state
 
@@ -94,7 +100,7 @@ class TestDrift:
     def test_no_drift_until_two_models(self):
         monitor, state = self._monitor_and_node()
         rng = np.random.default_rng(4)
-        state.observe_many(rng.uniform(0.2, 0.4, size=(100, 1)))
+        _observe(state, rng.uniform(0.2, 0.4, size=(100, 1)))
         state.model()
         report = monitor.check(tick=0)[0]
         assert report.drift_linf is None
@@ -102,11 +108,11 @@ class TestDrift:
     def test_mean_shift_raises_drift(self):
         monitor, state = self._monitor_and_node()
         rng = np.random.default_rng(5)
-        state.observe_many(rng.normal(0.25, 0.02, size=(200, 1)).clip(0, 1))
+        _observe(state, rng.normal(0.25, 0.02, size=(200, 1)).clip(0, 1))
         state.model()
         monitor.check(tick=0)
         # Shift the distribution far enough to displace the window.
-        state.observe_many(rng.normal(0.75, 0.02, size=(200, 1)).clip(0, 1))
+        _observe(state, rng.normal(0.75, 0.02, size=(200, 1)).clip(0, 1))
         state.model()
         report = monitor.check(tick=1)[0]
         assert report.drift_linf is not None
@@ -116,7 +122,7 @@ class TestDrift:
     def test_unchanged_model_not_reprobed(self):
         monitor, state = self._monitor_and_node()
         rng = np.random.default_rng(6)
-        state.observe_many(rng.uniform(0.2, 0.8, size=(100, 1)))
+        _observe(state, rng.uniform(0.2, 0.8, size=(100, 1)))
         state.model()
         first = monitor.check(tick=0)[0]
         second = monitor.check(tick=1)[0]   # same cached model object
@@ -128,10 +134,10 @@ class TestDrift:
         # is unchanged across a check even when a rebuild would be due.
         monitor, state = self._monitor_and_node()
         rng = np.random.default_rng(7)
-        state.observe_many(rng.uniform(0.2, 0.8, size=(100, 1)))
+        _observe(state, rng.uniform(0.2, 0.8, size=(100, 1)))
         state.model()
         before = state.cached_model
-        state.observe_many(rng.uniform(0.2, 0.8, size=(50, 1)))
+        _observe(state, rng.uniform(0.2, 0.8, size=(50, 1)))
         monitor.check(tick=0)               # rebuild is due, but not ours
         assert state.cached_model is before
 

@@ -24,8 +24,8 @@ class TestInstrumentedSitesOnException:
 
         state = StreamModelState(64, 16, 1, model_refresh=1,
                                  rng=np.random.default_rng(0))
-        state.observe_many(np.random.default_rng(1).uniform(
-            0.2, 0.8, size=(50, 1)))
+        for row in np.random.default_rng(1).uniform(0.2, 0.8, size=(50, 1)):
+            state.observe(row)
 
         def _broken(*args, **kwargs):
             raise RuntimeError("constructor down")

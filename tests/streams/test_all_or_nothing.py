@@ -1,9 +1,10 @@
 """A non-finite reading is refused whole: no node state changes.
 
 Every scalar and batched ingest of the Section 5 stores -- the chain
-sample, the variance sketch and the per-node state that owns both --
-validates the whole value or block before touching anything, so a
-refused call leaves the snapshot bytes exactly as they were.
+sample, the variance sketch, the per-node state that owns both and the
+single-stream detector built on it -- validates the whole value or
+block before touching anything, so a refused call leaves the snapshot
+bytes exactly as they were.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro._exceptions import ParameterError
+from repro.core.outliers import DistanceOutlierSpec
 from repro.detectors._state import StreamModelState
+from repro.detectors.single import OnlineOutlierDetector
 from repro.engine.snapshot import encode_snapshot
 from repro.streams.sampling import ChainSample
 from repro.streams.variance import MultiDimVarianceSketch
@@ -35,22 +38,30 @@ def _stores(n_dims: int) -> "dict[str, object]":
     sketch = MultiDimVarianceSketch(8, n_dims)
     sample = ChainSample(8, 4, n_dims, rng=np.random.default_rng(3))
     state = StreamModelState(8, 4, n_dims, rng=np.random.default_rng(3))
+    # Warm, with a model check every 2 readings: the poisoned block's
+    # row 3 lies past the block's first model check.
+    detector = OnlineOutlierDetector(
+        8, 4, DistanceOutlierSpec(radius=0.1, count_threshold=2),
+        n_dims=n_dims, model_refresh=2, rng=np.random.default_rng(3))
     for row in data:
         sketch.insert(row)
         sample.offer(row)
         state.observe(row)
-    return {"sketch": sketch, "sample": sample, "state": state}
+        detector.process(row)
+    return {"sketch": sketch, "sample": sample, "state": state,
+            "detector": detector}
 
 
-_SCALAR = {"sketch": "insert", "sample": "offer", "state": "observe"}
+_SCALAR = {"sketch": "insert", "sample": "offer", "state": "observe",
+           "detector": "process"}
 _BATCHED = {"sketch": "insert_many", "sample": "offer_many",
-            "state": "observe_many"}
+            "detector": "process_many"}
 
 
 @pytest.mark.parametrize("n_dims", [1, 2])
 @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("store", sorted(_SCALAR))
 class TestNonFiniteRefusedWhole:
+    @pytest.mark.parametrize("store", sorted(_SCALAR))
     def test_scalar_ingest(self, store, poison, n_dims):
         target = _stores(n_dims)[store]
         before = encode_snapshot(target)
@@ -58,6 +69,7 @@ class TestNonFiniteRefusedWhole:
             getattr(target, _SCALAR[store])(_poisoned_point(n_dims, poison))
         assert encode_snapshot(target) == before
 
+    @pytest.mark.parametrize("store", sorted(_BATCHED))
     def test_batched_ingest(self, store, poison, n_dims):
         target = _stores(n_dims)[store]
         before = encode_snapshot(target)
@@ -73,7 +85,7 @@ def test_refused_value_leaves_later_ingest_unchanged():
     with pytest.raises(ParameterError):
         refused["state"].observe(_poisoned_point(2, np.nan))
     block = np.random.default_rng(6).uniform(size=(20, 2))
-    assert np.array_equal(refused["state"].observe_many(block),
-                          control["state"].observe_many(block))
+    assert [refused["state"].observe(row) for row in block] == \
+        [control["state"].observe(row) for row in block]
     assert encode_snapshot(refused["state"]) == \
         encode_snapshot(control["state"])

@@ -226,8 +226,10 @@ class TestCommands:
         import json
 
         json_out = tmp_path / "latency.json"
+        # |W| 120 over 120 ticks, so MGDD's lossless cell flags (at |W|
+        # 60 over 60 ticks it flags nothing and check_latency fails).
         assert main(["bench-latency", "--leaves", "4", "--branching", "2",
-                     "--window", "60", "--measure", "60",
+                     "--window", "120", "--measure", "120",
                      "--loss-rates", "0", "0.25",
                      "--staleness-horizons", "30",
                      "--json-out", str(json_out)]) == 0

@@ -384,8 +384,7 @@ class BatchedScalarLoopRule(FileRule):
     """RL005: ``*_many`` APIs must not loop over their scalar counterpart.
 
     The PR-1 speedups hinge on batched entry points (``offer_many``,
-    ``insert_many``, ``observe_many``, ``process_many``, ...) doing
-    vectorised work.  A refactor that re-implements ``x_many`` as
+    ``insert_many``, ...) doing vectorised work.  A refactor that re-implements ``x_many`` as
     ``for v in values: self.x(v)`` silently reverts the throughput win
     while keeping every test green.  Python-level per-element loops over
     the scalar method (or its ``_detailed``/``_one`` variant) inside a
