@@ -23,7 +23,7 @@ from repro.data import StreamSet, make_plateau_streams
 from repro.detectors.mgdd import MGDDConfig, build_mgdd_network
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import build_hierarchy
-from repro.streams.variance import EHVarianceSketch
+from repro.streams.variance import MultiDimVarianceSketch
 
 
 def test_kernel_choice_is_immaterial(benchmark, rng):
@@ -63,10 +63,10 @@ def test_sketched_sigma_matches_exact(benchmark, rng):
     window_size = 2_000
 
     def run():
-        sketch = EHVarianceSketch(window_size, 0.2)
+        sketch = MultiDimVarianceSketch(window_size, 1, 0.2)
         for value in data:
             sketch.insert(float(value))
-        return sketch.std()
+        return sketch.std()[0]
 
     sketched = benchmark.pedantic(run, rounds=1, iterations=1)
     exact = data[-window_size:].std()

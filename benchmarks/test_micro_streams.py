@@ -7,7 +7,7 @@ import pytest
 
 from repro.streams.sampling import ChainSample
 from repro.streams import variance
-from repro.streams.variance import EHVarianceSketch, MultiDimVarianceSketch
+from repro.streams.variance import MultiDimVarianceSketch
 
 
 def test_chain_sample_offer(benchmark):
@@ -58,8 +58,9 @@ def test_chain_offer_many(benchmark, shape, ticks):
 
 
 def test_variance_sketch_insert(benchmark):
+    """One value into a one-lane sketch: a scalar node's insert cost."""
     rng = np.random.default_rng(0)
-    sketch = EHVarianceSketch(10_000, 0.2)
+    sketch = MultiDimVarianceSketch(10_000, 1, 0.2)
     for value in rng.uniform(size=12_000):
         sketch.insert(float(value))
     iterator = iter(rng.uniform(size=1_000_000).tolist())
@@ -68,11 +69,11 @@ def test_variance_sketch_insert(benchmark):
 
 def test_variance_sketch_query(benchmark):
     rng = np.random.default_rng(0)
-    sketch = EHVarianceSketch(10_000, 0.2)
+    sketch = MultiDimVarianceSketch(10_000, 1, 0.2)
     for value in rng.uniform(size=12_000):
         sketch.insert(float(value))
     result = benchmark(sketch.std)
-    assert result > 0
+    assert result[0] > 0
 
 
 @pytest.mark.parametrize("kernel", ["rows", "columns"])
@@ -139,12 +140,3 @@ def test_gk_summary_insert(benchmark):
     iterator = iter(rng.uniform(size=1_000_000).tolist())
     benchmark(lambda: summary.insert(next(iterator)))
 
-
-def test_moments_sketch_insert(benchmark):
-    from repro.streams.moments import EHMomentsSketch
-    rng = np.random.default_rng(0)
-    sketch = EHMomentsSketch(10_000, 0.2)
-    for value in rng.uniform(size=12_000):
-        sketch.insert(float(value))
-    iterator = iter(rng.uniform(size=1_000_000).tolist())
-    benchmark(lambda: sketch.insert(next(iterator)))

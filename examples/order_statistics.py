@@ -4,10 +4,10 @@ Section 9's closing applications: once a sensor keeps an online
 approximation of its window distribution, it can answer order-statistic
 queries (median, quantiles, IQR) and monitor the first moments (mean,
 standard deviation, skew) without storing the window.  This example
-runs three summaries side by side over a stream with a regime change:
+runs two summaries side by side over a stream with a regime change:
 
-* the window kernel model (this paper's approach),
-* the windowed third-moment sketch (mean / std / skew online),
+* the window kernel model (this paper's approach): the chain sample and
+  the variance sketch, whose sample also gives the window's skew,
 * a Greenwald-Khanna quantile summary (the related-work comparator,
   which never forgets -- watch its median lag after the shift).
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from repro import ChainSample, KernelDensityEstimator, MultiDimVarianceSketch
 from repro.apps import estimate_iqr, estimate_median, estimate_quantile
-from repro.streams.moments import EHMomentsSketch
 from repro.streams.quantiles import GKQuantileSummary
+from repro.streams.stats import summarize
 
 WINDOW, SAMPLE = 2_000, 150
 
@@ -37,14 +37,12 @@ def main() -> None:
 
     sample = ChainSample(WINDOW, SAMPLE, rng=rng)
     sketch = MultiDimVarianceSketch(WINDOW, 1)
-    moments = EHMomentsSketch(WINDOW)
     gk = GKQuantileSummary(0.01)
 
     checkpoints = (5_900, 8_000, 11_900)
     for tick, value in enumerate(stream):
         sample.offer([value])
         sketch.insert([value])
-        moments.insert(float(value))
         gk.insert(float(value))
         if tick + 1 in checkpoints:
             window = stream[tick + 1 - WINDOW:tick + 1]
@@ -61,11 +59,11 @@ def main() -> None:
             print(f"  window IQR    : model {estimate_iqr(model):.3f}  "
                   f"exact "
                   f"{np.quantile(window, 0.75) - np.quantile(window, 0.25):.3f}")
-            from scipy import stats as scipy_stats
-            print(f"  window skew   : sketch {moments.skewness():+.2f}  "
-                  f"exact {scipy_stats.skew(window):+.2f}")
+            print(f"  window skew   : sample "
+                  f"{summarize(sample.values()[:, 0]).skew:+.2f}  "
+                  f"exact {summarize(window).skew:+.2f}")
             print(f"  footprints    : sample {sample.memory_words()}w, "
-                  f"moments {moments.memory_words()}w, "
+                  f"sketch {sketch.memory_words()}w, "
                   f"GK {gk.memory_words()}w "
                   f"(window itself would be {WINDOW}w)")
     print("\nNote how the GK median (whole-history) lags the window after "

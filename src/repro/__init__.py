@@ -66,7 +66,6 @@ from repro.network import (
 )
 from repro.streams import (
     ChainSample,
-    EHVarianceSketch,
     MultiDimVarianceSketch,
     ReservoirSample,
     SlidingWindow,
@@ -99,7 +98,6 @@ __all__ = [
     "SlidingWindow",
     "ChainSample",
     "ReservoirSample",
-    "EHVarianceSketch",
     "MultiDimVarianceSketch",
     # network + detectors
     "Hierarchy",

@@ -9,10 +9,9 @@ mathematics promise:
   discretised masses never sum above 1;
 * kernel bandwidths are strictly positive and finite (Scott's rule on a
   degenerate window is a real failure mode, not a warning);
-* :class:`~repro.streams.variance.EHVarianceSketch` buckets satisfy the
-  PODS'03 histogram invariants -- ordered timestamps inside the window,
-  positive counts, non-negative ``m2`` -- and so does every lane of a
-  :class:`~repro.streams.variance.MultiDimVarianceSketch`;
+* every lane of a :class:`~repro.streams.variance.MultiDimVarianceSketch`
+  satisfies the PODS'03 histogram invariants -- ordered timestamps
+  inside the window, positive counts, non-negative ``m2``;
 * :class:`~repro.streams.sampling.ChainSample` keeps strictly
   increasing chain timestamps inside the window in every slot of every
   stream, a non-empty chain's pending successor equal to the
@@ -53,7 +52,6 @@ __all__ = [
     "check_mass",
     "check_bandwidths",
     "check_chain_sample",
-    "check_eh_sketch",
     "check_variance_sketch",
     "check_mdef_table",
     "check_codec_roundtrip",
@@ -224,14 +222,6 @@ def check_mdef_table(table: Any, *, label: str = "MDEFCellTable") -> None:
     real = counts[:-1]
     if not np.isfinite(real).all() or (real < 0.0).any():
         _fail(label, "a tabled population is negative or not finite")
-
-
-def check_eh_sketch(sketch: Any, *, label: str = "EHVarianceSketch") -> None:
-    """Assert the EH variance sketch's bucket invariants (PODS'03).
-
-    See :func:`check_variance_sketch`; the scalar sketch is one lane.
-    """
-    check_variance_sketch(sketch._store, label=label)
 
 
 def check_variance_sketch(sketch: Any, *,

@@ -236,41 +236,26 @@ def pdf_batch(kernel: Kernel, queries: np.ndarray, centers: np.ndarray,
         return
     n, d = centers.shape
     name = getattr(kernel, "name", "")
-    if d == 1:
-        q, c = queries[:, 0], centers[:, 0]
-        scale = inv_bw[0]
-        qb = max(1, min(m, block_cells // max(1, n)))
-        u2 = np.empty((qb, n))
-        buf = np.empty((qb, n))
-        for s in range(0, m, qb):
-            e = min(s + qb, m)
-            k = e - s
-            u, t = u2[:k], buf[:k]
-            np.subtract(q[s:e, None], c[None, :], out=u)
-            np.multiply(u, scale, out=u)
-            t = _profile_inplace(kernel, name, u, t)
-            np.sum(t, axis=1, out=out[s:e])
-    else:
-        # Same per-dimension slab sweep as range_batch: left-to-right
-        # accumulation matches ``prod(axis=2)`` bit for bit.
-        qb = max(1, min(m, block_cells // max(1, n)))
-        u2 = np.empty((qb, n))
-        buf = np.empty((qb, n))
-        acc = np.empty((qb, n))
-        for s in range(0, m, qb):
-            e = min(s + qb, m)
-            k = e - s
-            u, t, p = u2[:k], buf[:k], acc[:k]
-            for j in range(d):
-                c = centers[:, j]
-                np.subtract(queries[s:e, j, None], c[None, :], out=u)
-                np.multiply(u, inv_bw[j], out=u)
-                t = _profile_inplace(kernel, name, u, buf[:k])
-                if j == 0:
-                    p[...] = t
-                else:
-                    np.multiply(p, t, out=p)
-            np.sum(p, axis=1, out=out[s:e])
+    # Same per-dimension slab sweep as range_batch: left-to-right
+    # accumulation matches ``prod(axis=2)`` bit for bit.
+    qb = max(1, min(m, block_cells // max(1, n)))
+    u2 = np.empty((qb, n))
+    buf = np.empty((qb, n))
+    acc = np.empty((qb, n))
+    for s in range(0, m, qb):
+        e = min(s + qb, m)
+        k = e - s
+        u, p = u2[:k], acc[:k]
+        for j in range(d):
+            c = centers[:, j]
+            np.subtract(queries[s:e, j, None], c[None, :], out=u)
+            np.multiply(u, inv_bw[j], out=u)
+            t = _profile_inplace(kernel, name, u, buf[:k])
+            if j == 0:
+                p[...] = t
+            else:
+                np.multiply(p, t, out=p)
+        np.sum(p, axis=1, out=out[s:e])
     np.multiply(out, norm, out=out)
 
 

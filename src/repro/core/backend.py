@@ -2,8 +2,9 @@
 
 There is one path: the fused, cache-blocked numpy kernels of
 :mod:`repro.core._kernels_numpy`, which the estimator and the engine call
-directly.  :func:`backend_name` remains so result provenance and the
-benchmark's machine fingerprint keep their ``backend`` field.
+directly.  Outside its own test, :func:`backend_name` has one caller:
+the machine fingerprint of ``bench/workloads.py``, which records it as
+the ``backend`` field.  It goes when the benchmark drops that field.
 """
 
 from __future__ import annotations

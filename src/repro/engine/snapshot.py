@@ -47,14 +47,9 @@ from repro.detectors._state import ChildStalenessTracker, StreamModelState
 from repro.detectors.single import OnlineOutlierDetector
 from repro.engine.core import DetectorEngine
 from repro.obs.health import HealthThresholds, ModelHealth
-from repro.streams.moments import EHMomentsSketch
 from repro.streams.quantiles import GKQuantileSummary
 from repro.streams.sampling import ChainSample, ReservoirSample
-from repro.streams.variance import (
-    EHVarianceSketch,
-    ExactWindowedVariance,
-    MultiDimVarianceSketch,
-)
+from repro.streams.variance import ExactWindowedVariance, MultiDimVarianceSketch
 from repro.streams.window import SlidingWindow
 
 __all__ = [
@@ -93,10 +88,8 @@ REGISTERED_CLASSES: "tuple[type, ...]" = (
     ChainSample,
     ReservoirSample,
     SlidingWindow,
-    EHVarianceSketch,
     MultiDimVarianceSketch,
     ExactWindowedVariance,
-    EHMomentsSketch,
     GKQuantileSummary,
     KernelDensityEstimator,
     StreamModelState,

@@ -46,11 +46,7 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.topology import build_hierarchy
 from repro.streams.sampling import ChainSample
 from repro.streams.stats import summarize
-from repro.streams.variance import (
-    EHVarianceSketch,
-    MultiDimVarianceSketch,
-    theoretical_bound_words,
-)
+from repro.streams.variance import MultiDimVarianceSketch, theoretical_bound_words
 
 __all__ = [
     "figure5",
@@ -516,7 +512,7 @@ def memory_experiment(*, window_sizes: "tuple[int, ...]" = (10_000, 20_000),
     rows = []
     for window_size in window_sizes:
         for epsilon in epsilons:
-            sketch = EHVarianceSketch(window_size, epsilon)
+            sketch = MultiDimVarianceSketch(window_size, 1, epsilon)
             for value in stream:
                 sketch.insert(float(value))
             rows.append(MemoryRow(
@@ -529,7 +525,7 @@ def memory_experiment(*, window_sizes: "tuple[int, ...]" = (10_000, 20_000),
     # sketch words); chain bookkeeping (timestamps, successor indices)
     # is reported separately by ChainSample.memory_words().
     big_w, big_r = 20_000, 2_000
-    sketch = EHVarianceSketch(big_w, 0.2)
+    sketch = MultiDimVarianceSketch(big_w, 1, 0.2)
     for value in stream[:big_w + 4_000]:
         sketch.insert(float(value))
     total_words = big_r * 1 + sketch.memory_words()
@@ -582,8 +578,6 @@ def selectivity_experiment(*, window_size: int = 5_000,
     from repro.core.histogram import EquiDepthHistogram
     from repro.data.synthetic import make_mixture_stream
     from repro.streams.quantiles import GKQuantileSummary
-    from repro.streams.sampling import ChainSample
-    from repro.streams.variance import MultiDimVarianceSketch
 
     rng = np.random.default_rng(seed)
     stream = make_mixture_stream(2 * window_size, 1, rng=rng)[:, 0]

@@ -2,12 +2,10 @@
 variance sketches and stream statistics (paper Section 5).
 """
 
-from repro.streams.moments import EHMomentsSketch
 from repro.streams.quantiles import GKQuantileSummary
 from repro.streams.sampling import ChainSample, ReservoirSample
 from repro.streams.stats import StreamSummary, summarize, summarize_columns
 from repro.streams.variance import (
-    EHVarianceSketch,
     ExactWindowedVariance,
     MultiDimVarianceSketch,
     theoretical_bound_words,
@@ -18,8 +16,6 @@ __all__ = [
     "SlidingWindow",
     "ChainSample",
     "ReservoirSample",
-    "EHVarianceSketch",
-    "EHMomentsSketch",
     "GKQuantileSummary",
     "MultiDimVarianceSketch",
     "ExactWindowedVariance",

@@ -42,7 +42,7 @@ the windowed aggregate, are sequential folds; they run as a numpy loop
 over bucket columns across all lanes from :data:`_COLUMN_KERNEL_LANES`
 lanes on, and as a Python loop over each lane's ``tolist()``'d row
 below it, with the same arithmetic in the same order, so both give the
-same bits.  :class:`EHVarianceSketch` is one lane of the store.
+same bits.  A scalar stream's sketch is a one-lane store.
 
 :class:`ExactWindowedVariance` keeps the full window and serves as the
 reference the sketch is tested against.
@@ -62,7 +62,6 @@ from repro.streams.window import SlidingWindow
 
 __all__ = [
     "ExactWindowedVariance",
-    "EHVarianceSketch",
     "MultiDimVarianceSketch",
     "theoretical_bound_words",
     "variance_budget",
@@ -244,7 +243,7 @@ class MultiDimVarianceSketch:
     log|W|`` term of Theorem 1's memory bound.  The lanes need not be
     the dimensions of one stream: the cross-stream
     :class:`~repro.engine.core.DetectorEngine` keeps one sketch of
-    ``n_streams * d`` lanes, and :class:`EHVarianceSketch` is one lane.
+    ``n_streams * d`` lanes, and a scalar stream's sketch is one lane.
 
     All lanes live in one padded structure of arrays, ``(lanes, cap)``
     each: a lane's buckets fill columns ``first[lane] .. end``, oldest
@@ -520,138 +519,6 @@ class MultiDimVarianceSketch:
         sketch._peaks = np.asarray(state["max_bucket_counts"]).astype(np.int64)
         sketch._timestamp = int(state["timestamp"])
         sketch._since_compress = int(state["since_compress"])
-        return sketch
-
-
-# repro-lint: shard-state
-class EHVarianceSketch:
-    """Approximate variance of the last ``window_size`` scalar values.
-
-    A one-lane :class:`MultiDimVarianceSketch` behind a scalar interface.
-
-    Parameters
-    ----------
-    window_size:
-        Window length ``|W|`` in arrivals (timestamps).
-    epsilon:
-        Accuracy knob; smaller values keep more, finer buckets.  The
-        paper's memory experiment uses ``eps = 0.2``.
-    """
-
-    def __init__(self, window_size: int, epsilon: float = 0.2) -> None:
-        self._store = MultiDimVarianceSketch(window_size, 1, epsilon)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def window_size(self) -> int:
-        """Window length ``|W|`` in arrivals."""
-        return self._store._window_size
-
-    @property
-    def epsilon(self) -> float:
-        """The accuracy parameter."""
-        return self._store._epsilon
-
-    @property
-    def timestamp(self) -> int:
-        """Timestamp of the latest insertion (-1 before any)."""
-        return self._store._timestamp
-
-    @property
-    def bucket_count(self) -> int:
-        """Number of buckets currently stored."""
-        return self._store._end - int(self._store._first[0])
-
-    @property
-    def max_bucket_count(self) -> int:
-        """High-water mark of the bucket count (for the memory experiment)."""
-        return int(self._store._peaks[0])
-
-    def memory_words(self) -> int:
-        """Current logical footprint in machine words."""
-        return self._store.memory_words()
-
-    def max_memory_words(self) -> int:
-        """Peak logical footprint in machine words over the sketch's life."""
-        return self._store.max_memory_words()
-
-    # ------------------------------------------------------------------
-
-    def insert(self, value: float, timestamp: int | None = None) -> None:
-        """Insert one value; timestamps auto-increment when omitted."""
-        self._store.insert(value, timestamp)
-
-    def insert_many(self, values: "np.ndarray | Sequence[float]",
-                    start_timestamp: int | None = None) -> None:
-        """Insert a block of values at consecutive timestamps.
-
-        Produces *exactly* the bucket state of the equivalent sequence of
-        :meth:`insert` calls.
-        """
-        self._store.insert_many(np.asarray(values, dtype=float).reshape(-1),
-                                start_timestamp)
-
-    # ------------------------------------------------------------------
-
-    def count(self) -> int:
-        """Estimated number of in-window values."""
-        if self._store._timestamp < 0:
-            return 0
-        return int(self._store._aggregate()[0][0])
-
-    def mean(self) -> float:
-        """Estimated mean of the window."""
-        return float(self._store.mean()[0])
-
-    def variance(self) -> float:
-        """Estimated (population) variance of the window."""
-        count, _, m2 = self._store._aggregate()
-        return float(m2[0] / count[0])
-
-    def std(self) -> float:
-        """Estimated standard deviation of the window."""
-        return float(self._store.std()[0])
-
-    # ------------------------------------------------------------------
-    # Snapshot protocol (repro.engine.snapshot)
-    # ------------------------------------------------------------------
-
-    def snapshot_state(self) -> "dict[str, Any]":
-        """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec.
-
-        Buckets are flattened to ``(newest_ts, count, mean, m2)`` tuples;
-        the compression phase (``_since_compress``) is included so the
-        restored sketch merges at exactly the same insert boundaries.
-        """
-        state = self._store.snapshot_state()
-        return {
-            "window_size": self.window_size,
-            "epsilon": self.epsilon,
-            "buckets": list(zip(*(state[f"lane_{name}"].tolist()
-                                  for name, _, _ in _FIELDS))),
-            "timestamp": self.timestamp,
-            "max_bucket_count": self.max_bucket_count,
-            "since_compress": self._store._since_compress,
-        }
-
-    @classmethod
-    def restore_state(cls, state: "dict[str, Any]") -> "EHVarianceSketch":
-        """Rebuild a sketch from a :meth:`snapshot_state` dict."""
-        buckets = list(zip(*state["buckets"])) or [()] * len(_FIELDS)
-        store = {
-            "window_size": state["window_size"],
-            "epsilon": state["epsilon"],
-            "n_dims": 1,
-            "timestamp": state["timestamp"],
-            "since_compress": state["since_compress"],
-            "max_bucket_counts": [state["max_bucket_count"]],
-            "lane_len": [len(state["buckets"])],
-        }
-        for (name, _, _), column in zip(_FIELDS, buckets):
-            store[f"lane_{name}"] = list(column)
-        sketch = cls.__new__(cls)
-        sketch._store = MultiDimVarianceSketch.restore_state(store)
         return sketch
 
 

@@ -8,9 +8,7 @@ after the last tick never takes a leaf down but keeps it out of the
 group, so crashing every leaf that way runs the whole network on the
 per-reading path: the reference the grouped runs must match in
 detections, messages, every node's state bytes and the lineage of every
-flag.  MGDD leaves keep both paths (``on_reading`` under :meth:`step`
-and for crash-scheduled leaves, the batch protocol under
-:meth:`step_epoch`), held equal here the same way.
+flag.
 """
 
 from __future__ import annotations
@@ -22,12 +20,10 @@ import pytest
 
 from repro import obs
 from repro._exceptions import SimulationError
-from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
 from repro.data.streams import StreamSet
-from repro.data.synthetic import make_mixture_streams, make_plateau_streams
+from repro.data.synthetic import make_mixture_streams
 from repro.detectors.d3 import D3Config, D3LeafNode, build_d3_network
-from repro.detectors.mgdd import MGDDConfig, build_mgdd_network
 from repro.engine.snapshot import encode_snapshot
 from repro.network.faults import CrashWindow, FaultPlan
 from repro.network.node import DetectionLog
@@ -56,42 +52,12 @@ def build(*, scalar: bool, seed: int = 9):
     return network, sim
 
 
-def build_mgdd(*, scalar: bool, seed: int = 4):
-    hierarchy = build_hierarchy(N_LEAVES, 4)
-    config = MGDDConfig(
-        spec=MDEFSpec(sampling_radius=0.08, counting_radius=0.01,
-                      min_mdef=0.8),
-        window_size=300, sample_size=30, sample_fraction=0.5, warmup=300)
-    network = build_mgdd_network(hierarchy, config, 1,
-                                 rng=np.random.default_rng(seed))
-    streams = StreamSet.from_arrays(
-        make_plateau_streams(N_LEAVES, N_TICKS, seed=seed))
-    faults = FaultPlan(crashes=[
-        CrashWindow(node=leaf, start=N_TICKS)
-        for leaf in hierarchy.leaf_ids]) if scalar else None
-    sim = NetworkSimulator(hierarchy, network.nodes, streams,
-                           loss_rate=0.1, faults=faults,
-                           rng=np.random.default_rng(seed + 1))
-    return network, sim
-
-
 def outcome(network, sim):
     keys = [(d.tick, d.node_id, d.origin, d.level, d.value.tobytes())
             for d in network.log.detections]
     states = {node_id: hashlib.sha256(encode_snapshot(node.state)).digest()
               for node_id, node in network.nodes.items()}
     return keys, dict(sim.counter.counts), sim.messages_lost, states
-
-
-@pytest.mark.parametrize("epoch_size", [1, 17, 64])
-def test_mgdd_batch_protocol_equals_per_reading_leaves(epoch_size):
-    network_a, sim_a = build_mgdd(scalar=True)
-    sim_a.run_batched(epoch_size=epoch_size)
-    network_b, sim_b = build_mgdd(scalar=False)
-    sim_b.run_batched(epoch_size=epoch_size)
-    reference = outcome(network_a, sim_a)
-    assert reference[0], "the reference run flags nothing"
-    assert outcome(network_b, sim_b) == reference
 
 
 def flag_lineage():

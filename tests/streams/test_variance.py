@@ -14,13 +14,28 @@ from repro._exceptions import ParameterError
 from repro.engine.snapshot import decode_snapshot, encode_snapshot
 from repro.streams import variance
 from repro.streams.variance import (
-    EHVarianceSketch,
     ExactWindowedVariance,
     MultiDimVarianceSketch,
     theoretical_bound_words,
     variance_budget,
 )
 from tests.streams import _reference_eh as reference
+
+
+def one_lane(window_size: int, epsilon: float = 0.2) -> MultiDimVarianceSketch:
+    """A scalar stream's sketch: a one-lane store."""
+    return MultiDimVarianceSketch(window_size, 1, epsilon)
+
+
+def window_variance(sketch: MultiDimVarianceSketch) -> float:
+    """The one lane's estimated (population) variance of the window."""
+    count, _, m2 = sketch._aggregate()
+    return float(m2[0] / count[0])
+
+
+def bucket_count(sketch: MultiDimVarianceSketch) -> int:
+    """Number of buckets the one lane stores."""
+    return int(sketch.snapshot_state()["lane_len"][0])
 
 
 class TestExactReference:
@@ -46,13 +61,13 @@ class TestEHSketchAccuracy:
     def test_relative_error_within_epsilon(self, rng, maker):
         window_size, epsilon = 1_000, 0.2
         data = maker(rng, 6_000)
-        sketch = EHVarianceSketch(window_size, epsilon)
+        sketch = one_lane(window_size, epsilon)
         errors = []
         for i, value in enumerate(data):
             sketch.insert(float(value))
             if i >= window_size and i % 333 == 0:
                 exact = data[i - window_size + 1:i + 1].var()
-                errors.append(abs(sketch.variance() - exact) / exact)
+                errors.append(abs(window_variance(sketch) - exact) / exact)
         assert np.mean(errors) < epsilon / 2
         assert max(errors) < epsilon
 
@@ -64,52 +79,55 @@ class TestEHSketchAccuracy:
         shift_at = 3_000
         data = np.concatenate([rng.normal(0.3, 0.05, shift_at),
                                rng.normal(0.6, 0.02, 3_000)])
-        sketch = EHVarianceSketch(window_size, epsilon)
+        sketch = one_lane(window_size, epsilon)
         steady_errors = []
         for i, value in enumerate(data):
             sketch.insert(float(value))
             in_transient = shift_at <= i < shift_at + 2 * window_size
             if i >= window_size and i % 333 == 0 and not in_transient:
                 exact = data[i - window_size + 1:i + 1].var()
-                steady_errors.append(abs(sketch.variance() - exact) / exact)
+                steady_errors.append(
+                    abs(window_variance(sketch) - exact) / exact)
         assert steady_errors, "no steady-state evaluation points"
         assert max(steady_errors) < epsilon
         # And the final estimate (well past the shift) is accurate again.
         final_exact = data[-window_size:].var()
-        assert abs(sketch.variance() - final_exact) / final_exact < epsilon / 2
+        assert abs(window_variance(sketch) - final_exact) / final_exact \
+            < epsilon / 2
 
     def test_mean_estimate_reasonable(self, rng):
-        sketch = EHVarianceSketch(500, 0.2)
+        sketch = one_lane(500)
         data = rng.normal(0.4, 0.05, 2_000)
         for value in data:
             sketch.insert(float(value))
-        assert sketch.mean() == pytest.approx(data[-500:].mean(), abs=0.02)
+        assert sketch.mean()[0] == pytest.approx(data[-500:].mean(), abs=0.02)
 
     def test_count_estimate_tracks_window(self, rng):
-        sketch = EHVarianceSketch(200, 0.2)
+        sketch = one_lane(200)
         for value in rng.uniform(size=800):
             sketch.insert(float(value))
-        assert sketch.count() == pytest.approx(200, rel=0.25)
+        count = sketch._aggregate()[0][0]
+        assert count == pytest.approx(200, rel=0.25)
 
     def test_std_is_sqrt_of_variance(self, rng):
-        sketch = EHVarianceSketch(100, 0.2)
+        sketch = one_lane(100)
         for value in rng.uniform(size=300):
             sketch.insert(float(value))
-        assert sketch.std() == pytest.approx(np.sqrt(sketch.variance()))
+        assert sketch.std()[0] == pytest.approx(np.sqrt(window_variance(sketch)))
 
     def test_constant_stream_gives_zero_variance(self):
-        sketch = EHVarianceSketch(100, 0.2)
+        sketch = one_lane(100)
         for _ in range(500):
             sketch.insert(0.7)
-        assert sketch.variance() == pytest.approx(0.0, abs=1e-12)
-        assert sketch.bucket_count < 30
+        assert window_variance(sketch) == pytest.approx(0.0, abs=1e-12)
+        assert bucket_count(sketch) < 30
 
 
 class TestEHSketchMemory:
     def test_below_theorem1_bound(self, rng):
         """Section 10.3: actual memory sits well below the theoretic bound."""
         window_size, epsilon = 4_096, 0.2
-        sketch = EHVarianceSketch(window_size, epsilon)
+        sketch = one_lane(window_size, epsilon)
         for value in rng.normal(0.5, 0.1, 12_000):
             sketch.insert(float(value))
         bound = theoretical_bound_words(epsilon, window_size)
@@ -118,41 +136,43 @@ class TestEHSketchMemory:
         assert sketch.max_memory_words() < 0.7 * bound
 
     def test_memory_words_is_four_per_bucket(self, rng):
-        sketch = EHVarianceSketch(256, 0.2)
+        sketch = one_lane(256)
         for value in rng.uniform(size=600):
             sketch.insert(float(value))
-        assert sketch.memory_words() == 4 * sketch.bucket_count
+        assert sketch.memory_words() == 4 * bucket_count(sketch)
 
     def test_max_tracks_high_water_mark(self, rng):
-        sketch = EHVarianceSketch(128, 0.2)
+        sketch = one_lane(128)
         for value in rng.uniform(size=400):
             sketch.insert(float(value))
         assert sketch.max_memory_words() >= sketch.memory_words()
 
     def test_bucket_count_scales_with_epsilon(self, rng):
         data = rng.normal(0.5, 0.1, 8_000)
-        coarse = EHVarianceSketch(2_000, 0.3)
-        fine = EHVarianceSketch(2_000, 0.1)
+        coarse = one_lane(2_000, 0.3)
+        fine = one_lane(2_000, 0.1)
         for value in data:
             coarse.insert(float(value))
             fine.insert(float(value))
-        assert fine.bucket_count > coarse.bucket_count
+        assert bucket_count(fine) > bucket_count(coarse)
 
 
 class TestEHSketchAPI:
     def test_timestamps_must_increase(self):
-        sketch = EHVarianceSketch(10, 0.2)
+        sketch = one_lane(10)
         sketch.insert(0.5, timestamp=3)
         with pytest.raises(ParameterError):
             sketch.insert(0.6, timestamp=3)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ParameterError):
-            EHVarianceSketch(10, 0.2).insert(float("nan"))
+            one_lane(10).insert(float("nan"))
 
     def test_query_before_insert_rejected(self):
-        with pytest.raises(ParameterError):
-            EHVarianceSketch(10, 0.2).variance()
+        sketch = one_lane(10)
+        for query in (sketch.std, sketch.mean):
+            with pytest.raises(ParameterError):
+                query()
 
     @pytest.mark.parametrize("kwargs", [
         {"window_size": 0, "epsilon": 0.2},
@@ -161,15 +181,15 @@ class TestEHSketchAPI:
     ])
     def test_invalid_construction(self, kwargs):
         with pytest.raises(ParameterError):
-            EHVarianceSketch(**kwargs)
+            MultiDimVarianceSketch(n_dims=1, **kwargs)
 
     def test_expiry_after_quiet_period(self):
         """Widely spaced timestamps expire everything older."""
-        sketch = EHVarianceSketch(10, 0.2)
+        sketch = one_lane(10)
         sketch.insert(100.0, timestamp=0)
         sketch.insert(0.5, timestamp=1_000)
         sketch.insert(0.6, timestamp=1_001)
-        assert sketch.mean() == pytest.approx(0.55, abs=0.01)
+        assert sketch.mean()[0] == pytest.approx(0.55, abs=0.01)
 
 
 class TestMultiDim:
@@ -211,11 +231,11 @@ class TestBound:
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=200),
        st.integers(min_value=1, max_value=64))
 def test_sketch_never_produces_negative_variance(values, window_size):
-    sketch = EHVarianceSketch(window_size, 0.2)
+    sketch = one_lane(window_size)
     for value in values:
         sketch.insert(float(value))
-    assert sketch.variance() >= 0.0
-    assert np.isfinite(sketch.std())
+    assert window_variance(sketch) >= 0.0
+    assert np.isfinite(sketch.std()).all()
 
 
 class TestInsertMany:
@@ -223,16 +243,16 @@ class TestInsertMany:
 
     def test_eh_sketch_state_identical(self, rng):
         data = rng.normal(0.5, 0.1, 700)
-        scalar = EHVarianceSketch(100, 0.2)
-        batched = EHVarianceSketch(100, 0.2)
+        scalar = one_lane(100)
+        batched = one_lane(100)
         for value in data:
             scalar.insert(float(value))
         for start in (0, 3, 60, 61, 461):
             stop = {0: 3, 3: 60, 60: 61, 61: 461, 461: 700}[start]
             batched.insert_many(data[start:stop])
-        assert scalar.variance() == batched.variance()
+        assert window_variance(scalar) == window_variance(batched)
         assert scalar.std() == batched.std()
-        assert scalar.memory_words() == batched.memory_words()
+        assert encode_snapshot(scalar) == encode_snapshot(batched)
 
     def test_multidim_state_identical(self, rng):
         data = rng.uniform(size=(300, 2))
@@ -247,11 +267,11 @@ class TestInsertMany:
         assert scalar.memory_words() == batched.memory_words()
 
     def test_empty_block_is_noop(self):
-        sketch = EHVarianceSketch(10, 0.2)
+        sketch = one_lane(10)
         sketch.insert(0.5)
-        before = sketch.variance()
+        before = encode_snapshot(sketch)
         sketch.insert_many(np.empty(0))
-        assert sketch.variance() == before
+        assert encode_snapshot(sketch) == before
 
 
 class _Reference:
@@ -348,24 +368,20 @@ def test_store_equals_frozen_reference(kernel, n_lanes, window_size, blocks,
 
 
 def test_scalar_sketch_is_one_reference_lane(rng):
-    """``EHVarianceSketch`` keeps the frozen lane's buckets, with the
-    scalar snapshot's bucket tuples."""
+    """A one-lane store fed value by value, then in a block, keeps the
+    frozen lane's buckets, aggregates and snapshot bytes, and restores
+    to the same bytes."""
     values = rng.normal(size=300)
-    sketch = EHVarianceSketch(40, 0.2)
+    sketch = one_lane(40)
     ref = _Reference(40, 1)
     for value in values[:150]:
         sketch.insert(float(value))
         ref.insert_many(np.array([[value]]))
+        _assert_same_state(sketch, ref)
     sketch.insert_many(values[150:])
     ref.insert_many(values[150:, None])
-    lane = ref.lanes[0]
-    state = sketch.snapshot_state()
-    assert state["buckets"] == list(zip(lane.ts, lane.counts, lane.means,
-                                        lane.m2s))
-    assert (state["max_bucket_count"], state["since_compress"]) == \
-        (ref.peaks[0], ref.since_compress)
-    count, mean, m2 = lane.aggregate()
-    assert (sketch.count(), sketch.mean(), sketch.variance()) == \
-        (count, mean, m2 / count)
-    restored = EHVarianceSketch.restore_state(state)
+    _assert_same_state(sketch, ref)
+    count, _, m2 = ref.lanes[0].aggregate()
+    assert window_variance(sketch) == m2 / count
+    restored = decode_snapshot(encode_snapshot(sketch))
     assert encode_snapshot(restored) == encode_snapshot(sketch)

@@ -14,7 +14,7 @@ from repro.engine.core import DetectorEngine
 from repro.network.codec import (decode_model_state, encode_model_state,
                                  quantization_step)
 from repro.streams.sampling import ChainSample
-from repro.streams.variance import EHVarianceSketch
+from repro.streams.variance import MultiDimVarianceSketch
 
 
 class TestSwitch:
@@ -129,42 +129,42 @@ class TestChainSampleChecks:
 
 
 class TestEHSketchChecks:
+    """A scalar stream's sketch, a one-lane store."""
+
     def make_sketch(self, rng, n=300):
-        sketch = EHVarianceSketch(128, epsilon=0.2)
+        sketch = MultiDimVarianceSketch(128, 1, epsilon=0.2)
         sketch.insert_many(rng.uniform(size=n))
         return sketch
 
     def test_healthy_sketch_passes(self, rng):
-        _sanitize.check_eh_sketch(self.make_sketch(rng))
+        _sanitize.check_variance_sketch(self.make_sketch(rng))
 
     def test_insert_paths_pass_with_checks_live(self, rng):
         with _sanitize.enabled():
-            sketch = EHVarianceSketch(64, epsilon=0.2)
+            sketch = MultiDimVarianceSketch(64, 1, epsilon=0.2)
             for value in rng.uniform(size=100):
                 sketch.insert(float(value))
             sketch.insert_many(rng.uniform(size=200))
 
     def test_zero_count_bucket_raises(self, rng):
         sketch = self.make_sketch(rng)
-        store = sketch._store
-        store._counts[0, store._first[0]] = 0
+        sketch._counts[0, sketch._first[0]] = 0
         with pytest.raises(SanitizeError, match="count"):
-            _sanitize.check_eh_sketch(sketch)
+            _sanitize.check_variance_sketch(sketch)
 
     def test_unordered_buckets_raise(self, rng):
         sketch = self.make_sketch(rng)
-        if sketch.bucket_count < 2:
+        if sketch._end - sketch._first[0] < 2:
             pytest.skip("sketch compressed to a single bucket")
-        store = sketch._store
-        store._ts[0, store._end - 1] = store._ts[0, store._first[0]]
+        sketch._ts[0, sketch._end - 1] = sketch._ts[0, sketch._first[0]]
         with pytest.raises(SanitizeError, match="increasing"):
-            _sanitize.check_eh_sketch(sketch)
+            _sanitize.check_variance_sketch(sketch)
 
     def test_negative_m2_raises(self, rng):
         sketch = self.make_sketch(rng)
-        sketch._store._m2s[0, sketch._store._end - 1] = -1.0
+        sketch._m2s[0, sketch._end - 1] = -1.0
         with pytest.raises(SanitizeError, match="m2"):
-            _sanitize.check_eh_sketch(sketch)
+            _sanitize.check_variance_sketch(sketch)
 
 
 class TestEngineChecks:
