@@ -9,11 +9,18 @@ recorded when every slot drew its successors from its own spawned
 generator.  Any change to the stream stores' layout must leave every
 generator draw where it was, so these scripts must keep producing the
 same values, chain lengths and detection digests bit for bit.
+
+``GOLDEN_FAULTED_TRACES`` pins the whole event stream of the two faulted
+traced runs of tests/obs/test_conservation.py (loss, crashes,
+duplication, reliable transport and leader repair): every event, its
+fields in emission order and the order of events, less the wall-clock
+``t`` and ``dur_s`` fields.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -25,10 +32,13 @@ from repro.data.synthetic import make_mixture_streams
 from repro.detectors.d3 import D3Config, build_d3_network
 from repro.engine.core import DetectorEngine
 from repro.engine.snapshot import encode_snapshot
+from repro.eval.harness import run_accuracy_run
 from repro.network.faults import CrashWindow, FaultPlan
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import build_hierarchy
+from repro.obs import report
 from repro.streams.sampling import ChainSample
+from tests.obs.test_conservation import _faulted_config
 
 #: n_dims -> (values(), chain_lengths()) after :func:`_chain_script`.
 GOLDEN_CHAIN = {
@@ -78,6 +88,15 @@ GOLDEN_NODE_STATES = {
 GOLDEN_FAULTED_NETWORK = (
     126, "a2b2007bc44241fbc93141d0716e11027bc644aaa79c492fe9062555646ddfe2",
     {"OutlierReport": 105, "ValueForward": 686})
+
+#: algorithm -> (events, sha256 over the events less ``t``/``dur_s``) of
+#: ``run_accuracy_run(_faulted_config(algorithm), seed=3)`` traced.
+GOLDEN_FAULTED_TRACES = {
+    "d3": (6247,
+           "517897fee8dbfd2d4a26a059d1c8137a6a6d55274a4471cc0a9807c65e5be0cb"),
+    "mgdd": (9767,
+             "6a28e292324c0288a399ce8ed567438b2a57cc1c17afe139ec957a60eb104899"),
+}
 
 
 def _chain_script(n_dims: int) -> ChainSample:
@@ -178,3 +197,17 @@ def test_d3_network_with_crashed_leaf():
     keys = _keys(network)
     assert (len(keys), hashlib.sha256(repr(keys).encode()).hexdigest(),
             dict(sim.counter.counts)) == GOLDEN_FAULTED_NETWORK
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_FAULTED_TRACES))
+def test_faulted_trace_event_stream(algorithm, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    run_accuracy_run(_faulted_config(algorithm), seed=3, obs=str(path))
+    events = report.load_events(str(path))
+    digest = hashlib.sha256()
+    for event in events:
+        stable = {key: value for key, value in event.items()
+                  if key not in ("t", "dur_s")}
+        digest.update(json.dumps(stable).encode() + b"\n")
+    assert (len(events), digest.hexdigest()) \
+        == GOLDEN_FAULTED_TRACES[algorithm]
