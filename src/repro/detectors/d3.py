@@ -423,6 +423,8 @@ class D3ParentNode:
                 # Union of the full leaf windows below (Theorem 3's W_p).
                 self._state.count_window_size = (
                     min(tick + 1, self._config.window_size) * leaves)
+            # The gate draws from the generator the chain sample's
+            # acceptance draws use, interleaved with them arrival by arrival.
             if changed and self._parent is not None \
                     and self._rng.random() < self._config.sample_fraction:
                 out.append((self._parent, message))

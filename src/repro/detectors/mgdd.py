@@ -411,6 +411,8 @@ class MGDDLeaderNode:
             elif self._parent is not None:
                 gate = True if self._config.relay_policy == "bernoulli" \
                     else bool(changed)
+                # The gate draws from the generator the chain sample's
+                # acceptance draws use, interleaved with them per arrival.
                 if gate and self._rng.random() < self._config.sample_fraction:
                     out.append((self._parent, message))
         elif isinstance(message, ModelUpdate):

@@ -13,16 +13,19 @@ the same seeded workload, and proves three things at once:
   process layout, never the detections.
 * **Global conservation** -- each worker flag becomes an
   ``OutlierReport`` sent to a coordinator (worker id / node id 0) over
-  a ``multiprocessing`` queue, with seeded loss injection on the way.
-  Every send, deliver and drop is recorded in both the per-worker
-  :class:`~repro.network.messages.MessageCounter` and (when traced)
-  the worker's trace spool, and the merged trace must balance the
+  a ``multiprocessing`` queue, with seeded loss injection on the way
+  (drop reason ``fleet-loss``).  Every send, deliver and drop is one
+  call on the process's :class:`~repro.network.messages.MessageCounter`
+  ledger, which also writes the matching ``message.*`` event to the
+  trace spool when traced, and the merged trace must balance the
   summed counters exactly (:func:`repro.obs.distributed
   .conservation_failures`).
-* **Cross-process lineage** -- the coordinator's level-1
-  ``detector.flag`` events carry the reading id and ``model_seq`` from
-  the originating worker, so ``repro explain`` on the merged trace
-  renders lineages whose hops span >= 2 worker ids.
+* **Cross-process lineage** -- workers record their level-0 flags and
+  the coordinator its level-1 flags in a
+  :class:`~repro.network.node.DetectionLog`, whose ``detector.flag``
+  events carry the reading id and ``model_seq`` from the originating
+  worker, so ``repro explain`` on the merged trace renders lineages
+  whose hops span >= 2 worker ids.
 
 Workers spool their traces via :func:`repro.obs.distributed
 .worker_trace_sink`; the cell merges the spools, validates the merged
@@ -56,6 +59,7 @@ from repro.eval.recovery import _SPECS
 from repro.eval.reporting import render_grid
 from repro.network.faults import EngineCrash, FaultPlan
 from repro.network.messages import MessageCounter, OutlierReport
+from repro.network.node import Detection, DetectionLog
 from repro.obs import schema
 from repro.obs.distributed import (conservation_failures, counter_totals,
                                    load_spools, merge_spools,
@@ -154,6 +158,7 @@ def _fleet_worker(cfg: "dict[str, Any]", out_queue: "Any") -> None:
         engine, run_dir / f"state-{worker_id:04d}",
         checkpoint_every=int(cfg["checkpoint_every"]), fault_plan=plan)
     counter = MessageCounter()
+    log = DetectionLog()
     loss_rate = float(cfg["loss_rate"])
     loss_rng = resolve_rng(None, int(cfg["seed"]) + 7919 * worker_id + 13)
     detections = np.zeros((n_ticks, hi - lo), dtype=bool)
@@ -170,38 +175,25 @@ def _fleet_worker(cfg: "dict[str, Any]", out_queue: "Any") -> None:
             for flag in supervised.flag_details:
                 stream = int(flag["stream"])
                 tick = int(flag["tick"])
-                node = 1 + lo + stream  # leaf node ids start above the
-                value = float(data[tick, stream])  # coordinator's 0
-                if obs.ACTIVE:
-                    obs.emit(
-                        "detector.flag", node=node, level=0, origin=node,
-                        tick=tick, prob=float(flag["score"]),
-                        threshold=float(flag["threshold"]),
-                        model_seq=int(flag["model_seq"]),
-                        reading_tick=tick, flag_tick=tick, latency=0)
-                report = OutlierReport(
-                    value=np.array([value]), origin=node,
-                    flagged_level=0, tick=tick)
-                counter.record(report)
-                if obs.ACTIVE:
-                    obs.emit(
-                        "message.send", kind="OutlierReport", sender=node,
-                        dest=COORDINATOR_NODE, words=report.size_words(),
-                        origin=node, reading_tick=tick, tick=tick)
+                # Leaf node ids start above the coordinator's 0.
+                node = 1 + lo + stream
+                value = np.array([float(data[tick, stream])])
+                log.record(Detection(tick=tick, node_id=node, level=0,
+                                     origin=node, value=value),
+                           prob=float(flag["score"]),
+                           threshold=float(flag["threshold"]),
+                           model_seq=int(flag["model_seq"]))
+                report = OutlierReport(value=value, origin=node,
+                                       flagged_level=0, tick=tick)
+                counter.send(report, node, COORDINATOR_NODE, tick)
                 # Loss is drawn unconditionally so traced and untraced
                 # runs make identical drop decisions.
-                lost = loss_rng.random() < loss_rate
-                if lost:
-                    counter.record_dropped(report)
-                    if obs.ACTIVE:
-                        obs.emit(
-                            "message.drop", kind="OutlierReport",
-                            reason="fleet-loss", origin=node,
-                            reading_tick=tick, tick=tick)
+                if loss_rng.random() < loss_rate:
+                    counter.drop(report, "fleet-loss", tick)
                 else:
                     out_queue.put(("flag", {
                         "worker_id": worker_id, "origin": node,
-                        "reading_tick": tick, "value": value,
+                        "reading_tick": tick, "value": float(value[0]),
                         "score": float(flag["score"]),
                         "threshold": float(flag["threshold"]),
                         "model_seq": int(flag["model_seq"])}))
@@ -258,10 +250,11 @@ def _run_coordinator(run_dir: Path, in_queue: "Any", n_workers: int, *,
 
     Returns the delivered flag payloads and the per-worker EOF info
     (counters, recovery counts).  The coordinator is worker 0 of the
-    fleet: it records deliveries in its own MessageCounter and, when
-    traced, writes its own spool with ``message.deliver`` + level-1
-    ``detector.flag`` events carrying the originating reading id and
-    ``model_seq`` -- the cross-process lineage hop.
+    fleet: it records deliveries in its own MessageCounter and level-1
+    flags in its own DetectionLog, so when traced its spool holds the
+    ``message.deliver`` + level-1 ``detector.flag`` events carrying the
+    originating reading id and ``model_seq`` -- the cross-process
+    lineage hop.
 
     The coordinator runs its own *drain clock*: delivery ``k`` happens
     at tick ``n_ticks + 1 + k``, strictly after every tick a worker can
@@ -278,6 +271,7 @@ def _run_coordinator(run_dir: Path, in_queue: "Any", n_workers: int, *,
     is what the lineage seq horizon needs to pick up both hops.
     """
     counter = MessageCounter()
+    log = DetectionLog()
     delivered: "list[dict[str, Any]]" = []
     eof_info: "dict[int, dict[str, Any]]" = {}
 
@@ -298,25 +292,16 @@ def _run_coordinator(run_dir: Path, in_queue: "Any", n_workers: int, *,
             origin = int(payload["origin"])
             reading_tick = int(payload["reading_tick"])
             drain_tick = n_ticks + 1 + len(delivered)
-            report = OutlierReport(
-                value=np.array([float(payload["value"])]), origin=origin,
-                flagged_level=0, tick=reading_tick)
-            counter.record_delivered(report)
+            value = np.array([float(payload["value"])])
+            report = OutlierReport(value=value, origin=origin,
+                                   flagged_level=0, tick=reading_tick)
+            counter.deliver(report, COORDINATOR_NODE, drain_tick)
             delivered.append(payload)
-            if obs.ACTIVE:
-                obs.emit(
-                    "message.deliver", kind="OutlierReport",
-                    dest=COORDINATOR_NODE, origin=origin,
-                    reading_tick=reading_tick, tick=drain_tick)
-                obs.emit(
-                    "detector.flag", node=COORDINATOR_NODE, level=1,
-                    origin=origin, tick=reading_tick,
-                    prob=float(payload["score"]),
-                    threshold=float(payload["threshold"]),
-                    model_seq=int(payload["model_seq"]),
-                    reading_tick=reading_tick,
-                    flag_tick=drain_tick,
-                    latency=drain_tick - reading_tick)
+            log.record(Detection(tick=reading_tick, node_id=COORDINATOR_NODE,
+                                 level=1, origin=origin, value=value),
+                       flag_tick=drain_tick, prob=float(payload["score"]),
+                       threshold=float(payload["threshold"]),
+                       model_seq=int(payload["model_seq"]))
 
     def spanned_drain() -> None:
         if obs.ACTIVE:

@@ -252,15 +252,9 @@ class BearerRepair:
         """
         message = ModelHandoff(leader=leader, words=self._handoff_words)
         if self._counter is not None:
-            self._counter.record(message)
-            self._counter.record_delivered(message)
-            if obs.ACTIVE:
-                source = old_bearer if old_bearer is not None else leader
-                obs.emit("message.send", kind="ModelHandoff", sender=source,
-                         dest=new_bearer, words=message.size_words(),
-                         tick=tick)
-                obs.emit("message.deliver", kind="ModelHandoff",
-                         dest=new_bearer, tick=tick)
+            sender = old_bearer if old_bearer is not None else leader
+            self._counter.send(message, sender, new_bearer, tick)
+            self._counter.deliver(message, new_bearer, tick)
         if self._energy is not None:
             source = old_bearer if (
                 old_bearer is not None

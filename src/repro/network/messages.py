@@ -28,6 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
+from repro.obs.lineage import lineage_fields
+
 __all__ = [
     "Message",
     "ValueForward",
@@ -126,37 +129,79 @@ class ModelHandoff(Message):
         return self.words
 
 
+def _context(message: "Message", seq_no: "int | None") -> "dict[str, int]":
+    """A message event's causal context: the reading it carries
+    (OutlierReport only) plus the transport sequence number, if any."""
+    context = lineage_fields(message)
+    if seq_no is not None:
+        context["seq_no"] = seq_no
+    return context
+
+
 @dataclass
 class MessageCounter:
-    """Counts messages and payload words by message class.
+    """The message ledger: every send, delivery and drop, by message class.
 
-    ``counts``/``words`` account every transmission attempt ("sent").
-    Drivers that also report per-attempt outcomes (the simulator does)
-    additionally fill ``delivered`` and ``dropped``, and the
-    conservation identity ``sent == delivered + dropped`` holds per
-    message kind (:meth:`conservation_failures` checks it).
+    One method per attempt outcome.  :meth:`send` accounts a
+    transmission attempt (``counts``/``words``), :meth:`deliver` one that
+    reached its receiver (``delivered``) and :meth:`drop` one that did
+    not (``dropped``, and ``drops_by_reason`` by cause).  Under
+    :data:`repro.obs.ACTIVE` each also emits the matching
+    ``message.send`` / ``message.deliver`` / ``message.drop`` event with
+    the message's lineage context (:func:`~repro.obs.lineage
+    .lineage_fields`) and the caller's transport ``seq_no``, so the trace
+    and the counts balance by construction.  A driver that settles every
+    attempt keeps ``sent == delivered + dropped`` per message kind
+    (:meth:`conservation_failures` checks it).
     """
 
     counts: "dict[str, int]" = field(default_factory=dict)
     words: "dict[str, int]" = field(default_factory=dict)
     delivered: "dict[str, int]" = field(default_factory=dict)
     dropped: "dict[str, int]" = field(default_factory=dict)
+    drops_by_reason: "dict[str, int]" = field(default_factory=dict)
 
-    def record(self, message: Message) -> None:
-        """Account one transmitted message (one hop, one attempt)."""
+    def send(self, message: Message, sender: int, dest: int, tick: int, *,
+             seq_no: "int | None" = None, duplicate: bool = False) -> None:
+        """Account one transmission attempt (one hop, one try)."""
         kind = type(message).__name__
+        words = message.size_words()
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.words[kind] = self.words.get(kind, 0) + message.size_words()
+        self.words[kind] = self.words.get(kind, 0) + words
+        if obs.ACTIVE:
+            flag = {"duplicate": True} if duplicate else {}
+            obs.emit("message.send", kind=kind, sender=sender, dest=dest,
+                     words=words, tick=tick, **flag,
+                     **_context(message, seq_no))
 
-    def record_delivered(self, message: Message) -> None:
-        """Account a transmission attempt that reached its receiver."""
+    def deliver(self, message: Message, dest: int, tick: int, *,
+                seq_no: "int | None" = None,
+                duplicate: bool = False) -> None:
+        """Account an attempt that reached its receiver."""
         kind = type(message).__name__
         self.delivered[kind] = self.delivered.get(kind, 0) + 1
+        if obs.ACTIVE:
+            flag = {"duplicate": True} if duplicate else {}
+            obs.emit("message.deliver", kind=kind, dest=dest, tick=tick,
+                     **flag, **_context(message, seq_no))
 
-    def record_dropped(self, message: Message) -> None:
-        """Account a transmission attempt that did not reach its receiver."""
+    def drop(self, message: Message, reason: str, tick: int, *,
+             dest: "int | None" = None,
+             seq_no: "int | None" = None) -> None:
+        """Account an attempt that did not reach its receiver.
+
+        ``reason`` is the cause: ``"loss"`` (the radio lost it),
+        ``"crash"`` (the receiver was down), ``"park-evict"`` (a full
+        park buffer shed it) or ``"fleet-loss"`` (the fleet's loss
+        injection).  ``dest`` is left out of the event when None.
+        """
         kind = type(message).__name__
         self.dropped[kind] = self.dropped.get(kind, 0) + 1
+        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
+        if obs.ACTIVE:
+            where = {} if dest is None else {"dest": dest}
+            obs.emit("message.drop", kind=kind, reason=reason, **where,
+                     tick=tick, **_context(message, seq_no))
 
     @property
     def total_messages(self) -> int:
@@ -176,8 +221,8 @@ class MessageCounter:
     def conservation_failures(self) -> "list[str]":
         """Kinds violating ``sent == delivered + dropped`` (empty = ok).
 
-        Only meaningful when the driver records per-attempt outcomes;
-        a counter fed by ``record`` alone reports every kind here.
+        Only meaningful when the driver settles every attempt; a
+        counter fed by :meth:`send` alone reports every kind here.
         """
         return [kind for kind, sent in self.counts.items()
                 if sent != self.delivered.get(kind, 0)

@@ -41,7 +41,6 @@ from repro.network.faults import FaultPlan
 from repro.network.messages import Ack, Message, MessageCounter
 from repro.network.node import SimNode
 from repro.network.topology import Hierarchy
-from repro.obs.lineage import lineage_fields
 from repro.network.transport import (
     PendingMessage,
     ReliableTransport,
@@ -64,17 +63,6 @@ class _Envelope:
     sender: int
     message: Message
     entry: "PendingMessage | None" = None   # reliable-transport tracking
-
-
-def _lineage_context(message: Message,
-                     entry: "PendingMessage | None") -> "dict[str, int]":
-    """Causal-context fields for a message-plane event: the reading the
-    message carries (OutlierReport only) plus the transport sequence
-    number when the reliable shim tracks the envelope."""
-    context = lineage_fields(message)
-    if entry is not None:
-        context["seq_no"] = entry.seq
-    return context
 
 
 class NetworkSimulator:
@@ -164,9 +152,7 @@ class NetworkSimulator:
             rng = resolve_rng(rng)
         self._rng = rng
         self._tick = 0
-        self._messages_lost = 0
         self._messages_duplicated = 0
-        self._drops_by_reason: "dict[str, int]" = {}
         # Leaves that join a group (a D3 network's leaves) read blocks
         # for the whole run.  A leaf with any crash window reads tick by
         # tick throughout, so its blackout matches the per-reading
@@ -200,7 +186,7 @@ class NetworkSimulator:
     @property
     def messages_lost(self) -> int:
         """Attempts dropped by the loss injector so far."""
-        return self._messages_lost
+        return self._counter.drops_by_reason.get("loss", 0)
 
     @property
     def messages_duplicated(self) -> int:
@@ -209,8 +195,9 @@ class NetworkSimulator:
 
     @property
     def drops_by_reason(self) -> "dict[str, int]":
-        """Dropped attempts by cause (``"loss"`` / ``"crash"``)."""
-        return dict(self._drops_by_reason)
+        """Dropped attempts by cause (``"loss"``, ``"crash"``,
+        ``"park-evict"``), read from the message ledger."""
+        return dict(self._counter.drops_by_reason)
 
     @property
     def transport(self) -> "ReliableTransport | None":
@@ -308,77 +295,60 @@ class NetworkSimulator:
             if evicted is not None:
                 # A full park buffer sheds its oldest occupant.  Parked
                 # messages were never charged as sent (parking precedes
-                # the send site below), so the eviction must record both
-                # a send and a drop to keep sent == delivered + dropped.
-                self._counter.record(evicted.message)
-                self._counter.record_dropped(evicted.message)
-                self._drops_by_reason["park-evict"] = \
-                    self._drops_by_reason.get("park-evict", 0) + 1
-                if obs.ACTIVE:
-                    kind = type(evicted.message).__name__
-                    context = _lineage_context(evicted.message, evicted)
-                    obs.emit("message.send", kind=kind,
-                             sender=evicted.sender, dest=evicted.dest,
-                             words=evicted.message.size_words(),
-                             tick=self._tick, **context)
-                    obs.emit("message.drop", kind=kind,
-                             reason="park-evict", dest=evicted.dest,
-                             tick=self._tick, **context)
+                # the attempt below), so the eviction records both a
+                # send and a drop to keep sent == delivered + dropped.
+                self._counter.send(evicted.message, evicted.sender,
+                                   evicted.dest, self._tick,
+                                   seq_no=evicted.seq)
+                self._counter.drop(evicted.message, "park-evict",
+                                   self._tick, dest=evicted.dest,
+                                   seq_no=evicted.seq)
             return 0
-        # Sending happens regardless of delivery: the message is counted
-        # and the sender pays transmit energy even when the radio loses it.
-        self._counter.record(message)
-        if obs.ACTIVE:
-            obs.emit("message.send", kind=type(message).__name__,
-                     sender=sender, dest=dest,
-                     words=message.size_words(), tick=self._tick,
-                     **_lineage_context(message, entry))
-        if entry is not None:
-            self._transport.note_attempt(entry)
-        rate = self._link_loss_rate(sender, dest)
-        lost = rate > 0.0 and self._rng.random() < rate
-        delivered = not lost and not dest_down
-        if self._energy is not None:
-            self._energy.record(sender, dest, message, delivered=delivered)
-        if not delivered:
-            self._counter.record_dropped(message)
-            reason = "loss" if lost else "crash"
-            if lost:
-                self._messages_lost += 1
-            self._drops_by_reason[reason] = \
-                self._drops_by_reason.get(reason, 0) + 1
-            if obs.ACTIVE:
-                obs.emit("message.drop", kind=type(message).__name__,
-                         reason=reason, dest=dest, tick=self._tick,
-                         **_lineage_context(message, entry))
+        if not self._attempt(sender, dest, message, entry, down=dest_down,
+                             rate=self._link_loss_rate(sender, dest)):
             if entry is not None:
                 self._transport.schedule_or_expire(entry, self._tick)
             return 0
-        self._counter.record_delivered(message)
-        if obs.ACTIVE:
-            obs.emit("message.deliver", kind=type(message).__name__,
-                     dest=dest, tick=self._tick,
-                     **_lineage_context(message, entry))
         extra = self._deliver(envelope, queue)
         dup_rate = self._faults.duplication_rate \
             if self._faults is not None else 0.0
         if dup_rate > 0.0 and self._rng.random() < dup_rate:
             # The radio hears the frame twice: a second full attempt.
             self._messages_duplicated += 1
-            self._counter.record(message)
-            self._counter.record_delivered(message)
-            if obs.ACTIVE:
-                obs.emit("message.send", kind=type(message).__name__,
-                         sender=sender, dest=dest,
-                         words=message.size_words(), tick=self._tick,
-                         duplicate=True, **_lineage_context(message, entry))
-                obs.emit("message.deliver", kind=type(message).__name__,
-                         dest=dest, tick=self._tick, duplicate=True,
-                         **_lineage_context(message, entry))
-            if self._energy is not None:
-                self._energy.record(sender, dest, message, delivered=True)
+            self._attempt(sender, dest, message, entry, down=False,
+                          rate=0.0, duplicate=True)
             extra += 1 + self._deliver(envelope, queue)
         return extra
+
+    def _attempt(self, sender: int, dest: int, message: Message,
+                 entry: "PendingMessage | None", *, down: bool, rate: float,
+                 duplicate: bool = False) -> bool:
+        """One physical attempt through the ledger; returns whether it
+        was delivered.
+
+        Sending happens regardless of delivery: the attempt is counted
+        and the sender pays transmit energy even when the radio loses
+        it.  ``entry`` is the transport entry the message travels under
+        (None for untracked messages and acks); a first copy notes the
+        attempt on it between the send and the loss draw.  ``rate`` 0
+        draws no loss (the duplicate copy of a delivered frame).
+        """
+        seq_no = entry.seq if entry is not None else None
+        self._counter.send(message, sender, dest, self._tick,
+                           seq_no=seq_no, duplicate=duplicate)
+        if entry is not None and not duplicate:
+            self._transport.note_attempt(entry)
+        lost = rate > 0.0 and self._rng.random() < rate
+        delivered = not lost and not down
+        if self._energy is not None:
+            self._energy.record(sender, dest, message, delivered=delivered)
+        if delivered:
+            self._counter.deliver(message, dest, self._tick, seq_no=seq_no,
+                                  duplicate=duplicate)
+        else:
+            self._counter.drop(message, "loss" if lost else "crash",
+                               self._tick, dest=dest, seq_no=seq_no)
+        return delivered
 
     def _deliver(self, envelope: _Envelope, queue: "deque[_Envelope]") -> int:
         """Hand a received message to the transport shim / behaviour."""
@@ -404,35 +374,11 @@ class NetworkSimulator:
 
     def _send_ack(self, entry: PendingMessage) -> int:
         """Transmit the per-hop ack back to the sender; returns 1."""
-        ack = Ack(seq=entry.seq)
-        self._counter.record(ack)
-        if obs.ACTIVE:
-            obs.emit("message.send", kind="Ack", sender=entry.dest,
-                     dest=entry.sender, words=ack.size_words(),
-                     tick=self._tick)
-        rate = self._link_loss_rate(entry.dest, entry.sender)
-        ack_lost = rate > 0.0 and self._rng.random() < rate
-        sender_down = self._node_down(entry.sender, self._tick)
-        ack_delivered = not ack_lost and not sender_down
-        if self._energy is not None:
-            self._energy.record(entry.dest, entry.sender, ack,
-                                delivered=ack_delivered)
-        if ack_delivered:
-            self._counter.record_delivered(ack)
-            if obs.ACTIVE:
-                obs.emit("message.deliver", kind="Ack", dest=entry.sender,
-                         tick=self._tick)
+        if self._attempt(entry.dest, entry.sender, Ack(seq=entry.seq), None,
+                         down=self._node_down(entry.sender, self._tick),
+                         rate=self._link_loss_rate(entry.dest, entry.sender)):
             self._transport.acknowledge(entry)
         else:
-            self._counter.record_dropped(ack)
-            reason = "loss" if ack_lost else "crash"
-            if ack_lost:
-                self._messages_lost += 1
-            self._drops_by_reason[reason] = \
-                self._drops_by_reason.get(reason, 0) + 1
-            if obs.ACTIVE:
-                obs.emit("message.drop", kind="Ack", reason=reason,
-                         dest=entry.sender, tick=self._tick)
             self._transport.schedule_or_expire(entry, self._tick)
         return 1
 

@@ -40,7 +40,7 @@ EVENT_FIELDS: "Mapping[str, Mapping[str, str]]" = MappingProxyType({
     # span structure
     "span_open": {"id": _INT, "name": _STR, "parent": _OPT_INT},
     "span_close": {"id": _INT},
-    # message plane (mirrors MessageCounter record sites exactly)
+    # message plane (emitted only by MessageCounter's send/deliver/drop)
     "message.send": {"kind": _STR, "sender": _INT, "dest": _INT,
                      "words": _INT},
     "message.deliver": {"kind": _STR, "dest": _INT},

@@ -52,7 +52,9 @@ def summarize(values: "np.ndarray | Sequence[float]") -> StreamSummary:
         mean=float(arr.mean()),
         median=float(np.median(arr)),
         stddev=float(arr.std()),
-        skew=float(scipy_stats.skew(arr)),
+        # A constant column has no spread and skew 0, as pandas'
+        # Series.skew gives; scipy returns NaN with a precision warning.
+        skew=float(scipy_stats.skew(arr)) if arr.max() > arr.min() else 0.0,
     )
 
 

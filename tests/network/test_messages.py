@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.network.messages import (
     Ack,
     Message,
@@ -51,23 +52,23 @@ class TestSizes:
 class TestCounter:
     def test_counts_by_kind(self):
         counter = MessageCounter()
-        counter.record(ValueForward(value=np.array([0.1])))
-        counter.record(ValueForward(value=np.array([0.2])))
-        counter.record(OutlierReport(value=np.array([0.1]), origin=0,
-                                     flagged_level=1, tick=0))
+        counter.send(ValueForward(value=np.array([0.1])), 1, 0, 0)
+        counter.send(ValueForward(value=np.array([0.2])), 1, 0, 0)
+        counter.send(OutlierReport(value=np.array([0.1]), origin=0,
+                                   flagged_level=1, tick=0), 1, 0, 0)
         assert counter.counts == {"ValueForward": 2, "OutlierReport": 1}
         assert counter.total_messages == 3
 
     def test_words_accumulate(self):
         counter = MessageCounter()
-        counter.record(ValueForward(value=np.array([0.1, 0.2])))
+        counter.send(ValueForward(value=np.array([0.1, 0.2])), 1, 0, 0)
         assert counter.total_words == 3
         assert counter.words["ValueForward"] == 3
 
     def test_rate(self):
         counter = MessageCounter()
         for _ in range(10):
-            counter.record(ValueForward(value=np.array([0.1])))
+            counter.send(ValueForward(value=np.array([0.1])), 1, 0, 0)
         assert counter.messages_per_tick(5) == 2.0
         assert counter.messages_per_tick(0) == 0.0
 
@@ -75,10 +76,10 @@ class TestCounter:
         counter = MessageCounter()
         msg = ValueForward(value=np.array([0.1]))
         for _ in range(3):
-            counter.record(msg)
-        counter.record_delivered(msg)
-        counter.record_delivered(msg)
-        counter.record_dropped(msg)
+            counter.send(msg, 1, 0, 0)
+        counter.deliver(msg, 0, 0)
+        counter.deliver(msg, 0, 0)
+        counter.drop(msg, "loss", 0)
         assert counter.delivered == {"ValueForward": 2}
         assert counter.dropped == {"ValueForward": 1}
         assert counter.total_delivered == 2
@@ -88,9 +89,73 @@ class TestCounter:
         counter = MessageCounter()
         msg = ValueForward(value=np.array([0.1]))
         ack = Ack(seq=1)
-        counter.record(msg)
-        counter.record_delivered(msg)
-        counter.record(ack)
+        counter.send(msg, 1, 0, 0)
+        counter.deliver(msg, 0, 0)
+        counter.send(ack, 1, 0, 0)
         assert counter.conservation_failures() == ["Ack"]
-        counter.record_dropped(ack)
+        counter.drop(ack, "loss", 0)
+        assert counter.conservation_failures() == []
+
+
+class TestLedger:
+    """One call per attempt outcome counts it and, when traced, emits
+    the matching ``message.*`` event with the message's lineage."""
+
+    REPORT = OutlierReport(value=np.array([0.4]), origin=7,
+                           flagged_level=1, tick=12)
+
+    def _traced(self, run):
+        obs.reset()
+        with obs.enabled():
+            run()
+        events = [{k: v for k, v in e.items()
+                   if k not in ("seq", "t", "span")}
+                  for e in obs.tracer().events()]
+        obs.reset()
+        return events
+
+    def test_events_carry_lineage_and_seq_no(self):
+        counter = MessageCounter()
+
+        def run():
+            counter.send(self.REPORT, 7, 3, 14, seq_no=5)
+            counter.drop(self.REPORT, "loss", 14, dest=3, seq_no=5)
+            counter.send(self.REPORT, 7, 3, 15, seq_no=5, duplicate=True)
+            counter.deliver(self.REPORT, 3, 15, seq_no=5, duplicate=True)
+
+        lineage = {"origin": 7, "reading_tick": 12, "seq_no": 5}
+        assert self._traced(run) == [
+            {"event": "message.send", "kind": "OutlierReport", "sender": 7,
+             "dest": 3, "words": 4, "tick": 14, **lineage},
+            {"event": "message.drop", "kind": "OutlierReport",
+             "reason": "loss", "dest": 3, "tick": 14, **lineage},
+            {"event": "message.send", "kind": "OutlierReport", "sender": 7,
+             "dest": 3, "words": 4, "tick": 15, "duplicate": True,
+             **lineage},
+            {"event": "message.deliver", "kind": "OutlierReport", "dest": 3,
+             "tick": 15, "duplicate": True, **lineage}]
+        assert counter.conservation_failures() == []
+
+    def test_drop_without_dest_and_untracked_kinds(self):
+        counter = MessageCounter()
+
+        def run():
+            counter.drop(self.REPORT, "fleet-loss", 9)
+            counter.drop(Ack(seq=2), "crash", 9, dest=1)
+
+        assert self._traced(run) == [
+            {"event": "message.drop", "kind": "OutlierReport",
+             "reason": "fleet-loss", "tick": 9, "origin": 7,
+             "reading_tick": 12},
+            {"event": "message.drop", "kind": "Ack", "reason": "crash",
+             "dest": 1, "tick": 9}]
+
+    def test_drops_by_reason(self):
+        counter = MessageCounter()
+        for reason in ("loss", "crash", "loss", "park-evict"):
+            counter.send(self.REPORT, 7, 3, 0)
+            counter.drop(self.REPORT, reason, 0, dest=3)
+        assert counter.drops_by_reason == {"loss": 2, "crash": 1,
+                                           "park-evict": 1}
+        assert counter.dropped == {"OutlierReport": 4}
         assert counter.conservation_failures() == []

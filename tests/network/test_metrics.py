@@ -51,7 +51,7 @@ class TestCommunicationReport:
     def test_rates(self):
         counter = MessageCounter()
         for _ in range(100):
-            counter.record(ValueForward(value=np.array([0.1])))
+            counter.send(ValueForward(value=np.array([0.1])), 1, 0, 0)
         report = CommunicationReport(n_ticks=50, n_nodes=10, counter=counter)
         assert report.messages_per_second == 2.0
         assert report.messages_per_node_per_second == 0.2
@@ -63,7 +63,7 @@ class TestCommunicationReport:
 
     def test_zero_ticks(self):
         counter = MessageCounter()
-        counter.record(Ack(seq=0))
+        counter.send(Ack(seq=0), 1, 0, 0)
         report = CommunicationReport(n_ticks=0, n_nodes=4, counter=counter)
         assert report.messages_per_second == 0.0
         assert report.messages_per_node_per_second == 0.0
@@ -100,9 +100,9 @@ class TestWordAccounting:
 
     def test_counter_accumulates_words_by_kind(self):
         counter = MessageCounter()
-        counter.record(ValueForward(value=np.zeros(3)))   # 4 words
-        counter.record(ValueForward(value=np.zeros(3)))   # 4 words
-        counter.record(Ack(seq=0))                        # 2 words
+        counter.send(ValueForward(value=np.zeros(3)), 1, 0, 0)  # 4 words
+        counter.send(ValueForward(value=np.zeros(3)), 1, 0, 0)  # 4 words
+        counter.send(Ack(seq=0), 1, 0, 0)                       # 2 words
         assert counter.words == {"ValueForward": 8, "Ack": 2}
         assert counter.total_words == 10
         # Bytes at the paper's 16-bit word size.
@@ -113,10 +113,10 @@ class TestCounterConservation:
     def test_identity_holds_when_outcomes_recorded(self):
         counter = MessageCounter()
         message = ValueForward(value=np.zeros(1))
-        counter.record(message)
-        counter.record(message)
-        counter.record_delivered(message)
-        counter.record_dropped(message)
+        counter.send(message, 1, 0, 0)
+        counter.send(message, 1, 0, 0)
+        counter.deliver(message, 0, 0)
+        counter.drop(message, "loss", 0)
         assert counter.conservation_failures() == []
         assert counter.total_messages == 2
         assert counter.total_delivered == 1
@@ -124,7 +124,7 @@ class TestCounterConservation:
 
     def test_identity_violation_reported_per_kind(self):
         counter = MessageCounter()
-        counter.record(ValueForward(value=np.zeros(1)))
-        counter.record(Ack(seq=0))
-        counter.record_delivered(Ack(seq=0))
+        counter.send(ValueForward(value=np.zeros(1)), 1, 0, 0)
+        counter.send(Ack(seq=0), 1, 0, 0)
+        counter.deliver(Ack(seq=0), 0, 0)
         assert counter.conservation_failures() == ["ValueForward"]

@@ -10,11 +10,14 @@ OutlierReport, Ack, ModelHandoff for D3 and ModelUpdate for MGDD.
 
 from __future__ import annotations
 
+import ast
 import collections
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.core.mdef import MDEFSpec
 from repro.core.outliers import DistanceOutlierSpec
@@ -258,3 +261,38 @@ class TestSnapshotEmbedding:
         result = run_accuracy_run(_faulted_config("d3"), seed=3)
         assert "obs" not in result.network_stats
         assert obs.tracer().n_emitted == 0
+
+
+def _emit_sites(event_prefix: str) -> "list[tuple[str, int]]":
+    """(path under src/repro, line) of every ``obs.emit`` whose first
+    argument is a string literal starting with ``event_prefix``."""
+    root = Path(repro.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "obs"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                    and node.args[0].value.startswith(event_prefix)):
+                sites.append((path.relative_to(root).as_posix(),
+                              node.lineno))
+    return sites
+
+
+class TestOneLedger:
+    """The trace's message and flag events come from one place each, so
+    they balance against the counters by construction."""
+
+    def test_message_events_only_in_the_ledger(self):
+        sites = _emit_sites("message.")
+        assert len(sites) == 3   # MessageCounter.send, deliver, drop
+        assert {path for path, _ in sites} == {"network/messages.py"}
+
+    def test_flag_events_only_in_the_detection_log(self):
+        sites = _emit_sites("detector.flag")
+        assert {path for path, _ in sites} == {"network/node.py"}

@@ -65,8 +65,8 @@ class TestSpoolRoundTrip:
         counter = MessageCounter()
         report = OutlierReport(value=np.array([1.0]), origin=3,
                                flagged_level=0, tick=5)
-        counter.record(report)
-        counter.record_delivered(report)
+        counter.send(report, 1, 0, 0)
+        counter.deliver(report, 0, 0)
         with worker_trace_sink(tmp_path, 3, counter=counter) as path:
             obs.emit("sample.evict", count=1, tick=5)
             obs.emit("sample.evict", count=2, tick=6)
@@ -300,8 +300,8 @@ class TestConservation:
         counter = MessageCounter()
         report = OutlierReport(value=np.array([0.5]), origin=1,
                                flagged_level=0, tick=0)
-        counter.record(report)
-        counter.record_dropped(report)
+        counter.send(report, 1, 0, 0)
+        counter.drop(report, "loss", 0)
         totals = counter_totals(counter)
         assert totals["counts"]["OutlierReport"] == 1
         assert totals["dropped"]["OutlierReport"] == 1

@@ -44,12 +44,12 @@ class TestAbsorb:
     def test_absorb_message_counter(self):
         counter = MessageCounter()
         forward = ValueForward(value=np.array([0.5]))
-        counter.record(forward)
-        counter.record(forward)
-        counter.record_delivered(forward)
-        counter.record_dropped(forward)
-        counter.record(Ack(seq=0))
-        counter.record_delivered(Ack(seq=0))
+        counter.send(forward, 1, 0, 0)
+        counter.send(forward, 1, 0, 0)
+        counter.deliver(forward, 0, 0)
+        counter.drop(forward, "loss", 0)
+        counter.send(Ack(seq=0), 1, 0, 0)
+        counter.deliver(Ack(seq=0), 0, 0)
 
         registry = MetricsRegistry()
         registry.absorb_message_counter(counter)

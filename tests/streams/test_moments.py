@@ -77,10 +77,11 @@ class TestResources:
         assert sketch.memory_words() == 4 * n_buckets
         assert sketch.max_memory_words() < 4 * 25 * 12 * 2
 
-    def test_constant_stream(self):
+    def test_constant_stream(self, rng):
         sketch = sketch_of([0.7] * 400, 100)
         assert sketch.std()[0] ** 2 == pytest.approx(0.0, abs=1e-12)
         assert int(sketch.snapshot_state()["lane_len"][0]) < 30
+        assert sample_skew([0.7] * 400, 100, rng) == 0.0
 
 
 class TestAPI:

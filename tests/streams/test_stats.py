@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,13 @@ class TestSummarize:
         values = np.concatenate([rng.normal(0.5, 0.01, 5_000),
                                  rng.normal(0.1, 0.01, 100)])
         assert summarize(values).skew < -3
+
+    def test_constant_column_has_zero_skew(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarize([0.7] * 400)
+        assert summary.skew == 0.0
+        assert summary.stddev == 0.0
 
     def test_as_row_order(self):
         summary = summarize([0.0, 1.0])
