@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.latency_bench import (
+from repro.eval.provenance import write_results
+from repro.eval.resilience import (
     check_latency,
     run_latency_benchmark,
-    run_latency_cell,
+    run_resilience_cell,
 )
-from repro.eval.provenance import write_results
 
 #: Reduced grid: both algorithms, a lossless and a lossy regime, a
 #: tight and a loose staleness horizon.  360 measured ticks, so MGDD's
@@ -74,4 +74,4 @@ def test_latency_cell_replays_bit_for_bit():
     kwargs = dict(algorithm="d3", loss_rate=0.25, staleness_horizon=30,
                   n_leaves=9, branching=3, window_size=120,
                   measure_ticks=120, seed=7)
-    assert run_latency_cell(**kwargs) == run_latency_cell(**kwargs)
+    assert run_resilience_cell(**kwargs) == run_resilience_cell(**kwargs)

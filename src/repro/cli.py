@@ -442,16 +442,16 @@ def _cmd_bench_recovery(args) -> int:
 
 
 def _cmd_bench_latency(args) -> int:
-    from repro.eval import latency_bench
+    from repro.eval import resilience
 
-    results = latency_bench.run_latency_benchmark(
+    results = resilience.run_latency_benchmark(
         loss_rates=tuple(args.loss_rates),
         staleness_horizons=tuple(args.staleness_horizons),
         n_leaves=args.leaves, branching=args.branching,
         window_size=args.window, measure_ticks=args.measure,
         seed=args.seed)
-    return _finish_bench(args, results, latency_bench.format_table,
-                         latency_bench.check_latency, "LATENCY")
+    return _finish_bench(args, results, resilience.format_latency_table,
+                         resilience.check_latency, "LATENCY")
 
 
 def _cmd_bench_fleet(args) -> int:
@@ -545,19 +545,18 @@ def _cmd_explain(args) -> int:
 def _cmd_trace(args) -> int:
     import json
 
-    from repro.eval.harness import ExperimentConfig, run_accuracy_run
+    from repro.eval.resilience import run_resilience_cell
     from repro.obs import report, schema
 
     trace_out = args.trace_out or f"TRACE_{args.experiment}.jsonl"
-    dataset = "synthetic" if args.experiment == "d3" else "plateau"
-    config = ExperimentConfig(
-        algorithm=args.experiment, dataset=dataset, n_leaves=args.leaves,
+    cell = run_resilience_cell(
+        algorithm=args.experiment, loss_rate=args.loss_rate,
+        crash_fraction=args.crash_fraction, n_leaves=args.leaves,
         window_size=args.window, measure_ticks=args.measure,
-        n_runs=1, seed=args.seed, loss_rate=args.loss_rate,
-        crash_fraction=args.crash_fraction, reliable_transport=True,
-        repair_leaders=args.crash_fraction > 0.0,
-        staleness_horizon=max(1, args.window // 2))
-    result = run_accuracy_run(config, seed=args.seed, obs=trace_out)
+        seed=args.seed, obs=trace_out)
+    network = cell["network"]
+    assert isinstance(network, dict)
+    obs_stats = network["obs"]
 
     events = report.load_events(trace_out)
     problems = schema.validate_events(events)
@@ -567,13 +566,11 @@ def _cmd_trace(args) -> int:
     print(f"# wrote {trace_out} ({len(events)} events)", file=sys.stderr)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(result.network_stats["obs"], handle, indent=2,
-                      sort_keys=True)
+            json.dump(obs_stats, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"# wrote {args.json_out}", file=sys.stderr)
     if args.metrics_out:
-        _export_metrics_file(result.network_stats["obs"]["metrics"],
-                             args.metrics_out)
+        _export_metrics_file(obs_stats["metrics"], args.metrics_out)
     return 1 if problems else 0
 
 

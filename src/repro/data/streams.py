@@ -8,7 +8,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro._exceptions import ParameterError
-from repro._validation import as_points
 
 __all__ = ["StreamSet"]
 
@@ -18,25 +17,38 @@ class StreamSet:
     """A bundle of per-sensor streams of equal length and dimensionality.
 
     ``streams[i]`` has shape ``(length, n_dims)`` and is the reading
-    sequence of leaf sensor ``i``.
+    sequence of leaf sensor ``i``.  Construction checks the bundle --
+    shapes, and every reading finite -- however it is built, so the
+    simulator never reads a malformed stream.
     """
 
     streams: "tuple[np.ndarray, ...]"
 
-    @classmethod
-    def from_arrays(cls, arrays: "Iterable[np.ndarray | Sequence[Sequence[float]] | Sequence[float]]") -> "StreamSet":
-        """Validate and normalise a list of per-sensor arrays."""
-        normalised = tuple(as_points(f"streams[{i}]", a)
-                           for i, a in enumerate(arrays))
-        if not normalised:
+    def __post_init__(self) -> None:
+        if not self.streams:
             raise ParameterError("a StreamSet needs at least one stream")
-        lengths = {a.shape[0] for a in normalised}
-        dims = {a.shape[1] for a in normalised}
+        for i, stream in enumerate(self.streams):
+            if stream.ndim != 2:
+                raise ParameterError(
+                    f"streams[{i}] must be a (length, n_dims) array, "
+                    f"got shape {stream.shape}")
+            if not np.isfinite(stream).all():
+                raise ParameterError(
+                    f"streams[{i}] must contain only finite values")
+        lengths = {a.shape[0] for a in self.streams}
+        dims = {a.shape[1] for a in self.streams}
         if len(lengths) != 1:
             raise ParameterError(f"streams disagree on length: {sorted(lengths)}")
         if len(dims) != 1:
             raise ParameterError(f"streams disagree on dimensionality: {sorted(dims)}")
-        return cls(normalised)
+
+    @classmethod
+    def from_arrays(cls, arrays: "Iterable[np.ndarray | Sequence[Sequence[float]] | Sequence[float]]") -> "StreamSet":
+        """Normalise a list of per-sensor arrays to float ``(length,
+        n_dims)`` arrays (1-d input is one scalar reading per tick)."""
+        normalised = (np.asarray(a, dtype=float) for a in arrays)
+        return cls(tuple(a if a.ndim >= 2 else a.reshape(-1, 1)
+                         for a in normalised))
 
     @property
     def n_sensors(self) -> int:

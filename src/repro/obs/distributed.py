@@ -47,6 +47,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro._artifacts import atomic_write_text
 from repro._exceptions import ParameterError, SnapshotError
+from repro.obs import report
 
 __all__ = [
     "MergedTrace",
@@ -486,25 +487,13 @@ def conservation_failures(
 
     Checks, per message kind, that the merged trace's ``message.send``
     / ``message.deliver`` / ``message.drop`` event counts (and summed
-    send words) equal the fleet-summed MessageCounter ``totals``
-    *exactly*, and that ``sent == delivered + dropped`` holds on the
-    totals.  Empty list means the books balance.
+    send words), as :func:`repro.obs.report.summarize` folds them,
+    equal the fleet-summed MessageCounter ``totals`` *exactly*, and
+    that ``sent == delivered + dropped`` holds on the totals.  Empty
+    list means the books balance.
     """
-    observed: "dict[str, dict[str, int]]" = {}
-    for record in events:
-        kind = record.get("event")
-        if kind not in ("message.send", "message.deliver", "message.drop"):
-            continue
-        mkind = str(record.get("kind"))
-        row = observed.setdefault(
-            mkind, {"send": 0, "deliver": 0, "drop": 0, "words": 0})
-        verb = str(kind).split(".", 1)[1]
-        row[verb] += 1
-        if verb == "send":
-            words = record.get("words")
-            if isinstance(words, int) and not isinstance(words, bool):
-                row["words"] += words
-
+    observed = report.summarize(events)["messages"]
+    assert isinstance(observed, dict)
     failures: "list[str]" = []
     kinds = sorted(set(observed)
                    | set(totals.get("counts", {}))
@@ -517,18 +506,12 @@ def conservation_failures(
         delivered = int(totals.get("delivered", {}).get(mkind, 0))
         dropped = int(totals.get("dropped", {}).get(mkind, 0))
         words = int(totals.get("words", {}).get(mkind, 0))
-        if row["send"] != sent:
-            failures.append(
-                f"{mkind}: trace has {row['send']} send event(s) but "
-                f"counters say {sent}")
-        if row["deliver"] != delivered:
-            failures.append(
-                f"{mkind}: trace has {row['deliver']} deliver event(s) "
-                f"but counters say {delivered}")
-        if row["drop"] != dropped:
-            failures.append(
-                f"{mkind}: trace has {row['drop']} drop event(s) but "
-                f"counters say {dropped}")
+        for verb, counted in (("send", sent), ("deliver", delivered),
+                              ("drop", dropped)):
+            if row[verb] != counted:
+                failures.append(
+                    f"{mkind}: trace has {row[verb]} {verb} event(s) but "
+                    f"counters say {counted}")
         if row["words"] != words:
             failures.append(
                 f"{mkind}: trace send words {row['words']} != counter "
@@ -562,7 +545,6 @@ def load_trace_meta(
     if is_spool_file(target):
         merged = merge_spools([load_spool(target)])
         return merged.events, _merged_meta(merged)
-    from repro.obs import report
     return report.load_events(str(target)), {}
 
 

@@ -180,25 +180,6 @@ class ModelHealth:
     violations: "tuple[str, ...]" = ()
     score: float = 1.0
 
-    def as_dict(self) -> "dict[str, object]":
-        """The report as JSON-ready plain data."""
-        return {
-            "node": self.node, "tick": self.tick,
-            "arrivals": self.arrivals,
-            "sample_fill": self.sample_fill,
-            "sample_staleness": self.sample_staleness,
-            "eviction_rate": self.eviction_rate,
-            "sigma_min": self.sigma_min,
-            "bandwidth_collapsed": self.bandwidth_collapsed,
-            "drift_l1": self.drift_l1, "drift_linf": self.drift_linf,
-            "codec_error": self.codec_error,
-            "child_divergence": self.child_divergence,
-            "flag_latency_max": self.flag_latency_max,
-            "stale_children": list(self.stale_children),
-            "violations": list(self.violations),
-            "score": self.score,
-        }
-
     def snapshot_state(self) -> "dict[str, Any]":
         """Plain-data snapshot for the :mod:`repro.engine.snapshot` codec."""
         return asdict(self)

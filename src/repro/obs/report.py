@@ -29,7 +29,7 @@ def _as_int(value: object) -> int:
 
 
 def summarize(
-        events: "list[Mapping[str, object]]") -> "dict[str, object]":
+        events: "Sequence[Mapping[str, object]]") -> "dict[str, object]":
     """Top-line rollup of a trace: events, messages, spans, detections."""
     by_event: "dict[str, int]" = {}
     messages: "dict[str, dict[str, int]]" = {}
@@ -41,7 +41,7 @@ def summarize(
     for record in events:
         kind = str(record.get("event"))
         by_event[kind] = by_event.get(kind, 0) + 1
-        if kind.startswith("message."):
+        if kind in ("message.send", "message.deliver", "message.drop"):
             mkind = str(record.get("kind"))
             row = messages.setdefault(
                 mkind, {"send": 0, "deliver": 0, "drop": 0, "words": 0})

@@ -4,8 +4,9 @@ Every record a :class:`repro.obs.trace.Tracer` emits carries the common
 fields ``event`` (kind), ``seq`` (monotone int), ``t`` (wall-clock
 float) and ``span`` (innermost open span id or None), plus kind-specific
 required fields listed in :data:`EVENT_FIELDS`.  Extra fields are always
-allowed (emitters attach context like ``tick`` freely); unknown event
-kinds and missing or mistyped required fields are errors.
+allowed (emitters attach context like ``tick`` freely, but a ``tick``,
+where present, must be an int: the fleet merge orders events by it);
+unknown event kinds and missing or mistyped required fields are errors.
 
 The CI obs-smoke job and ``tools/trace_report.py --validate`` run every
 emitted event through :func:`validate_event`.
@@ -104,12 +105,14 @@ EVENT_OPTIONAL_FIELDS: "Mapping[str, Mapping[str, str]]" = \
                            "model_seq": _INT, "staleness": _INT},
         # Causal context threaded onto the message plane for
         # OutlierReport-bearing envelopes.
+        # ``duplicate`` marks a transport-duplicated copy; a fleet
+        # drop carries no ``dest``.
         "message.send": {"seq_no": _INT, "origin": _INT,
-                         "reading_tick": _INT},
+                         "reading_tick": _INT, "duplicate": _BOOL},
         "message.deliver": {"seq_no": _INT, "origin": _INT,
-                            "reading_tick": _INT},
+                            "reading_tick": _INT, "duplicate": _BOOL},
         "message.drop": {"seq_no": _INT, "origin": _INT,
-                         "reading_tick": _INT},
+                         "reading_tick": _INT, "dest": _INT},
         "transport.retransmit": {"origin": _INT, "reading_tick": _INT},
         "transport.expire": {"origin": _INT, "reading_tick": _INT},
         "transport.park": {"origin": _INT, "reading_tick": _INT},
@@ -154,6 +157,9 @@ def validate_event(record: "Mapping[str, object]") -> "list[str]":
     span = record.get("span", "missing")
     if not (span is None or _is_int(span)):
         problems.append(f"{kind}: 'span' must be an int or None")
+    if "tick" in record and "tick" not in EVENT_FIELDS[kind] \
+            and not _is_int(record["tick"]):
+        problems.append(f"{kind}: 'tick' must be an int")
     for field, tag in EVENT_FIELDS[kind].items():
         if field not in record:
             problems.append(f"{kind}: required field {field!r} missing")

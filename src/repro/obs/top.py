@@ -4,10 +4,11 @@ Runs a simulation in refresh-sized steps (``NetworkSimulator.run`` is
 incremental) with tracing on, and after each step renders a table with
 one row per node: current tick, window fill, health score, probe drift,
 message send/deliver counters, and flag count plus worst event-time ->
-flag latency.  The message counters come from an
+flag latency.  The message and flag counters come from an
 *incremental* scan of the tracer ring -- only events with ``seq`` beyond
 the last frame's high-water mark are folded in, so a frame costs O(new
-events), not O(trace).
+events), not O(trace) -- through the same per-node fold that
+``repro top --trace`` replays a recorded trace with.
 
 Everything here is presentation: the numbers are exactly the ones
 :class:`~repro.obs.health.HealthMonitor` and the ``message.*`` trace
@@ -28,6 +29,7 @@ from repro.core.outliers import DistanceOutlierSpec
 from repro.data.streams import StreamSet
 from repro.data.synthetic import make_drift_streams, make_mixture_streams
 from repro.detectors.d3 import D3Config, build_d3_network
+from repro.eval.reporting import render_grid
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import build_hierarchy
 from repro.obs.health import HealthMonitor
@@ -67,18 +69,78 @@ def build_workload(*, n_leaves: int = 8, branching: int = 4,
     return simulator, network.nodes, hierarchy
 
 
-class TopView:
-    """Incremental per-node table renderer over the tracer ring."""
+class _TraceTopView:
+    """Per-node roll-up folded from recorded (possibly merged) events."""
 
-    def __init__(self, nodes: "dict[int, object]",
-                 monitor: HealthMonitor) -> None:
-        self._nodes = nodes
-        self._monitor = monitor
-        self._last_seq = -1
+    def __init__(self) -> None:
         self._sent: "dict[int, int]" = {}
         self._received: "dict[int, int]" = {}
         self._flags: "dict[int, int]" = {}
         self._latency_max: "dict[int, int]" = {}
+        self._workers: "dict[int, set[int]]" = {}
+        self.n_events = 0
+
+    def absorb(self, record: "dict[str, object]") -> None:
+        """Fold one event into the per-node counters."""
+        self.n_events += 1
+        kind = record.get("event")
+        node: "object | None" = None
+        if kind == "message.send":
+            node = record.get("sender")
+            if isinstance(node, int) and not isinstance(node, bool):
+                self._sent[node] = self._sent.get(node, 0) + 1
+        elif kind == "message.deliver":
+            node = record.get("dest")
+            if isinstance(node, int) and not isinstance(node, bool):
+                self._received[node] = self._received.get(node, 0) + 1
+        elif kind == "detector.flag":
+            node = record.get("node")
+            if isinstance(node, int) and not isinstance(node, bool):
+                self._flags[node] = self._flags.get(node, 0) + 1
+                latency = record.get("latency")
+                if isinstance(latency, int) and not isinstance(
+                        latency, bool):
+                    previous = self._latency_max.get(node)
+                    if previous is None or latency > previous:
+                        self._latency_max[node] = latency
+        if isinstance(node, int) and not isinstance(node, bool):
+            worker = record.get("worker_id")
+            if isinstance(worker, int) and not isinstance(worker, bool):
+                self._workers.setdefault(node, set()).add(worker)
+
+    def _counters(self, node_id: int) -> "tuple[str, str, str, str]":
+        """One node's ``sent``, ``recv``, ``flags`` and ``lat`` cells."""
+        latency = self._latency_max.get(node_id)
+        return (str(self._sent.get(node_id, 0)),
+                str(self._received.get(node_id, 0)),
+                str(self._flags.get(node_id, 0)),
+                "-" if latency is None else str(latency))
+
+    def render(self, tick: int) -> str:
+        """One replay frame: header line + one row per node seen."""
+        rows = [("node", "workers", "sent", "recv", "flags", "lat")]
+        for node_id in sorted(set(self._sent) | set(self._received)
+                              | set(self._flags)):
+            workers = self._workers.get(node_id)
+            rows.append((
+                str(node_id),
+                ",".join(str(w) for w in sorted(workers))
+                if workers else "-",
+                *self._counters(node_id)))
+        return (f"repro top (replay)  tick={tick}  nodes={len(rows) - 1}  "
+                f"events={self.n_events}\n" + render_grid(rows))
+
+
+class TopView(_TraceTopView):
+    """Live per-node table: the replay fold over the tracer ring, plus
+    the health monitor's columns."""
+
+    def __init__(self, nodes: "dict[int, object]",
+                 monitor: HealthMonitor) -> None:
+        super().__init__()
+        self._nodes = nodes
+        self._monitor = monitor
+        self._last_seq = -1
         self._frames = 0
 
     @property
@@ -92,29 +154,10 @@ class TopView:
         for record in obs.tracer().events():
             seq = record["seq"]
             assert isinstance(seq, int)
-            if seq <= self._last_seq:
-                continue
-            self._last_seq = seq
-            absorbed += 1
-            kind = record.get("event")
-            if kind == "message.send":
-                sender = record.get("sender")
-                if isinstance(sender, int):
-                    self._sent[sender] = self._sent.get(sender, 0) + 1
-            elif kind == "message.deliver":
-                dest = record.get("dest")
-                if isinstance(dest, int):
-                    self._received[dest] = self._received.get(dest, 0) + 1
-            elif kind == "detector.flag":
-                node = record.get("node")
-                if isinstance(node, int):
-                    self._flags[node] = self._flags.get(node, 0) + 1
-                    latency = record.get("latency")
-                    if isinstance(latency, int) and not isinstance(
-                            latency, bool):
-                        previous = self._latency_max.get(node)
-                        if previous is None or latency > previous:
-                            self._latency_max[node] = latency
+            if seq > self._last_seq:
+                self._last_seq = seq
+                self.absorb(record)
+                absorbed += 1
         return absorbed
 
     def render(self, tick: int) -> str:
@@ -129,93 +172,27 @@ class TopView:
                 continue
             drift = "-" if report.drift_linf is None \
                 else f"{report.drift_linf:.3f}"
-            latency = self._latency_max.get(node_id)
             rows.append((
                 str(node_id), f"{report.sample_fill:.2f}",
-                f"{report.score:.2f}", drift,
-                str(self._sent.get(node_id, 0)),
-                str(self._received.get(node_id, 0)),
-                str(self._flags.get(node_id, 0)),
-                "-" if latency is None else str(latency),
+                f"{report.score:.2f}", drift, *self._counters(node_id),
                 ",".join(report.violations) or "-"))
-        widths = [max(len(row[i]) for row in rows)
-                  for i in range(len(rows[0]))]
-        lines = [f"repro top  tick={tick}  nodes={len(rows) - 1}  "
-                 f"events={obs.tracer().n_emitted}"]
-        for j, row in enumerate(rows):
-            lines.append("  ".join(cell.rjust(widths[i]) if i else
-                                   cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)))
-            if j == 0:
-                lines.append("  ".join("-" * w for w in widths))
         self._frames += 1
-        return "\n".join(lines)
+        return (f"repro top  tick={tick}  nodes={len(rows) - 1}  "
+                f"events={obs.tracer().n_emitted}\n" + render_grid(rows))
 
 
-class _TraceTopView:
-    """Per-node roll-up folded from recorded (possibly merged) events."""
-
-    def __init__(self) -> None:
-        self.sent: "dict[int, int]" = {}
-        self.received: "dict[int, int]" = {}
-        self.flags: "dict[int, int]" = {}
-        self.latency_max: "dict[int, int]" = {}
-        self.workers: "dict[int, set[int]]" = {}
-        self.n_events = 0
-
-    def absorb(self, record: "dict[str, object]") -> None:
-        self.n_events += 1
-        kind = record.get("event")
-        node: "object | None" = None
-        if kind == "message.send":
-            node = record.get("sender")
-            if isinstance(node, int) and not isinstance(node, bool):
-                self.sent[node] = self.sent.get(node, 0) + 1
-        elif kind == "message.deliver":
-            node = record.get("dest")
-            if isinstance(node, int) and not isinstance(node, bool):
-                self.received[node] = self.received.get(node, 0) + 1
-        elif kind == "detector.flag":
-            node = record.get("node")
-            if isinstance(node, int) and not isinstance(node, bool):
-                self.flags[node] = self.flags.get(node, 0) + 1
-                latency = record.get("latency")
-                if isinstance(latency, int) and not isinstance(
-                        latency, bool):
-                    previous = self.latency_max.get(node)
-                    if previous is None or latency > previous:
-                        self.latency_max[node] = latency
-        if isinstance(node, int) and not isinstance(node, bool):
-            worker = record.get("worker_id")
-            if isinstance(worker, int) and not isinstance(worker, bool):
-                self.workers.setdefault(node, set()).add(worker)
-
-    def render(self, tick: int, *, title: str) -> str:
-        rows = [("node", "workers", "sent", "recv", "flags", "lat")]
-        nodes = sorted(set(self.sent) | set(self.received)
-                       | set(self.flags))
-        for node_id in nodes:
-            latency = self.latency_max.get(node_id)
-            workers = self.workers.get(node_id)
-            rows.append((
-                str(node_id),
-                ",".join(str(w) for w in sorted(workers))
-                if workers else "-",
-                str(self.sent.get(node_id, 0)),
-                str(self.received.get(node_id, 0)),
-                str(self.flags.get(node_id, 0)),
-                "-" if latency is None else str(latency)))
-        widths = [max(len(row[i]) for row in rows)
-                  for i in range(len(rows[0]))]
-        lines = [f"{title}  tick={tick}  nodes={len(rows) - 1}  "
-                 f"events={self.n_events}"]
-        for j, row in enumerate(rows):
-            lines.append("  ".join(cell.rjust(widths[i]) if i else
-                                   cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)))
-            if j == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+def _write_frame(sink: TextIO, frame: str, *, clear: bool,
+                 interval_s: float) -> None:
+    """Write one frame (after a clear-screen, or followed by a blank
+    line), then sleep ``interval_s``."""
+    if clear:
+        sink.write(_CLEAR)
+    sink.write(frame + "\n")
+    if not clear:
+        sink.write("\n")
+    sink.flush()
+    if interval_s > 0:
+        time.sleep(interval_s)
 
 
 def replay_top(trace: str, *, refresh_every: int = 50,
@@ -247,16 +224,9 @@ def replay_top(trace: str, *, refresh_every: int = 50,
 
     def flush_frame(tick: int) -> None:
         nonlocal frames
-        frame = view.render(tick, title="repro top (replay)")
-        if clear:
-            sink.write(_CLEAR)
-        sink.write(frame + "\n")
-        if not clear:
-            sink.write("\n")
-        sink.flush()
+        _write_frame(sink, view.render(tick), clear=clear,
+                     interval_s=interval_s)
         frames += 1
-        if interval_s > 0:
-            time.sleep(interval_s)
 
     for record in events:
         tick = record.get("tick")
@@ -306,15 +276,8 @@ def run_top(*, n_leaves: int = 8, window_size: int = 300,
             simulator.run(chunk)
             done += chunk
             monitor.check(done - 1)
-            frame = view.render(done - 1)
-            if clear:
-                sink.write(_CLEAR)
-            sink.write(frame + "\n")
-            if not clear:
-                sink.write("\n")
-            sink.flush()
-            if interval_s > 0:
-                time.sleep(interval_s)
+            _write_frame(sink, view.render(done - 1), clear=clear,
+                         interval_s=interval_s)
         summary = {
             "frames": view.n_frames,
             "final_tick": done - 1,

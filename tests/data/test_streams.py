@@ -40,3 +40,12 @@ class TestStreamSet:
         with pytest.raises(ParameterError, match="dimensionality"):
             StreamSet.from_arrays([rng.uniform(size=(5, 1)),
                                    rng.uniform(size=(5, 2))])
+
+    @pytest.mark.parametrize("build", [StreamSet, StreamSet.from_arrays])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, build, bad):
+        # A StreamSet built directly is checked like one from from_arrays.
+        stream = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+        stream[5, 0] = bad
+        with pytest.raises(ParameterError, match=r"streams\[1\].*finite"):
+            build((np.zeros((8, 1)), stream))

@@ -262,7 +262,10 @@ class TestConservation:
                    "kind": "OutlierReport"},
                   {"event": "message.drop", "seq": 3,
                    "kind": "OutlierReport"},
-                  {"event": "detector.flag", "seq": 4}]
+                  {"event": "detector.flag", "seq": 4},
+                  # Not one of the three ledger events: not counted.
+                  {"event": "message.bogus", "seq": 5,
+                   "kind": "OutlierReport"}]
         totals = {"counts": {"OutlierReport": 2},
                   "delivered": {"OutlierReport": 1},
                   "dropped": {"OutlierReport": 1},

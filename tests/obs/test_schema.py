@@ -76,3 +76,19 @@ class TestInvalidEvents:
         problems = schema.validate_events(obs.tracer().events())
         assert problems
         assert all(p.startswith("[1]") for p in problems)
+
+    def test_mistyped_tick_and_message_flags(self):
+        obs.activate()
+        record = _emit("message.send", kind="ValueForward", sender=1,
+                       dest=0, words=2, tick="x", duplicate="yes")
+        problems = schema.validate_event(record)
+        assert len(problems) == 2, problems
+        assert any("'tick'" in p for p in problems)
+        assert any("'duplicate'" in p for p in problems)
+
+    def test_drop_dest_must_be_an_int(self):
+        obs.activate()
+        record = _emit("message.drop", kind="Ack", reason="loss", dest="0")
+        assert any("'dest'" in p for p in schema.validate_event(record))
+        record = _emit("message.drop", kind="Ack", reason="loss", tick=3)
+        assert schema.validate_event(record) == []
